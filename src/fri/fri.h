@@ -63,6 +63,41 @@ struct FriProof
 };
 
 /**
+ * Proof-of-work check shared by prover and verifier: the first digest
+ * element of hashNoPad({challenge, Fp(nonce)}) has @p bits leading zero
+ * bits. Always true for bits == 0.
+ */
+bool powValid(Fp challenge, uint64_t nonce, uint32_t bits);
+
+/**
+ * Grinding schedule: the first block holds kPowFirstBlock nonces and
+ * each later block twice as many, up to kPowMaxBlock. Small first
+ * blocks keep cheap grinds cheap (an 8-bit grind needs ~256 hashes);
+ * the cap bounds the overshoot past the answer on long ones.
+ * @{
+ */
+constexpr uint64_t kPowFirstBlock = 64;
+constexpr uint64_t kPowMaxBlock = 4096;
+/** @} */
+
+/** Outcome of powGrind. */
+struct PowGrindResult
+{
+    uint64_t nonce = 0;  ///< smallest nonce with powValid
+    uint64_t hashes = 0; ///< nonces hashed, block overshoot included
+};
+
+/**
+ * Find the smallest nonce for which powValid(challenge, nonce, bits)
+ * holds -- exactly what a serial loop from 0 returns. Nonces are hashed
+ * in blocks, each block one parallelFor region whose chunks push
+ * kSimdBatchWidth states at a time through Poseidon::permuteBatch; the
+ * answer is the smallest valid nonce of the first block holding one, so
+ * it is independent of thread count, SIMD level, and chunking.
+ */
+PowGrindResult powGrind(Fp challenge, uint32_t bits);
+
+/**
  * Prove the openings of all polynomials in @p batches at each point of
  * @p points. @p openings[j][k] must equal the k-th polynomial's value at
  * points[j], where k runs over all batches' polynomials in order; they

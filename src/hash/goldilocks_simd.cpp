@@ -107,4 +107,11 @@ poseidonPermuteBatch4Scalar(const Poseidon &p, PoseidonState *states)
     poseidonPermuteBatch4Impl<FpVec4Scalar>(p, states);
 }
 
+void
+fpDotBatch4Scalar(const Fp *row, const PoseidonState *states, size_t n,
+                  Fp *out)
+{
+    fpDotBatch4Impl<FpVec4Scalar>(row, states, n, out);
+}
+
 } // namespace unizk

@@ -17,6 +17,10 @@
  *    holds the canonical representative after every operation and the
  *    two backends agree bit for bit.
  *
+ * Besides element-wise add/sub/mul, each lane type has dot(row, x, n):
+ * a row of broadcast constants against n lane vectors, reduced once
+ * per output instead of once per product (the Poseidon linear layers).
+ *
  * Dispatch is decided once per process: the UNIZK_SIMD environment
  * variable ({auto, avx2, scalar}, parsed strictly through common/env.h)
  * overrides CPUID auto-detection. Forcing a level the build or the CPU
@@ -136,6 +140,23 @@ struct FpVec4Scalar
             out.lane[k] = Fp::mulBranchless(a.lane[k], b.lane[k]);
         return out;
     }
+
+    /**
+     * Canonical sum_j row[j] * x[j] for n <= PoseidonConfig::width:
+     * the lazily reduced fpDot, once per lane.
+     */
+    static FpVec4Scalar
+    dot(const Fp *row, const FpVec4Scalar *x, size_t n)
+    {
+        FpVec4Scalar out;
+        Fp column[PoseidonConfig::width];
+        for (size_t k = 0; k < kSimdBatchWidth; ++k) {
+            for (size_t j = 0; j < n; ++j)
+                column[j] = x[j].lane[k];
+            out.lane[k] = fpDot(row, column, n);
+        }
+        return out;
+    }
 };
 
 /**
@@ -148,6 +169,20 @@ struct FpVec4Scalar
 void poseidonPermuteBatch4Scalar(const Poseidon &p, PoseidonState *states);
 #if defined(UNIZK_HAVE_AVX2)
 void poseidonPermuteBatch4Avx2(const Poseidon &p, PoseidonState *states);
+#endif
+/** @} */
+
+/**
+ * Backend dot products through each lane type's dot(): out[k] = sum over
+ * j < n of row[j] * states[k][j], for n <= PoseidonConfig::width.
+ * Exposed for the edge-value differential tests of the lazy reduction.
+ * @{
+ */
+void fpDotBatch4Scalar(const Fp *row, const PoseidonState *states, size_t n,
+                       Fp *out);
+#if defined(UNIZK_HAVE_AVX2)
+void fpDotBatch4Avx2(const Fp *row, const PoseidonState *states, size_t n,
+                     Fp *out);
 #endif
 /** @} */
 

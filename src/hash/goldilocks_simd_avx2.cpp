@@ -11,7 +11,9 @@
  *    (the textbook limb decomposition; every intermediate fits 64 bits),
  *  - unsigned compares bias both operands by 2^63 and use the signed
  *    vpcmpgtq (cmpGtU64 below),
- *  - the mid * (2^32 - 1) term of the reduction is (mid << 32) - mid.
+ *  - the mid * (2^32 - 1) term of the reduction is (mid << 32) - mid,
+ *  - dot() sums whole rows of partial products in 32-bit limb columns
+ *    and reduces once per output (the lazy linear layer).
  *
  * Every operation returns the canonical representative, so this
  * backend is bit-interchangeable with FpVec4Scalar; the equivalence
@@ -96,6 +98,33 @@ subU64Mod(__m256i a, __m256i b)
     return d;
 }
 
+/**
+ * Canonical lo + mid*2^64 + top*2^96 (mod p) for mid < 2^32, the
+ * reduce128 tail of Fp::mulBranchless:
+ *   === lo + mid*(2^32 - 1) - top (mod p).
+ * top may exceed 32 bits (dot() passes column sums up to ~2^36): a
+ * borrowed lo - top is still >= 2^64 - top > 2^32 - 1, so the 2^64
+ * fold-back below cannot wrap a second time.
+ */
+inline __m256i
+reduceParts(__m256i lo, __m256i mid, __m256i top)
+{
+    const __m256i eps = epsilonVec();
+
+    __m256i t0 = _mm256_sub_epi64(lo, top);
+    const __m256i borrowed = cmpGtU64(top, lo);
+    t0 = _mm256_sub_epi64(t0, _mm256_and_si256(eps, borrowed));
+
+    // mid * (2^32 - 1) = (mid << 32) - mid, exact in 64 bits.
+    const __m256i t1 =
+        _mm256_sub_epi64(_mm256_slli_epi64(mid, 32), mid);
+
+    __m256i res = _mm256_add_epi64(t0, t1);
+    const __m256i carried = cmpGtU64(t1, res);
+    res = _mm256_add_epi64(res, _mm256_and_si256(eps, carried));
+    return canonicalize(res);
+}
+
 /** Canonical a * b, mirroring Fp::mulBranchless. */
 inline __m256i
 mulU64Mod(__m256i a, __m256i b)
@@ -122,23 +151,8 @@ mulU64Mod(__m256i a, __m256i b)
         _mm256_add_epi64(_mm256_add_epi64(hh, _mm256_srli_epi64(t, 32)),
                          _mm256_srli_epi64(u, 32));
 
-    // reduce128: x = lo + mid*2^64 + top*2^96
-    //              === lo + mid*(2^32 - 1) - top (mod p).
-    const __m256i mid = _mm256_and_si256(hi, eps);
-    const __m256i top = _mm256_srli_epi64(hi, 32);
-
-    __m256i t0 = _mm256_sub_epi64(lo, top);
-    const __m256i borrowed = cmpGtU64(top, lo);
-    t0 = _mm256_sub_epi64(t0, _mm256_and_si256(eps, borrowed));
-
-    // mid * (2^32 - 1) = (mid << 32) - mid, exact in 64 bits.
-    const __m256i t1 =
-        _mm256_sub_epi64(_mm256_slli_epi64(mid, 32), mid);
-
-    __m256i res = _mm256_add_epi64(t0, t1);
-    const __m256i carried = cmpGtU64(t1, res);
-    res = _mm256_add_epi64(res, _mm256_and_si256(eps, carried));
-    return canonicalize(res);
+    return reduceParts(lo, _mm256_and_si256(hi, eps),
+                       _mm256_srli_epi64(hi, 32));
 }
 
 /** Four Goldilocks lanes in one AVX2 register; see FpVec4Scalar. */
@@ -189,6 +203,55 @@ struct FpVec4Avx2
     {
         return {mulU64Mod(a.v, b.v)};
     }
+
+    /**
+     * Canonical sum_j row[j] * x[j] for n <= PoseidonConfig::width,
+     * reduced once instead of once per product. The four vpmuludq
+     * partials of each product are split into 32-bit halves and summed
+     * per limb column (weights 2^0, 2^32, 2^64, 2^96). A column gains
+     * at most three terms below 2^32 per product, so for n <= 12 every
+     * sum stays below 36 * 2^32 < 2^38: nothing wraps a 64-bit lane.
+     * One carry pass then leaves lo (64 bits), mid (32 bits), and a top
+     * that may exceed 32 bits, which reduceParts accepts.
+     */
+    static FpVec4Avx2
+    dot(const Fp *row, const FpVec4Avx2 *x, size_t n)
+    {
+        const __m256i eps = epsilonVec();
+        __m256i c0 = _mm256_setzero_si256();
+        __m256i c1 = c0, c2 = c0, c3 = c0;
+        for (size_t j = 0; j < n; ++j) {
+            const __m256i a =
+                _mm256_set1_epi64x(static_cast<long long>(row[j].value()));
+            const __m256i a_hi = _mm256_srli_epi64(a, 32);
+            const __m256i x_hi = _mm256_srli_epi64(x[j].v, 32);
+            const __m256i ll = _mm256_mul_epu32(a, x[j].v);
+            const __m256i lh = _mm256_mul_epu32(a, x_hi);
+            const __m256i hl = _mm256_mul_epu32(a_hi, x[j].v);
+            const __m256i hh = _mm256_mul_epu32(a_hi, x_hi);
+
+            c0 = _mm256_add_epi64(c0, _mm256_and_si256(ll, eps));
+            c1 = _mm256_add_epi64(
+                c1, _mm256_add_epi64(
+                        _mm256_srli_epi64(ll, 32),
+                        _mm256_add_epi64(_mm256_and_si256(lh, eps),
+                                         _mm256_and_si256(hl, eps))));
+            c2 = _mm256_add_epi64(
+                c2, _mm256_add_epi64(
+                        _mm256_and_si256(hh, eps),
+                        _mm256_add_epi64(_mm256_srli_epi64(lh, 32),
+                                         _mm256_srli_epi64(hl, 32))));
+            c3 = _mm256_add_epi64(c3, _mm256_srli_epi64(hh, 32));
+        }
+
+        // Carry-normalize columns 0..2 to 32 bits each.
+        c1 = _mm256_add_epi64(c1, _mm256_srli_epi64(c0, 32));
+        c2 = _mm256_add_epi64(c2, _mm256_srli_epi64(c1, 32));
+        c3 = _mm256_add_epi64(c3, _mm256_srli_epi64(c2, 32));
+        const __m256i lo = _mm256_or_si256(_mm256_slli_epi64(c1, 32),
+                                           _mm256_and_si256(c0, eps));
+        return {reduceParts(lo, _mm256_and_si256(c2, eps), c3)};
+    }
 };
 
 } // namespace
@@ -197,6 +260,13 @@ void
 poseidonPermuteBatch4Avx2(const Poseidon &p, PoseidonState *states)
 {
     poseidonPermuteBatch4Impl<FpVec4Avx2>(p, states);
+}
+
+void
+fpDotBatch4Avx2(const Fp *row, const PoseidonState *states, size_t n,
+                Fp *out)
+{
+    fpDotBatch4Impl<FpVec4Avx2>(row, states, n, out);
 }
 
 } // namespace unizk

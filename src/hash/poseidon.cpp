@@ -132,14 +132,14 @@ Poseidon::deriveOptimizedForm()
     std::vector<FpMatrix> a_full(rp); // dense copies for the constant pass
     for (uint32_t r = 0; r < rp; ++r) {
         SparseMdsLayer &layer = sparse_layers[r];
-        layer.m00 = m00;
-        // v^T = Mv^T * Lambda_r^-1
+        layer.row[0] = m00;
+        // v^T = Mv^T * Lambda_r^-1, stored as row[1..].
         const FpMatrix &linv = lambda_inv[rp - r];
         for (size_t j = 0; j < n; ++j) {
             Fp acc;
             for (size_t k = 0; k < n; ++k)
                 acc += mv[k] * linv.at(k, j);
-            layer.v[j] = acc;
+            layer.row[j + 1] = acc;
         }
         // w = Lambda_{r+1} * Mw  with Lambda_{r+1} = lambda[R - r - 1].
         const FpMatrix &lnext = lambda[rp - r - 1];
@@ -151,9 +151,9 @@ Poseidon::deriveOptimizedForm()
         }
         // Dense form for the backward constant pass.
         FpMatrix a(t, t);
-        a.at(0, 0) = layer.m00;
+        a.at(0, 0) = layer.row[0];
         for (size_t j = 0; j < n; ++j) {
-            a.at(0, j + 1) = layer.v[j];
+            a.at(0, j + 1) = layer.row[j + 1];
             a.at(j + 1, 0) = layer.w[j];
             a.at(j + 1, j + 1) = Fp::one();
         }
@@ -228,8 +228,7 @@ Poseidon::permute(PoseidonState &state) const
 
         const SparseMdsLayer &layer = sparse_layers[r];
         const Fp s0 = state[0];
-        const Fp new0 =
-            layer.m00 * s0 + fpDot(layer.v.data(), &state[1], t - 1);
+        const Fp new0 = fpDot(layer.row.data(), state.data(), t);
         for (uint32_t i = 0; i + 1 < t; ++i)
             state[i + 1] += layer.w[i] * s0;
         state[0] = new0;

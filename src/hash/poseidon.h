@@ -47,8 +47,8 @@ using PoseidonState = std::array<Fp, PoseidonConfig::width>;
  */
 struct SparseMdsLayer
 {
-    Fp m00;
-    std::array<Fp, PoseidonConfig::width - 1> v;
+    /** First row [m00, v^T], contiguous so out[0] is one dot product. */
+    std::array<Fp, PoseidonConfig::width> row;
     std::array<Fp, PoseidonConfig::width - 1> w;
 };
 

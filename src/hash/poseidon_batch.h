@@ -9,9 +9,12 @@
  * become element-wise vector arithmetic against broadcast constants.
  *
  * This mirrors Poseidon::permute (the optimized Algorithm-1 form) step
- * for step; since every lane operation returns the canonical
- * representative, the result is bit-identical to four scalar permute()
- * calls, which the dispatch-equivalence suite pins against
+ * for step. The linear layers (MDS rows, PreMDSMatrix rows, and the
+ * sparse [m00, v] row) go through V::dot, which -- like the scalar
+ * fpDot -- accumulates a whole row unreduced and reduces once per
+ * output. Since every lane operation, dot included, returns the
+ * canonical representative, the result is bit-identical to four scalar
+ * permute() calls, which the dispatch-equivalence suite pins against
  * permuteNaive.
  *
  * No intrinsics appear here (the raw-simd-intrinsic lint rule scopes
@@ -22,6 +25,7 @@
 #ifndef UNIZK_HASH_POSEIDON_BATCH_H
 #define UNIZK_HASH_POSEIDON_BATCH_H
 
+#include "hash/goldilocks_simd.h"
 #include "hash/poseidon.h"
 
 namespace unizk {
@@ -50,19 +54,11 @@ poseidonPermuteBatch4Impl(const Poseidon &p, PoseidonState *states)
         return V::mul(x6, x);
     };
 
-    // Dense t x t matrix against broadcast row constants. Unlike the
-    // scalar fpDot path there is no lazy-reduction trick: every product
-    // is reduced to canonical form, which keeps the backends exactly
-    // interchangeable.
+    // Dense t x t matrix, one lazily reduced dot product per row.
     const auto dense = [&st](const Fp *m) {
         V out[t];
-        for (uint32_t i = 0; i < t; ++i) {
-            V acc = V::mul(V::broadcast(m[i * t]), st[0]);
-            for (uint32_t j = 1; j < t; ++j)
-                acc = V::add(acc,
-                             V::mul(V::broadcast(m[i * t + j]), st[j]));
-            out[i] = acc;
-        }
+        for (uint32_t i = 0; i < t; ++i)
+            out[i] = V::dot(&m[i * t], st, t);
         for (uint32_t i = 0; i < t; ++i)
             st[i] = out[i];
     };
@@ -86,17 +82,13 @@ poseidonPermuteBatch4Impl(const Poseidon &p, PoseidonState *states)
     const auto &partial_c = p.partialConstants();
     const auto &layers = p.sparseLayers();
     for (uint32_t r = 0; r < rp; ++r) {
-        V s0 = sbox(st[0]);
-        s0 = V::add(s0, V::broadcast(partial_c[r]));
+        st[0] = V::add(sbox(st[0]), V::broadcast(partial_c[r]));
 
         const SparseMdsLayer &layer = layers[r];
-        V new0 = V::mul(V::broadcast(layer.m00), s0);
-        for (uint32_t j = 0; j + 1 < t; ++j)
-            new0 = V::add(
-                new0, V::mul(V::broadcast(layer.v[j]), st[j + 1]));
+        const V new0 = V::dot(layer.row.data(), st, t);
         for (uint32_t i = 0; i + 1 < t; ++i)
             st[i + 1] = V::add(
-                st[i + 1], V::mul(V::broadcast(layer.w[i]), s0));
+                st[i + 1], V::mul(V::broadcast(layer.w[i]), st[0]));
         st[0] = new0;
     }
 
@@ -105,6 +97,24 @@ poseidonPermuteBatch4Impl(const Poseidon &p, PoseidonState *states)
 
     for (uint32_t i = 0; i < t; ++i)
         st[i].scatter(states, i);
+}
+
+/**
+ * out[k] = sum over j < n of row[j] * states[k][j] through V::dot; the
+ * body of the fpDotBatch4* test entry points.
+ */
+template <typename V>
+inline void
+fpDotBatch4Impl(const Fp *row, const PoseidonState *states, size_t n,
+                Fp *out)
+{
+    V x[PoseidonConfig::width];
+    for (size_t j = 0; j < n; ++j)
+        x[j] = V::gather(states, j);
+    PoseidonState sums[kSimdBatchWidth];
+    V::dot(row, x, n).scatter(sums, 0);
+    for (size_t k = 0; k < kSimdBatchWidth; ++k)
+        out[k] = sums[k][0];
 }
 
 } // namespace unizk

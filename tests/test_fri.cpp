@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "fri/fri.h"
+#include "hash/goldilocks_simd.h"
+#include "hash/hashing.h"
 
 namespace unizk {
 namespace {
@@ -254,6 +257,189 @@ TEST(Fri, ConfigSecurityAccounting)
     EXPECT_EQ(FriConfig::starky().conjecturedSecurityBits(), 100u);
     EXPECT_EQ(FriConfig::plonky2().blowup(), 8u);  // paper: k >= 8
     EXPECT_EQ(FriConfig::starky().blowup(), 2u);   // paper: k = 2
+}
+
+/** The serial reference grinder: the first nonce powValid accepts. */
+uint64_t
+serialPowNonce(Fp challenge, uint32_t bits)
+{
+    uint64_t nonce = 0;
+    while (!powValid(challenge, nonce, bits))
+        ++nonce;
+    return nonce;
+}
+
+/** Nonces hashed through the block that ends past @p nonce. */
+uint64_t
+blockEndAfter(uint64_t nonce)
+{
+    uint64_t end = 0;
+    for (uint64_t block = kPowFirstBlock; end <= nonce;
+         block = std::min(2 * block, kPowMaxBlock))
+        end += block;
+    return end;
+}
+
+/** A grinding configuration: SIMD level x pool thread count. */
+struct GrindConfig
+{
+    SimdLevel level;
+    unsigned threads;
+
+    std::string
+    name() const
+    {
+        return std::string(simdLevelName(level)) + " x" +
+               std::to_string(threads);
+    }
+};
+
+/** 1/2/8 pool threads under every SIMD level this host can execute. */
+std::vector<GrindConfig>
+grindConfigs()
+{
+    std::vector<GrindConfig> configs;
+    for (const SimdLevel level : {SimdLevel::Scalar, SimdLevel::Avx2}) {
+        if (!simdLevelAvailable(level))
+            continue;
+        for (const unsigned threads : {1u, 2u, 8u})
+            configs.push_back({level, threads});
+    }
+    return configs;
+}
+
+/** Run @p fn under @p config, restoring level and thread count after. */
+template <typename Fn>
+void
+withGrindConfig(const GrindConfig &config, Fn &&fn)
+{
+    const SimdLevel prev_level = activeSimdLevel();
+    const unsigned prev_threads = globalThreadCount();
+    ASSERT_TRUE(setSimdLevel(config.level));
+    setGlobalThreadCount(config.threads);
+    fn();
+    setGlobalThreadCount(prev_threads);
+    ASSERT_TRUE(setSimdLevel(prev_level));
+}
+
+TEST(Pow, ValidMatchesHashNoPadDigest)
+{
+    // The PoW digest is hashNoPad({challenge, nonce}): proofs ground
+    // before the shared state helper existed must still verify.
+    SplitMix64 rng(11);
+    for (int i = 0; i < 50; ++i) {
+        const Fp challenge = randomFp(rng);
+        const uint64_t nonce = rng.next();
+        const Fp digest = hashNoPad({challenge, Fp(nonce)}).elems[0];
+        for (const uint32_t bits : {1u, 2u, 4u}) {
+            EXPECT_EQ(powValid(challenge, nonce, bits),
+                      fpHighBits(digest, bits) == 0)
+                << "i=" << i << " bits=" << bits;
+        }
+    }
+}
+
+TEST(Pow, ZeroBitsNeedsNoGrinding)
+{
+    for (const GrindConfig &config : grindConfigs()) {
+        withGrindConfig(config, [&] {
+            const PowGrindResult r = powGrind(Fp(12345), 0);
+            EXPECT_EQ(r.nonce, 0u) << config.name();
+            EXPECT_EQ(r.hashes, 0u) << config.name();
+        });
+    }
+    EXPECT_TRUE(powValid(Fp(12345), 0, 0));
+}
+
+TEST(Pow, GrinderMatchesSerialLoop)
+{
+    // 240 challenges in 20 sweeps over the difficulties 1..12 bits.
+    // Sweep s runs under configuration s mod (number of configs), so
+    // every configuration grinds every difficulty several times.
+    constexpr uint32_t kMaxBits = 12;
+    constexpr size_t kCases = 240;
+    std::vector<Fp> challenges(kCases);
+    SplitMix64 rng(2024);
+    for (auto &c : challenges)
+        c = randomFp(rng);
+    const auto bitsOf = [](size_t i) {
+        return static_cast<uint32_t>(1 + i % kMaxBits);
+    };
+
+    // The serial loops are independent of each other: run them side by
+    // side.
+    std::vector<uint64_t> expected(kCases);
+    parallelFor(0, kCases, 1, [&](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i)
+            expected[i] = serialPowNonce(challenges[i], bitsOf(i));
+    });
+
+    const std::vector<GrindConfig> configs = grindConfigs();
+    for (size_t sweep = 0; sweep < kCases / kMaxBits; ++sweep) {
+        const GrindConfig &config = configs[sweep % configs.size()];
+        withGrindConfig(config, [&] {
+            for (size_t i = sweep * kMaxBits; i < (sweep + 1) * kMaxBits;
+                 ++i) {
+                const PowGrindResult r =
+                    powGrind(challenges[i], bitsOf(i));
+                ASSERT_EQ(r.nonce, expected[i])
+                    << config.name() << " case " << i
+                    << " bits=" << bitsOf(i);
+                EXPECT_EQ(r.hashes, blockEndAfter(r.nonce))
+                    << config.name();
+            }
+        });
+    }
+}
+
+TEST(Pow, GrinderMatchesSerialLoopAtBlockBoundaries)
+{
+    // Challenges whose first valid nonce is the last nonce of a block
+    // or the first nonce of the next one, for the first two block ends
+    // of the growing schedule.
+    const uint64_t end0 = kPowFirstBlock;
+    const uint64_t end1 = end0 + std::min(2 * kPowFirstBlock, kPowMaxBlock);
+    const std::vector<uint64_t> targets{end0 - 1, end0, end1 - 1, end1};
+    constexpr uint32_t kMaxBits = 12;
+
+    // Hash nonces 0..end1 per challenge once and read off, for every
+    // difficulty, the first nonce that clears it.
+    std::vector<std::tuple<Fp, uint32_t, uint64_t>> found;
+    std::vector<bool> have(targets.size(), false);
+    for (uint64_t c = 0; c < 5000 && found.size() < targets.size(); ++c) {
+        const Fp challenge(c);
+        std::vector<uint64_t> first(kMaxBits + 1, UINT64_MAX);
+        for (uint64_t nonce = 0; nonce <= end1; ++nonce) {
+            const Fp digest = hashNoPad({challenge, Fp(nonce)}).elems[0];
+            for (uint32_t bits = 1; bits <= kMaxBits; ++bits)
+                if (first[bits] == UINT64_MAX &&
+                    fpHighBits(digest, bits) == 0)
+                    first[bits] = nonce;
+        }
+        for (size_t t = 0; t < targets.size(); ++t) {
+            for (uint32_t bits = 1; bits <= kMaxBits && !have[t]; ++bits) {
+                if (first[bits] == targets[t]) {
+                    found.emplace_back(challenge, bits, targets[t]);
+                    have[t] = true;
+                }
+            }
+        }
+    }
+    ASSERT_EQ(found.size(), targets.size())
+        << "no challenge found for some block boundary";
+
+    for (const auto &[challenge, bits, target] : found) {
+        ASSERT_EQ(serialPowNonce(challenge, bits), target);
+        for (const GrindConfig &config : grindConfigs()) {
+            withGrindConfig(config, [&] {
+                const PowGrindResult r = powGrind(challenge, bits);
+                EXPECT_EQ(r.nonce, target)
+                    << config.name() << " bits=" << bits;
+                EXPECT_EQ(r.hashes, blockEndAfter(target))
+                    << config.name() << " target=" << target;
+            });
+        }
+    }
 }
 
 } // namespace

@@ -129,9 +129,9 @@ TEST(Poseidon, SparseLayersHaveExpectedStructure)
     FpMatrix chain_opt = p.preMdsMatrix();
     for (const auto &layer : p.sparseLayers()) {
         FpMatrix a(w, w);
-        a.at(0, 0) = layer.m00;
+        a.at(0, 0) = layer.row[0];
         for (uint32_t j = 0; j + 1 < w; ++j) {
-            a.at(0, j + 1) = layer.v[j];
+            a.at(0, j + 1) = layer.row[j + 1];
             a.at(j + 1, 0) = layer.w[j];
             a.at(j + 1, j + 1) = Fp::one();
         }
@@ -319,6 +319,122 @@ TEST(SimdDispatch, Avx2KernelMatchesScalarKernel)
 #else
     GTEST_SKIP() << "AVX2 backend not compiled in";
 #endif
+}
+
+/**
+ * Which conditional corrections the lazy dot reduction takes for the
+ * exact sum S = sum row[j] * x[j]: split S = lo + mid*2^64 + top*2^96
+ * (mid < 2^32, top unbounded), then the borrow fires when top > lo and
+ * the carry when lo - top (folded) + mid*(2^32 - 1) wraps 2^64.
+ */
+struct DotBranches
+{
+    bool borrow = false;
+    bool carry = false;
+};
+
+DotBranches
+dotBranches(const Fp *row, const PoseidonState &x, size_t n)
+{
+    unsigned __int128 acc = 0;
+    uint64_t wraps = 0; // multiples of 2^128
+    for (size_t j = 0; j < n; ++j) {
+        // Models the kernel's integer column sums, so it needs the raw
+        // product rather than a field multiplication.
+        const auto a = static_cast<unsigned __int128>(row[j].value());
+        // unizk-lint: disable-next-line=fp-raw-arith
+        const unsigned __int128 p = a * x[j].value();
+        acc += p;
+        wraps += acc < p;
+    }
+    const uint64_t eps = 0xFFFFFFFFULL;
+    const auto lo = static_cast<uint64_t>(acc);
+    const auto hi = static_cast<uint64_t>(acc >> 64);
+    const uint64_t mid = hi & eps;
+    const uint64_t top = (hi >> 32) + (wraps << 32);
+    DotBranches b;
+    b.borrow = top > lo;
+    const uint64_t t0 = lo - top - (b.borrow ? eps : 0);
+    const uint64_t t1 = (mid << 32) - mid;
+    b.carry = t0 + t1 < t1;
+    return b;
+}
+
+TEST(SimdDispatch, DotMatchesFpDotOnEdgeValues)
+{
+    // Random states almost never reach the reduction's borrow and
+    // carry corrections, so drive every backend's dot() with the edge
+    // operands, lengths 1..12, and check it against fpDot and against
+    // the per-product mul/add chain the kernel used to run.
+    const uint64_t p = Fp::modulus;
+    const std::vector<Fp> edges{Fp(0),           Fp(1),
+                                Fp(0xFFFFFFFFULL), Fp(1ULL << 32),
+                                Fp(1ULL << 63),  Fp(p - 1)};
+    const size_t e = edges.size();
+    const size_t width = PoseidonConfig::width;
+
+    // Rows: every edge value repeated (all-max among them), plus every
+    // rotation of the edge cycle.
+    std::vector<std::array<Fp, PoseidonConfig::width>> rows;
+    for (size_t r = 0; r < 2 * e; ++r) {
+        std::array<Fp, PoseidonConfig::width> row;
+        for (size_t j = 0; j < width; ++j)
+            row[j] = r < e ? edges[r] : edges[(j + r) % e];
+        rows.push_back(row);
+    }
+    // States, four lanes per call: every lane constant at one edge
+    // value, or each lane cycling through the edges at its own offset.
+    std::vector<std::array<PoseidonState, kSimdBatchWidth>> inputs;
+    for (size_t s = 0; s < 2 * e; ++s) {
+        std::array<PoseidonState, kSimdBatchWidth> in;
+        for (size_t k = 0; k < kSimdBatchWidth; ++k)
+            for (size_t j = 0; j < width; ++j)
+                in[k][j] = s < e ? edges[(s + k) % e]
+                                 : edges[(j * (k + 1) + s) % e];
+        inputs.push_back(in);
+    }
+
+    using Kernel = void (*)(const Fp *, const PoseidonState *, size_t,
+                            Fp *);
+    std::vector<std::pair<const char *, Kernel>> kernels{
+        {"scalar", fpDotBatch4Scalar}};
+#if defined(UNIZK_HAVE_AVX2)
+    if (simdLevelAvailable(SimdLevel::Avx2))
+        kernels.emplace_back("avx2", fpDotBatch4Avx2);
+#endif
+
+    size_t borrows = 0, carries = 0;
+    for (size_t n = 1; n <= width; ++n) {
+        for (const auto &row : rows) {
+            for (const auto &in : inputs) {
+                Fp expect[kSimdBatchWidth];
+                for (size_t k = 0; k < kSimdBatchWidth; ++k) {
+                    expect[k] = fpDot(row.data(), in[k].data(), n);
+                    Fp chain = Fp::mulBranchless(row[0], in[k][0]);
+                    for (size_t j = 1; j < n; ++j)
+                        chain = Fp::addBranchless(
+                            chain, Fp::mulBranchless(row[j], in[k][j]));
+                    ASSERT_EQ(chain, expect[k]) << "n=" << n;
+                    const DotBranches b =
+                        dotBranches(row.data(), in[k], n);
+                    borrows += b.borrow;
+                    carries += b.carry;
+                }
+                for (const auto &[name, kernel] : kernels) {
+                    Fp got[kSimdBatchWidth];
+                    kernel(row.data(), in.data(), n, got);
+                    for (size_t k = 0; k < kSimdBatchWidth; ++k)
+                        ASSERT_EQ(got[k], expect[k])
+                            << name << " n=" << n << " lane=" << k
+                            << " row[0]=" << row[0]
+                            << " x[0]=" << in[k][0];
+                }
+            }
+        }
+    }
+    // The inputs must actually exercise both corrections.
+    EXPECT_GT(borrows, 0u);
+    EXPECT_GT(carries, 0u);
 }
 
 TEST(SimdDispatch, BatchHashingMatchesScalarHashing)

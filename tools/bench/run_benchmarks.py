@@ -51,9 +51,10 @@ GATES = {
     # The naive/optimized ratio is small (~1.3) and very stable, so a
     # tighter band is needed for the gate to mean anything.
     "poseidon.naive_over_opt": ("higher", 0.20),
-    # AVX2 batch permutation vs the scalar sponge loop. The issue's
-    # acceptance bar is >= 1.8x on AVX2 hosts; the measured baseline
-    # sits above 2x, and the tolerance keeps the floor near that bar.
+    # AVX2 batch permutation vs the scalar sponge loop. With the lazily
+    # reduced linear layers the baseline sits above 3x; the tolerance
+    # puts the floor above the ~2.3x the kernel reached when it reduced
+    # every product, so reverting the lazy kernel fails the gate.
     # On hosts without AVX2 the suite emits a waiver instead of the
     # metric (a scalar/scalar ratio of ~1.0 would be meaningless).
     "poseidon.batch_over_scalar": ("higher", 0.20),
