@@ -1,8 +1,11 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
+
 #include "common/bits.h"
 #include "common/env.h"
 #include "common/logging.h"
+#include "obs/obs.h"
 
 namespace unizk {
 
@@ -32,6 +35,46 @@ ThreadPool *global_pool UNIZK_GUARDED_BY(global_mutex) = nullptr;
 
 } // namespace
 
+/**
+ * One parallelFor() call: lives on the submitter's stack until every
+ * one of its chunks has completed. The fields above the cursor are
+ * fixed before the region is published; the rest are guarded by the
+ * pool's mutex_ (an annotation cannot name another object's member).
+ */
+struct ThreadPool::Region
+{
+    Region(const std::function<void(size_t, size_t)> &fn_, size_t begin_,
+           size_t end_, size_t chunk_size_, size_t num_chunks_)
+        : fn(fn_), begin(begin_), end(end_), chunk_size(chunk_size_),
+          num_chunks(num_chunks_), trace_id(obs::currentTraceId())
+    {}
+
+    const std::function<void(size_t, size_t)> &fn;
+    const size_t begin;
+    const size_t end;
+    const size_t chunk_size;
+    const size_t num_chunks;
+    /** Submitter's obs trace id, installed around worker chunks. */
+    const uint64_t trace_id;
+
+    size_t next_chunk = 0;
+    /** Chunks claimed by workers and not yet finished. */
+    size_t in_flight = 0;
+    Region *next = nullptr;
+    /** Signalled (under mutex_) when in_flight drops to zero. */
+    CondVar done;
+
+    void
+    run(size_t chunk) const
+    {
+        const size_t lo = begin + chunk * chunk_size;
+        const size_t hi = std::min(lo + chunk_size, end);
+        in_pool_worker = true;
+        fn(lo, hi);
+        in_pool_worker = false;
+    }
+};
+
 ThreadPool::ThreadPool(unsigned threads)
 {
     unizk_assert(threads >= 1, "thread pool needs at least one thread");
@@ -56,13 +99,12 @@ void
 ThreadPool::resize(unsigned threads)
 {
     unizk_assert(threads >= 1, "thread pool needs at least one thread");
-    MutexLock submit_lock(submit_mutex_);
     if (threads == thread_count_)
         return;
     {
         MutexLock lock(mutex_);
-        unizk_assert(task_ == nullptr,
-                     "cannot resize the pool inside a parallel region");
+        unizk_assert(active_regions_ == 0,
+                     "cannot resize the pool while a region is active");
         shutting_down_ = true;
     }
     work_ready_.notifyAll();
@@ -80,6 +122,19 @@ ThreadPool::resize(unsigned threads)
 }
 
 void
+ThreadPool::unlink(Region *region)
+{
+    Region *prev = nullptr;
+    for (Region *r = head_; r != region; r = r->next)
+        prev = r;
+    if (prev == nullptr)
+        head_ = region->next;
+    else
+        prev->next = region->next;
+    region->next = nullptr;
+}
+
+void
 ThreadPool::workerLoop()
 {
     // Balanced manual lock()/unlock() instead of a scoped lock: the
@@ -87,34 +142,32 @@ ThreadPool::workerLoop()
     // analysis checks that the mutex is held at every guarded-member
     // access and released on the one exit path.
     mutex_.lock();
-    uint64_t seen_generation = generation_;
     for (;;) {
-        while (!(shutting_down_ ||
-                 (task_ != nullptr && generation_ != seen_generation)))
+        while (!shutting_down_ && head_ == nullptr)
             work_ready_.wait(mutex_);
         if (shutting_down_) {
             mutex_.unlock();
             return;
         }
-        seen_generation = generation_;
-        // Drain chunks until the region's cursor is exhausted. Chunk
-        // *boundaries* are fixed by the submitter; only the assignment
-        // of chunks to threads is dynamic, and chunk outputs are
-        // disjoint, so results do not depend on this schedule.
-        while (task_ != nullptr && next_chunk_ < num_chunks_) {
-            const size_t chunk = next_chunk_++;
-            ++chunks_in_flight_;
-            const auto *fn = task_;
-            const size_t lo = region_begin_ + chunk * chunk_size_;
-            const size_t hi = std::min(lo + chunk_size_, region_end_);
-            mutex_.unlock();
-            in_pool_worker = true;
-            (*fn)(lo, hi);
-            in_pool_worker = false;
-            mutex_.lock();
-            if (--chunks_in_flight_ == 0 && next_chunk_ >= num_chunks_)
-                work_done_.notifyAll();
+        // Oldest region first. Chunk *boundaries* are fixed by the
+        // submitter; only the assignment of chunks to threads is
+        // dynamic, and chunk outputs are disjoint, so results do not
+        // depend on this schedule.
+        Region *region = head_;
+        const size_t chunk = region->next_chunk++;
+        if (region->next_chunk == region->num_chunks)
+            unlink(region);
+        ++region->in_flight;
+        mutex_.unlock();
+        {
+            const obs::ScopedTraceId trace(region->trace_id);
+            region->run(chunk);
         }
+        mutex_.lock();
+        // Notify while holding mutex_: once the submitter sees zero it
+        // returns and the region (condvar included) goes out of scope.
+        if (--region->in_flight == 0)
+            region->done.notifyOne();
     }
 }
 
@@ -141,40 +194,35 @@ ThreadPool::parallelFor(size_t begin, size_t end, size_t grain,
         return;
     }
 
-    // Whole regions from concurrent submitters (service worker lanes)
-    // serialize here; within a region nothing else changes, so chunk
-    // boundaries -- and therefore proof bytes -- stay schedule-free.
-    MutexLock submit_lock(submit_mutex_);
+    Region region(fn, begin, end, chunk_size, num_chunks);
     mutex_.lock();
-    unizk_assert(task_ == nullptr, "parallel region already active");
-    task_ = &fn;
-    region_begin_ = begin;
-    region_end_ = end;
-    chunk_size_ = chunk_size;
-    num_chunks_ = num_chunks;
-    next_chunk_ = 0;
-    chunks_in_flight_ = 0;
-    ++generation_;
+    if (head_ == nullptr) {
+        head_ = &region;
+    } else {
+        Region *last = head_;
+        while (last->next != nullptr)
+            last = last->next;
+        last->next = &region;
+    }
+    ++active_regions_;
     mutex_.unlock();
     work_ready_.notifyAll();
 
-    // The submitting thread works too.
+    // The submitting thread works too, but only on its own region:
+    // other submitters' regions are theirs (and the workers') to run,
+    // so this call never waits on work it did not ask for.
     mutex_.lock();
-    while (next_chunk_ < num_chunks_) {
-        const size_t chunk = next_chunk_++;
-        ++chunks_in_flight_;
-        const size_t lo = region_begin_ + chunk * chunk_size_;
-        const size_t hi = std::min(lo + chunk_size_, region_end_);
+    while (region.next_chunk < region.num_chunks) {
+        const size_t chunk = region.next_chunk++;
+        if (region.next_chunk == region.num_chunks)
+            unlink(&region);
         mutex_.unlock();
-        in_pool_worker = true;
-        fn(lo, hi);
-        in_pool_worker = false;
+        region.run(chunk);
         mutex_.lock();
-        --chunks_in_flight_;
     }
-    while (chunks_in_flight_ != 0)
-        work_done_.wait(mutex_);
-    task_ = nullptr;
+    while (region.in_flight != 0)
+        region.done.wait(mutex_);
+    --active_regions_;
     mutex_.unlock();
 }
 

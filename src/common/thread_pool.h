@@ -43,11 +43,16 @@ constexpr unsigned kMaxThreads = 4096;
  * instance (the global pool) is shared by every prover; standalone
  * instances exist only in tests.
  *
- * Concurrent submitters are allowed: parallelFor() serializes whole
- * regions through a submission mutex, so several service lanes may
- * drive the same pool and each region still runs exactly as it would
- * alone (preserving the determinism guarantee above). Serial code
- * between one lane's regions overlaps with another lane's regions.
+ * Concurrent submitters share the pool: each parallelFor() call is one
+ * *region* (its body, range, chunk size and chunk cursor), and several
+ * regions may be active at once. Workers drain the oldest region
+ * first; a submitting thread only ever claims chunks of its own region
+ * and then waits for the ones workers took, so no service lane idles
+ * behind another lane's region and a lane can always finish its region
+ * alone. Chunk boundaries are fixed per region before any chunk runs,
+ * so interleaving regions changes only which thread runs a chunk,
+ * never what it computes (preserving the determinism guarantee above).
+ * Workers run each chunk under the submitter's obs trace id.
  */
 class ThreadPool
 {
@@ -62,7 +67,8 @@ class ThreadPool
     /** Number of threads a parallel region may use (>= 1). */
     unsigned threadCount() const { return thread_count_; }
 
-    /** Join all workers and respawn with a new count. */
+    /** Join all workers and respawn with a new count. The pool must be
+     *  quiescent: no parallelFor() may be running on any thread. */
     void resize(unsigned threads);
 
     /**
@@ -70,42 +76,33 @@ class ThreadPool
      * [begin, end). Chunks hold at least @p grain indices (the last may
      * be short); with one thread, a single chunk, or when called from
      * inside a pool worker, the loop runs inline on the calling thread.
-     * Blocks until every chunk has completed.
+     * Blocks until every chunk has completed. Safe to call from several
+     * threads at once.
      */
     void parallelFor(size_t begin, size_t end, size_t grain,
                      const std::function<void(size_t, size_t)> &fn);
 
   private:
-    void workerLoop();
+    struct Region;
 
-    // Held for the full extent of one parallel region (and by resize),
-    // making submissions from multiple threads safe; acquired before
-    // mutex_, never the other way around. Guards no data of its own —
-    // it serializes whole regions — hence the lint suppression.
-    // unizk-lint: disable-next-line=unguarded-mutex-member
-    Mutex submit_mutex_ UNIZK_ACQUIRED_BEFORE(mutex_);
+    void workerLoop();
+    /** Remove @p region from the list of regions with unclaimed chunks. */
+    void unlink(Region *region) UNIZK_REQUIRES(mutex_);
 
     std::vector<std::thread> workers_;
     // Written only by the constructor and resize() (which requires the
-    // pool to be quiescent and holds submit_mutex_); read lock-free by
-    // threadCount() and parallelFor's chunk math. Not annotated: the
-    // quiescence contract, not a mutex, is what makes reads safe.
+    // pool to be quiescent); read lock-free by threadCount() and
+    // parallelFor's chunk math. Not annotated: the quiescence contract,
+    // not a mutex, is what makes reads safe.
     unsigned thread_count_ = 1;
 
     Mutex mutex_;
     CondVar work_ready_;
-    CondVar work_done_;
-    // Current parallel region; guarded by mutex_ together with the
-    // chunk cursor so workers and the submitting thread agree on state.
-    const std::function<void(size_t, size_t)> *task_
-        UNIZK_GUARDED_BY(mutex_) = nullptr;
-    size_t region_begin_ UNIZK_GUARDED_BY(mutex_) = 0;
-    size_t region_end_ UNIZK_GUARDED_BY(mutex_) = 0;
-    size_t chunk_size_ UNIZK_GUARDED_BY(mutex_) = 0;
-    size_t num_chunks_ UNIZK_GUARDED_BY(mutex_) = 0;
-    size_t next_chunk_ UNIZK_GUARDED_BY(mutex_) = 0;
-    size_t chunks_in_flight_ UNIZK_GUARDED_BY(mutex_) = 0;
-    uint64_t generation_ UNIZK_GUARDED_BY(mutex_) = 0;
+    // FIFO of regions that still have unclaimed chunks; each Region
+    // lives on its submitter's stack for the duration of parallelFor().
+    Region *head_ UNIZK_GUARDED_BY(mutex_) = nullptr;
+    // Regions whose submitter has not yet returned (linked or not).
+    size_t active_regions_ UNIZK_GUARDED_BY(mutex_) = 0;
     bool shutting_down_ UNIZK_GUARDED_BY(mutex_) = false;
 };
 

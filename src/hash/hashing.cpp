@@ -57,29 +57,22 @@ hashNoPadBatch(const std::vector<Fp> *inputs, size_t n, HashOut *out)
         while (run < kSimdBatchWidth && i + run < n &&
                inputs[i + run].size() == inputs[i].size())
             ++run;
-        if (run < kSimdBatchWidth) {
-            for (size_t k = 0; k < run; ++k)
-                out[i + k] = hashNoPad(inputs[i + k]);
-            i += run;
-            continue;
-        }
-
         PoseidonState states[kSimdBatchWidth] = {};
         const size_t len = inputs[i].size();
         size_t pos = 0;
         while (pos < len) {
             const size_t chunk =
                 std::min<size_t>(PoseidonConfig::rate, len - pos);
-            for (size_t k = 0; k < kSimdBatchWidth; ++k)
+            for (size_t k = 0; k < run; ++k)
                 for (size_t j = 0; j < chunk; ++j)
                     states[k][j] = inputs[i + k][pos + j];
-            poseidon.permuteBatch(states, kSimdBatchWidth);
+            poseidon.permuteBatch(states, run);
             pos += chunk;
         }
         if (len == 0)
-            poseidon.permuteBatch(states, kSimdBatchWidth);
-        extractDigests(states, kSimdBatchWidth, &out[i]);
-        i += kSimdBatchWidth;
+            poseidon.permuteBatch(states, run);
+        extractDigests(states, run, &out[i]);
+        i += run;
     }
 }
 
@@ -106,10 +99,11 @@ hashTwoToOneBatch(const HashOut *children, size_t pair_count,
                   HashOut *out)
 {
     const Poseidon &poseidon = Poseidon::instance();
-    size_t i = 0;
-    for (; i + kSimdBatchWidth <= pair_count; i += kSimdBatchWidth) {
+    for (size_t i = 0; i < pair_count; i += kSimdBatchWidth) {
+        // The last group may be short; permuteBatch takes any count.
+        const size_t group = std::min(kSimdBatchWidth, pair_count - i);
         PoseidonState states[kSimdBatchWidth] = {};
-        for (size_t k = 0; k < kSimdBatchWidth; ++k) {
+        for (size_t k = 0; k < group; ++k) {
             const HashOut &left = children[2 * (i + k)];
             const HashOut &right = children[2 * (i + k) + 1];
             for (size_t j = 0; j < 4; ++j) {
@@ -117,11 +111,9 @@ hashTwoToOneBatch(const HashOut *children, size_t pair_count,
                 states[k][4 + j] = right.elems[j];
             }
         }
-        poseidon.permuteBatch(states, kSimdBatchWidth);
-        extractDigests(states, kSimdBatchWidth, &out[i]);
+        poseidon.permuteBatch(states, group);
+        extractDigests(states, group, &out[i]);
     }
-    for (; i < pair_count; ++i)
-        out[i] = hashTwoToOne(children[2 * i], children[2 * i + 1]);
 }
 
 HashOut

@@ -49,11 +49,11 @@ struct HashOut
 HashOut hashNoPad(const std::vector<Fp> &inputs);
 
 /**
- * Hash @p n inputs into @p out, feeding runs of kSimdBatchWidth
+ * Hash @p n inputs into @p out, feeding runs of up to kSimdBatchWidth
  * equal-length inputs through Poseidon::permuteBatch (shared
  * absorption schedule, lane-parallel permutations). Digests are
  * byte-identical to n hashNoPad calls at every SIMD dispatch level;
- * mixed-length runs and short tails fall back to the scalar path.
+ * shorter runs (mixed lengths, tails) take permuteBatch's tail path.
  */
 void hashNoPadBatch(const std::vector<Fp> *inputs, size_t n,
                     HashOut *out);

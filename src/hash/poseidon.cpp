@@ -1,5 +1,7 @@
 #include "hash/poseidon.h"
 
+#include <algorithm>
+
 #include "hash/goldilocks_simd.h"
 
 namespace unizk {
@@ -241,22 +243,30 @@ Poseidon::permute(PoseidonState &state) const
 void
 Poseidon::permuteBatch(PoseidonState *states, size_t n) const
 {
+    const SimdLevel level = activeSimdLevel();
     size_t i = 0;
-    if (n >= kSimdBatchWidth) {
-        const SimdLevel level = activeSimdLevel();
-        for (; i + kSimdBatchWidth <= n; i += kSimdBatchWidth) {
+    for (; i + kSimdBatchWidth <= n; i += kSimdBatchWidth) {
 #if defined(UNIZK_HAVE_AVX2)
-            if (level == SimdLevel::Avx2) {
-                poseidonPermuteBatch4Avx2(*this, states + i);
-                continue;
-            }
-#else
-            (void)level;
-#endif
-            poseidonPermuteBatch4Scalar(*this, states + i);
+        if (level == SimdLevel::Avx2) {
+            poseidonPermuteBatch4Avx2(*this, states + i);
+            continue;
         }
+#endif
+        poseidonPermuteBatch4Scalar(*this, states + i);
     }
-    // Ragged tail: fewer than kSimdBatchWidth states left.
+#if defined(UNIZK_HAVE_AVX2)
+    // A ragged tail of 2-3 states costs about one scalar permutation
+    // as a zero-padded 4-lane call; a single state stays scalar.
+    if (level == SimdLevel::Avx2 && n - i >= 2) {
+        PoseidonState padded[kSimdBatchWidth] = {};
+        std::copy(states + i, states + n, padded);
+        poseidonPermuteBatch4Avx2(*this, padded);
+        std::copy(padded, padded + (n - i), states + i);
+        return;
+    }
+#else
+    (void)level;
+#endif
     for (; i < n; ++i)
         permute(states[i]);
 }

@@ -79,8 +79,9 @@ class Poseidon
     /**
      * Permute @p n independent states in place, advancing them in
      * groups of kSimdBatchWidth through the SIMD backend selected by
-     * activeSimdLevel() (goldilocks_simd.h); the ragged tail falls back
-     * to scalar permute(). Bit-identical to n scalar permute() calls at
+     * activeSimdLevel() (goldilocks_simd.h). On AVX2 a ragged tail of
+     * 2-3 states runs as one zero-padded group; otherwise the tail
+     * falls back to scalar permute(). Bit-identical to n scalar permute() calls at
      * every dispatch level, so callers may batch freely without
      * affecting proof bytes.
      */

@@ -20,7 +20,8 @@ MerkleTree::MerkleTree(std::vector<std::vector<Fp>> leaves,
     // hash-based commitment, so it parallelizes first).
     UNIZK_COUNTER_ADD("merkle.trees", 1);
     UNIZK_COUNTER_ADD("merkle.leaves", leaves_.size());
-    levels_.emplace_back();
+    const uint32_t top = height - cap_height_;
+    levels_.resize(top + 1);
     levels_[0].resize(leaves_.size());
     {
         UNIZK_SPAN("merkle/leaf-hashes");
@@ -35,19 +36,39 @@ MerkleTree::MerkleTree(std::vector<std::vector<Fp>> leaves,
                     });
     }
 
-    // Interior levels: every node of a level depends only on the level
-    // below, so each level is one parallel pass.
+    // Interior levels, scheduled by subtree (the paper's §5 mapping).
+    // All of them are allocated up front in level order (levels_[l]
+    // holds 2^(height - l) digests, stopping at the cap), the layout
+    // prove() reads. One region over the roots at split level k then
+    // hashes each chunk's subtrees bottom-up, level by level. k is the
+    // highest level with at least 4 nodes per thread, so the region
+    // still has enough chunks to balance; the < 8 * threads nodes above
+    // it are hashed on the caller. Every node depends only on its two
+    // children, so the split cannot change a digest.
     UNIZK_SPAN("merkle/interior-levels");
-    while (levels_.back().size() > (size_t{1} << cap_height_)) {
-        const auto &prev = levels_.back();
-        std::vector<HashOut> next(prev.size() / 2);
-        parallelFor(0, next.size(), /*grain=*/32,
+    for (uint32_t l = 1; l <= top; ++l)
+        levels_[l].resize(leaves_.size() >> l);
+    const size_t min_roots = size_t{4} * globalThreadCount();
+    uint32_t split = 0;
+    while (split < top && levels_[split + 1].size() >= min_roots)
+        ++split;
+    if (split > 0) {
+        // Keep >= 64 interior nodes per chunk so tiny trees stay inline.
+        const size_t subtree_nodes = (size_t{1} << split) - 1;
+        parallelFor(0, levels_[split].size(),
+                    ceilDiv(size_t{64}, subtree_nodes),
                     [&](size_t lo, size_t hi) {
-                        hashTwoToOneBatch(&prev[2 * lo], hi - lo,
-                                          &next[lo]);
+                        for (uint32_t l = 1; l <= split; ++l) {
+                            const size_t a = lo << (split - l);
+                            const size_t b = hi << (split - l);
+                            hashTwoToOneBatch(&levels_[l - 1][2 * a],
+                                              b - a, &levels_[l][a]);
+                        }
                     });
-        levels_.push_back(std::move(next));
     }
+    for (uint32_t l = split + 1; l <= top; ++l)
+        hashTwoToOneBatch(levels_[l - 1].data(), levels_[l].size(),
+                          levels_[l].data());
     cap_ = levels_.back();
 }
 

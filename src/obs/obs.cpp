@@ -37,8 +37,6 @@ thread_local CounterBlock *tl_counter_block = nullptr;
 thread_local HistoBlock *tl_histo_block = nullptr;
 /** Names of the spans currently open on this thread, outermost first. */
 thread_local std::vector<const char *> tl_span_stack;
-/** Request trace id tagged onto spans opened on this thread. */
-thread_local uint64_t tl_trace_id = 0;
 
 SpanBuffer &
 threadSpanBuffer()
@@ -437,22 +435,6 @@ resetForMeasurement()
     if (!enabled())
         return;
     resetAll();
-}
-
-ScopedTraceId::ScopedTraceId(uint64_t id) : prev_(tl_trace_id)
-{
-    tl_trace_id = id;
-}
-
-ScopedTraceId::~ScopedTraceId()
-{
-    tl_trace_id = prev_;
-}
-
-uint64_t
-currentTraceId()
-{
-    return tl_trace_id;
 }
 
 Span::Span(const char *name)

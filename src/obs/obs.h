@@ -200,16 +200,28 @@ void resetAll();
 void resetForMeasurement();
 
 /**
+ * Request trace id tagged onto spans opened on this thread. Defined in
+ * the header (with ScopedTraceId and currentTraceId) so the thread pool
+ * in src/common can hand a submitter's id to its workers without
+ * linking this library.
+ */
+inline thread_local uint64_t tl_trace_id = 0;
+
+/**
  * Tag spans opened on this thread with a request trace id for the
  * lifetime of the scope (restores the previous id on destruction, so
  * nesting works). The id is recorded into SpanEvent::traceId and
- * surfaces in the Chrome-trace export; 0 means untraced.
+ * surfaces in the Chrome-trace export; 0 means untraced. Pool workers
+ * run each parallelFor chunk under its submitter's id.
  */
 class ScopedTraceId
 {
   public:
-    explicit ScopedTraceId(uint64_t id);
-    ~ScopedTraceId();
+    explicit ScopedTraceId(uint64_t id) : prev_(tl_trace_id)
+    {
+        tl_trace_id = id;
+    }
+    ~ScopedTraceId() { tl_trace_id = prev_; }
 
     ScopedTraceId(const ScopedTraceId &) = delete;
     ScopedTraceId &operator=(const ScopedTraceId &) = delete;
@@ -219,7 +231,11 @@ class ScopedTraceId
 };
 
 /** Trace id currently active on the calling thread (0 = none). */
-uint64_t currentTraceId();
+inline uint64_t
+currentTraceId()
+{
+    return tl_trace_id;
+}
 
 /**
  * RAII span. Construct via the UNIZK_SPAN macro with a static string;

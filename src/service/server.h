@@ -16,9 +16,10 @@
  * frame, validates and enqueues it (or rejects with a typed error when
  * the queue is full / draining), waits for the lane's result, writes
  * the response, then reads the next frame. Prover lanes run requests
- * through the existing pipeline (runPlonky2App / runStarkyApp), whose
- * parallelFor regions serialize on the global pool, so proofs remain
- * byte-identical to the one-shot unizk_cli path.
+ * through the existing pipeline (runPlonky2App / runStarkyApp). Their
+ * parallelFor regions run concurrently on the shared global pool with
+ * schedule-free chunk boundaries, so proofs remain byte-identical to
+ * the one-shot unizk_cli path.
  *
  * Shutdown (SIGINT/SIGTERM via requestStop, or a protocol Shutdown
  * frame) drains: stop accepting, close the queue (admitted jobs still
@@ -56,7 +57,8 @@ struct ServiceConfig
     size_t queueCapacity = 16;
 
     /** Prover lanes consuming the queue. Lanes share the global
-     *  ThreadPool; regions serialize, serial phases overlap. */
+     *  ThreadPool: their parallel regions run side by side, and each
+     *  lane's serial phases overlap the other lanes' regions. */
     unsigned proverLanes = 2;
 
     /** Cap on per-request RunStats retained for the stats export. */

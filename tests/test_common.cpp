@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <thread>
 
@@ -17,6 +18,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
+#include "obs/obs.h"
 
 namespace unizk {
 namespace {
@@ -306,10 +308,9 @@ TEST(ThreadPool, GlobalPoolThreadsFlag)
 
 TEST(ThreadPool, ConcurrentSubmittersSerialize)
 {
-    // Two threads submitting parallelFor on the same pool at once used
-    // to hit the "parallel region already active" panic; regions now
-    // serialize on the submit mutex (the service's prover lanes depend
-    // on this).
+    // Four threads submitting parallelFor on the same pool at once (the
+    // service's prover lanes do this): their regions run concurrently,
+    // and every region still covers its range exactly once.
     ThreadPool pool(4);
     std::vector<std::atomic<uint32_t>> hits(512);
     std::vector<std::thread> submitters;
@@ -328,6 +329,144 @@ TEST(ThreadPool, ConcurrentSubmittersSerialize)
         t.join();
     for (size_t i = 0; i < 128; ++i)
         EXPECT_EQ(hits[i].load(), 32u) << "i=" << i;
+}
+
+/** Poll @p flag until it is set or @p timeout_s elapses. */
+bool
+waitForFlag(const std::atomic<bool> &flag, double timeout_s)
+{
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::duration<double>(timeout_s);
+    while (!flag.load()) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+TEST(ThreadPool, ConcurrentRegionsOverlap)
+{
+    // Region A's chunks wait for a chunk of region B to start. B is
+    // submitted only once A is running, so a pool that ran whole
+    // regions one at a time would time out here.
+    ThreadPool pool(4);
+    std::atomic<bool> a_running{false};
+    std::atomic<bool> b_running{false};
+    std::atomic<uint32_t> a_saw_b{0};
+    std::thread a([&] {
+        pool.parallelFor(0, 2, 1, [&](size_t, size_t) {
+            a_running = true;
+            if (waitForFlag(b_running, 10.0))
+                a_saw_b.fetch_add(1);
+        });
+    });
+    ASSERT_TRUE(waitForFlag(a_running, 10.0));
+    std::thread b([&] {
+        pool.parallelFor(0, 2, 1, [&](size_t, size_t) {
+            b_running = true;
+        });
+    });
+    a.join();
+    b.join();
+    EXPECT_EQ(a_saw_b.load(), 2u);
+}
+
+TEST(ThreadPool, ConcurrentNestedSubmittersCoverEveryIndex)
+{
+    // Four submitters, each nesting a parallelFor inside its chunks, at
+    // pool sizes including a non-power-of-two: every (submitter, outer,
+    // inner) index runs exactly once.
+    constexpr size_t kSubmitters = 4, kOuter = 48, kInner = 16;
+    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+        ThreadPool pool(threads);
+        std::vector<std::atomic<uint32_t>> hits(kSubmitters * kOuter *
+                                                kInner);
+        std::vector<std::thread> submitters;
+        for (size_t s = 0; s < kSubmitters; ++s) {
+            submitters.emplace_back([&, s] {
+                pool.parallelFor(0, kOuter, 3, [&](size_t lo, size_t hi) {
+                    for (size_t i = lo; i < hi; ++i)
+                        pool.parallelFor(
+                            0, kInner, 2, [&, i](size_t lo2, size_t hi2) {
+                                for (size_t j = lo2; j < hi2; ++j)
+                                    hits[(s * kOuter + i) * kInner + j]
+                                        .fetch_add(1);
+                            });
+                });
+            });
+        }
+        for (auto &t : submitters)
+            t.join();
+        for (size_t k = 0; k < hits.size(); ++k)
+            EXPECT_EQ(hits[k].load(), 1u)
+                << "threads=" << threads << " k=" << k;
+    }
+}
+
+TEST(ThreadPool, ResizeAfterConcurrentUse)
+{
+    ThreadPool pool(3);
+    std::vector<std::atomic<uint32_t>> hits(256);
+    auto hammer = [&] {
+        std::vector<std::thread> submitters;
+        for (int s = 0; s < 3; ++s)
+            submitters.emplace_back([&] {
+                pool.parallelFor(0, hits.size(), 4,
+                                 [&](size_t lo, size_t hi) {
+                                     for (size_t i = lo; i < hi; ++i)
+                                         hits[i].fetch_add(1);
+                                 });
+            });
+        for (auto &t : submitters)
+            t.join();
+    };
+    hammer();
+    pool.resize(5);
+    EXPECT_EQ(pool.threadCount(), 5u);
+    hammer();
+    pool.resize(2);
+    hammer();
+    for (size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 9u) << "i=" << i;
+}
+
+TEST(ThreadPool, WorkerChunksCarrySubmitterTraceId)
+{
+    // Two lanes with different trace ids share the pool; every chunk,
+    // whichever thread runs it, sees its own submitter's id. An
+    // untraced region afterwards sees 0 (workers restore the id).
+    ThreadPool pool(4);
+    std::atomic<uint32_t> chunks{0};
+    std::atomic<uint32_t> on_workers{0};
+    std::atomic<uint32_t> mismatches{0};
+    auto lane = [&](uint64_t id) {
+        const obs::ScopedTraceId trace(id);
+        const auto submitter = std::this_thread::get_id();
+        for (int round = 0; round < 16; ++round)
+            pool.parallelFor(0, 64, 1, [&, id](size_t, size_t) {
+                chunks.fetch_add(1);
+                if (std::this_thread::get_id() != submitter)
+                    on_workers.fetch_add(1);
+                if (obs::currentTraceId() != id)
+                    mismatches.fetch_add(1);
+                // Long enough that workers wake and take chunks.
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+            });
+    };
+    std::thread a(lane, 101);
+    std::thread b(lane, 202);
+    a.join();
+    b.join();
+    EXPECT_EQ(chunks.load(), 2u * 16 * 16); // 16 chunks per region
+    EXPECT_GT(on_workers.load(), 0u);
+    EXPECT_EQ(mismatches.load(), 0u);
+
+    pool.parallelFor(0, 64, 1, [&](size_t, size_t) {
+        if (obs::currentTraceId() != 0)
+            mismatches.fetch_add(1);
+    });
+    EXPECT_EQ(mismatches.load(), 0u);
 }
 
 /** RAII environment-variable override for the tests below. */

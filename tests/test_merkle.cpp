@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/bits.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "hash/hashing.h"
 #include "merkle/merkle_tree.h"
 
@@ -233,6 +236,72 @@ TEST(Merkle, ProofByteSize)
     MerkleTree tree(leaves, 0);
     EXPECT_EQ(tree.prove(0).byteSize(), 4 * HashOut::byteSize());
 }
+
+/**
+ * Level-by-level oracle: scalar hashOrNoop leaves, then one
+ * hashTwoToOne per interior node, whole levels at a time, down to a
+ * single root. levels[l] holds the 2^(height - l) nodes of level l.
+ */
+std::vector<std::vector<HashOut>>
+oracleLevels(const std::vector<std::vector<Fp>> &leaves)
+{
+    std::vector<std::vector<HashOut>> levels(1);
+    for (const auto &leaf : leaves)
+        levels[0].push_back(hashOrNoop(leaf));
+    while (levels.back().size() > 1) {
+        const auto &prev = levels.back();
+        std::vector<HashOut> next(prev.size() / 2);
+        for (size_t i = 0; i < next.size(); ++i)
+            next[i] = hashTwoToOne(prev[2 * i], prev[2 * i + 1]);
+        levels.push_back(std::move(next));
+    }
+    return levels;
+}
+
+class MerkleDifferential : public ::testing::TestWithParam<size_t>
+{
+  protected:
+    void TearDown() override { setGlobalThreadCount(0); }
+};
+
+TEST_P(MerkleDifferential, MatchesLevelByLevelOracle)
+{
+    // The subtree-scheduled build against the oracle for every height,
+    // cap and thread count: the split level and the chunk boundaries
+    // move with the height and the thread count, the digests must not.
+    const size_t width = GetParam();
+    for (uint32_t height = 0; height <= 12; ++height) {
+        const auto leaves =
+            randomLeaves(size_t{1} << height, width, 97 * height + width);
+        const auto oracle = oracleLevels(leaves);
+        for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+            setGlobalThreadCount(threads);
+            for (uint32_t cap_h = 0; cap_h <= std::min(height, 4u);
+                 ++cap_h) {
+                const MerkleTree tree(leaves, cap_h);
+                ASSERT_EQ(tree.cap(), oracle[height - cap_h])
+                    << "height=" << height << " cap=" << cap_h
+                    << " threads=" << threads;
+                for (size_t i = 0; i < leaves.size(); ++i) {
+                    const auto proof = tree.prove(i);
+                    ASSERT_EQ(proof.siblings.size(), height - cap_h);
+                    for (uint32_t l = 0; l < height - cap_h; ++l)
+                        ASSERT_EQ(proof.siblings[l],
+                                  oracle[l][(i >> l) ^ 1])
+                            << "height=" << height << " cap=" << cap_h
+                            << " threads=" << threads << " leaf=" << i
+                            << " level=" << l;
+                }
+            }
+        }
+    }
+}
+
+// Leaf widths: empty (hashes), 4 (noop packing), 5 (one permutation),
+// 135 (the paper's leaf width, 17 permutations).
+INSTANTIATE_TEST_SUITE_P(Widths, MerkleDifferential,
+                         ::testing::Values(size_t{0}, size_t{4}, size_t{5},
+                                           size_t{135}));
 
 } // namespace
 } // namespace unizk

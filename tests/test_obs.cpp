@@ -834,8 +834,9 @@ TEST_F(ObsTest, SpanBufferStatsReportOccupancy)
     uint32_t last_tid = 0;
     for (size_t i = 0; i < stats.perThread.size(); ++i) {
         const obs::SpanBufferInfo &info = stats.perThread[i];
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(info.threadId, last_tid);
+        }
         last_tid = info.threadId;
         EXPECT_LE(info.buffered, info.highWater);
         EXPECT_LE(info.highWater, stats.capPerThread);

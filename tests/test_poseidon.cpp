@@ -268,9 +268,10 @@ TEST(SimdDispatch, SetSimdLevelRejectsUnavailable)
 TEST(SimdDispatch, BatchMatchesNaiveForEveryBatchSize)
 {
     // The exhaustive dispatch-equivalence suite: permuteBatch against
-    // the textbook permuteNaive oracle for every batch size 1..9 (two
-    // full groups of four plus every ragged tail), at every level this
-    // host can execute.
+    // scalar permute() per state and the textbook permuteNaive oracle
+    // for every batch size 1..9 (two full groups of four plus every
+    // ragged tail: the AVX2 zero-padded group of 2-3 states and the
+    // single scalar state), at every level this host can execute.
     const auto &p = Poseidon::instance();
     std::vector<SimdLevel> levels{SimdLevel::Scalar};
     if (simdLevelAvailable(SimdLevel::Avx2))
@@ -280,17 +281,24 @@ TEST(SimdDispatch, BatchMatchesNaiveForEveryBatchSize)
         withSimdLevel(level, [&] {
             for (size_t n = 1; n <= 9; ++n) {
                 std::vector<PoseidonState> batch(n);
+                std::vector<PoseidonState> scalar(n);
                 std::vector<PoseidonState> oracle(n);
                 for (size_t i = 0; i < n; ++i) {
                     batch[i] = randomState(1000 * n + i);
+                    scalar[i] = batch[i];
+                    p.permute(scalar[i]);
                     oracle[i] = batch[i];
                     p.permuteNaive(oracle[i]);
                 }
                 p.permuteBatch(batch.data(), n);
-                for (size_t i = 0; i < n; ++i)
+                for (size_t i = 0; i < n; ++i) {
+                    EXPECT_EQ(batch[i], scalar[i])
+                        << simdLevelName(level) << " n=" << n
+                        << " state=" << i;
                     EXPECT_EQ(batch[i], oracle[i])
                         << simdLevelName(level) << " n=" << n
                         << " state=" << i;
+                }
             }
         });
     }
