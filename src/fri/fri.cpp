@@ -1,6 +1,7 @@
 #include "fri/fri.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/bits.h"
 #include "common/thread_pool.h"
@@ -386,6 +387,16 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
 }
 
 bool
+friDomainFits(size_t degree_bound, const FriConfig &cfg)
+{
+    if (!isPowerOfTwo(degree_bound))
+        return false;
+    const uint32_t log_n = log2Exact(degree_bound);
+    return log_n <= Fp::twoAdicity &&
+           cfg.blowupBits <= Fp::twoAdicity - log_n;
+}
+
+bool
 friVerify(const std::vector<FriBatchInfo> &batches, size_t degree_bound,
           const std::vector<Fp2> &points,
           const std::vector<std::vector<Fp2>> &openings,
@@ -393,6 +404,8 @@ friVerify(const std::vector<FriBatchInfo> &batches, size_t degree_bound,
           const FriConfig &cfg)
 {
     const size_t n = degree_bound;
+    if (!friDomainFits(n, cfg))
+        return false;
     const size_t domain = n << cfg.blowupBits;
     const size_t num_polys = totalPolyCount(batches);
 
@@ -432,37 +445,46 @@ friVerify(const std::vector<FriBatchInfo> &batches, size_t degree_bound,
         return false;
     challenger.observe(Fp(proof.powNonce));
 
-    const Fp w_domain = Fp::primitiveRootOfUnity(log2Exact(domain));
-    const uint32_t log_domain = log2Exact(domain);
-
+    // The query phase only draws challenges, so drawing every index up
+    // front leaves the transcript as the prover replayed it.
+    std::vector<size_t> indices(cfg.numQueries);
+    for (size_t &idx : indices)
+        idx = fpIndexBelow(challenger.challenge(), domain);
     for (const auto &round : proof.queries) {
-        const size_t idx = fpIndexBelow(challenger.challenge(), domain);
         if (round.initial.size() != batches.size())
             return false;
         if (round.layers.size() != expected_layers)
             return false;
+        for (size_t bi = 0; bi < batches.size(); ++bi)
+            if (round.initial[bi].values.size() != batches[bi].polyCount)
+                return false;
+    }
 
-        // Verify initial tree openings and combine into B(x).
+    const uint32_t log_domain = log2Exact(domain);
+    const Fp w_domain = Fp::primitiveRootOfUnity(log_domain);
+    const Fp inv2 = Fp(2).inverse();
+
+    // The arithmetic of query q, once its Merkle paths have verified:
+    // B(x) from the initial openings, the DEEP quotient at x, every
+    // fold step, and the final polynomial.
+    auto query_holds = [&](size_t q) {
+        const FriQueryRound &round = proof.queries[q];
+        const size_t idx = indices[q];
         Fp2 b_x;
         size_t k = 0;
-        for (size_t bi = 0; bi < batches.size(); ++bi) {
-            const auto &open = round.initial[bi];
-            if (open.values.size() != batches[bi].polyCount)
-                return false;
-            if (!MerkleTree::verify(open.values, idx, open.proof,
-                                    batches[bi].cap, log_domain)) {
-                return false;
-            }
+        for (const auto &open : round.initial)
             for (const Fp v : open.values)
                 b_x += alpha_pows[k++] * Fp2(v);
-        }
 
-        // DEEP quotient at the query point.
+        // DEEP quotient at the query point. A point on the domain has no
+        // quotient (the prover could not have built one): reject.
         const Fp x = cfg.shift() * w_domain.pow(reverseBits(idx,
                                                             log_domain));
         Fp2 expected;
         for (size_t j = 0; j < points.size(); ++j) {
             const Fp2 denom = Fp2(x) - points[j];
+            if (denom.isZero())
+                return false;
             expected += alpha_pows[num_polys + j] * (b_x - b_z[j]) *
                         denom.inverse();
         }
@@ -472,19 +494,11 @@ friVerify(const std::vector<FriBatchInfo> &batches, size_t degree_bound,
         size_t cur_domain = domain;
         Fp cur_shift = cfg.shift();
         Fp cur_w = w_domain;
-        const Fp inv2 = Fp(2).inverse();
         for (size_t l = 0; l < expected_layers; ++l) {
             const size_t pair_idx = cur_idx >> 1;
             const auto &open = round.layers[l];
             if (open.pair[cur_idx & 1] != expected)
                 return false;
-            // Layer l's tree commits cur_domain/2 pair-leaves.
-            if (!MerkleTree::verify(packPair(open.pair[0], open.pair[1]),
-                                    pair_idx, open.proof,
-                                    proof.layerCaps[l],
-                                    log2Exact(cur_domain) - 1)) {
-                return false;
-            }
             const uint32_t log_half = log2Exact(cur_domain) - 1;
             const Fp y =
                 cur_shift * cur_w.pow(reverseBits(pair_idx, log_half));
@@ -506,10 +520,60 @@ friVerify(const std::vector<FriBatchInfo> &batches, size_t degree_bound,
         Fp2 final_eval;
         for (size_t i = proof.finalPoly.size(); i-- > 0;)
             final_eval = final_eval * Fp2(x_final) + proof.finalPoly[i];
-        if (final_eval != expected)
-            return false;
-    }
-    return true;
+        return final_eval == expected;
+    };
+
+    // Queries [lo, hi): each tree's paths in one verifyBatch call (the
+    // initial trees at the query index, layer l's pair tree at
+    // idx >> (l + 1)), then the per-query arithmetic.
+    auto chunk_holds = [&](size_t lo, size_t hi) {
+        const size_t m = hi - lo;
+        std::vector<const std::vector<Fp> *> leaves(m);
+        std::vector<const MerkleProof *> paths(m);
+        for (size_t bi = 0; bi < batches.size(); ++bi) {
+            for (size_t i = 0; i < m; ++i) {
+                const auto &open = proof.queries[lo + i].initial[bi];
+                leaves[i] = &open.values;
+                paths[i] = &open.proof;
+            }
+            if (!MerkleTree::verifyBatch(leaves.data(), &indices[lo],
+                                         paths.data(), m, batches[bi].cap,
+                                         log_domain))
+                return false;
+        }
+        std::vector<std::vector<Fp>> pair_leaves(m);
+        std::vector<size_t> pair_indices(m);
+        for (size_t l = 0; l < expected_layers; ++l) {
+            for (size_t i = 0; i < m; ++i) {
+                const auto &open = proof.queries[lo + i].layers[l];
+                pair_leaves[i] = packPair(open.pair[0], open.pair[1]);
+                pair_indices[i] = indices[lo + i] >> (l + 1);
+                leaves[i] = &pair_leaves[i];
+                paths[i] = &open.proof;
+            }
+            // Layer l's tree commits domain >> (l + 1) pair-leaves.
+            if (!MerkleTree::verifyBatch(
+                    leaves.data(), pair_indices.data(), paths.data(), m,
+                    proof.layerCaps[l],
+                    log_domain - 1 - static_cast<uint32_t>(l)))
+                return false;
+        }
+        for (size_t q = lo; q < hi; ++q)
+            if (!query_holds(q))
+                return false;
+        return true;
+    };
+
+    // Grain: two SIMD batches per chunk, so even 8- or 16-query
+    // configurations hash full lanes.
+    std::atomic<bool> ok{true};
+    parallelFor(0, cfg.numQueries, 2 * kSimdBatchWidth,
+                [&](size_t lo, size_t hi) {
+                    if (ok.load(std::memory_order_relaxed) &&
+                        !chunk_holds(lo, hi))
+                        ok.store(false, std::memory_order_relaxed);
+                });
+    return ok.load(std::memory_order_relaxed);
 }
 
 } // namespace unizk

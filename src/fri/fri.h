@@ -117,9 +117,24 @@ struct FriBatchInfo
 };
 
 /**
+ * True iff @p degree_bound is a power of two and its LDE domain of
+ * degree_bound << cfg.blowupBits points is a subgroup of Goldilocks
+ * (order at most 2^Fp::twoAdicity). Verifiers reject a proof whose row
+ * count fails this instead of asking for a root of unity that does not
+ * exist.
+ */
+bool friDomainFits(size_t degree_bound, const FriConfig &cfg);
+
+/**
  * Verify a FRI opening proof. @p degree_bound is the common degree
  * bound n of the committed polynomials; the challenger must be in the
  * same state as the prover's was when friProve was called.
+ *
+ * All query indices are drawn before any query is checked, then chunks
+ * of queries run on the pool: each chunk verifies its Merkle paths one
+ * tree at a time through MerkleTree::verifyBatch, then each query's
+ * DEEP quotient, fold chain and final-polynomial evaluation. The result
+ * is the AND of every check, so it does not depend on the chunking.
  */
 bool friVerify(const std::vector<FriBatchInfo> &batches,
                size_t degree_bound, const std::vector<Fp2> &points,

@@ -18,6 +18,62 @@ extractDigests(const PoseidonState *states, size_t n, HashOut *out)
             out[k].elems[i] = states[k][i];
 }
 
+/**
+ * hashNoPad over @p n inputs, feeding runs of up to kSimdBatchWidth
+ * equal-length inputs through Poseidon::permuteBatch.
+ */
+void
+hashNoPadRuns(const std::vector<Fp> *const *inputs, size_t n, HashOut *out)
+{
+    const Poseidon &poseidon = Poseidon::instance();
+    size_t i = 0;
+    while (i < n) {
+        // The absorption schedule (how many chunks, chunk sizes) is a
+        // function of the input length, so only equal-length inputs can
+        // share one batched permutation sequence.
+        const size_t len = inputs[i]->size();
+        size_t run = 1;
+        while (run < kSimdBatchWidth && i + run < n &&
+               inputs[i + run]->size() == len)
+            ++run;
+        PoseidonState states[kSimdBatchWidth] = {};
+        size_t pos = 0;
+        while (pos < len) {
+            const size_t chunk =
+                std::min<size_t>(PoseidonConfig::rate, len - pos);
+            for (size_t k = 0; k < run; ++k)
+                for (size_t j = 0; j < chunk; ++j)
+                    states[k][j] = (*inputs[i + k])[pos + j];
+            poseidon.permuteBatch(states, run);
+            pos += chunk;
+        }
+        if (len == 0)
+            poseidon.permuteBatch(states, run);
+        extractDigests(states, run, &out[i]);
+        i += run;
+    }
+}
+
+/**
+ * Hand @p n contiguous inputs to a pointer-array entry point, a stack
+ * block of pointers at a time. The block is a multiple of
+ * kSimdBatchWidth, so equal-length inputs still fill whole batches.
+ */
+template <typename PointerFn>
+void
+forwardAsPointers(const std::vector<Fp> *inputs, size_t n, HashOut *out,
+                  PointerFn fn)
+{
+    constexpr size_t kBlock = 16 * kSimdBatchWidth;
+    const std::vector<Fp> *ptrs[kBlock];
+    for (size_t i = 0; i < n; i += kBlock) {
+        const size_t m = std::min(kBlock, n - i);
+        for (size_t k = 0; k < m; ++k)
+            ptrs[k] = &inputs[i + k];
+        fn(ptrs, m, &out[i]);
+    }
+}
+
 } // namespace
 
 HashOut
@@ -47,33 +103,7 @@ hashNoPad(const std::vector<Fp> &inputs)
 void
 hashNoPadBatch(const std::vector<Fp> *inputs, size_t n, HashOut *out)
 {
-    const Poseidon &poseidon = Poseidon::instance();
-    size_t i = 0;
-    while (i < n) {
-        // The absorption schedule (how many chunks, chunk sizes) is a
-        // function of the input length, so only equal-length inputs can
-        // share one batched permutation sequence.
-        size_t run = 1;
-        while (run < kSimdBatchWidth && i + run < n &&
-               inputs[i + run].size() == inputs[i].size())
-            ++run;
-        PoseidonState states[kSimdBatchWidth] = {};
-        const size_t len = inputs[i].size();
-        size_t pos = 0;
-        while (pos < len) {
-            const size_t chunk =
-                std::min<size_t>(PoseidonConfig::rate, len - pos);
-            for (size_t k = 0; k < run; ++k)
-                for (size_t j = 0; j < chunk; ++j)
-                    states[k][j] = inputs[i + k][pos + j];
-            poseidon.permuteBatch(states, run);
-            pos += chunk;
-        }
-        if (len == 0)
-            poseidon.permuteBatch(states, run);
-        extractDigests(states, run, &out[i]);
-        i += run;
-    }
+    forwardAsPointers(inputs, n, out, hashNoPadRuns);
 }
 
 HashOut
@@ -133,29 +163,38 @@ hashOrNoop(const std::vector<Fp> &inputs)
 }
 
 void
-hashOrNoopBatch(const std::vector<Fp> *leaves, size_t n, HashOut *out)
+hashOrNoopBatch(const std::vector<Fp> *const *leaves, size_t n,
+                HashOut *out)
 {
     size_t i = 0;
     while (i < n) {
-        const size_t len = leaves[i].size();
+        const size_t len = leaves[i]->size();
         if (len >= 1 && len <= 4) {
             // Noop path: no permutation, nothing to batch.
-            out[i] = hashOrNoop(leaves[i]);
+            out[i] = hashOrNoop(*leaves[i]);
             ++i;
             continue;
         }
         // Hashing path: hand the maximal run of hashing leaves to
-        // hashNoPadBatch, which groups equal lengths internally.
+        // hashNoPadRuns, which groups equal lengths internally.
         size_t run = 1;
         while (i + run < n) {
-            const size_t l = leaves[i + run].size();
+            const size_t l = leaves[i + run]->size();
             if (l >= 1 && l <= 4)
                 break;
             ++run;
         }
-        hashNoPadBatch(&leaves[i], run, &out[i]);
+        hashNoPadRuns(&leaves[i], run, &out[i]);
         i += run;
     }
+}
+
+void
+hashOrNoopBatch(const std::vector<Fp> *leaves, size_t n, HashOut *out)
+{
+    forwardAsPointers(leaves, n, out,
+                      [](const std::vector<Fp> *const *ptrs, size_t m,
+                         HashOut *o) { hashOrNoopBatch(ptrs, m, o); });
 }
 
 size_t

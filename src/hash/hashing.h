@@ -82,11 +82,18 @@ HashOut hashOrNoop(const std::vector<Fp> &inputs);
 
 /**
  * Hash @p n leaves into @p out as hashOrNoop would, batching runs of
- * hashing-path leaves through hashNoPadBatch; noop-path leaves (length
- * 1..4) are packed directly. The Merkle leaf-level entry point.
+ * hashing-path leaves as hashNoPadBatch does; noop-path leaves (length
+ * 1..4) are packed directly. The Merkle leaf-level entry point. The
+ * pointer-array form hashes leaves that are not contiguous in memory
+ * (a verifier's opened values) without copying them; the contiguous
+ * form forwards to it.
+ * @{
  */
+void hashOrNoopBatch(const std::vector<Fp> *const *leaves, size_t n,
+                     HashOut *out);
 void hashOrNoopBatch(const std::vector<Fp> *leaves, size_t n,
                      HashOut *out);
+/** @} */
 
 /**
  * Number of Poseidon permutations hashNoPad performs on an input of

@@ -94,9 +94,10 @@ MerkleTree::prove(size_t leaf_index) const
 }
 
 bool
-MerkleTree::verify(const std::vector<Fp> &leaf_data, size_t leaf_index,
-                   const MerkleProof &proof, const MerkleCap &cap,
-                   uint32_t height)
+MerkleTree::verifyBatch(const std::vector<Fp> *const *leaves,
+                        const size_t *indices,
+                        const MerkleProof *const *proofs, size_t n,
+                        const MerkleCap &cap, uint32_t height)
 {
     // The path length is protocol-determined, not prover-determined: a
     // truncated siblings vector would let an interior digest presented
@@ -106,19 +107,41 @@ MerkleTree::verify(const std::vector<Fp> &leaf_data, size_t leaf_index,
     const uint32_t cap_height = log2Exact(cap.size());
     if (cap_height > height)
         return false;
-    if (proof.siblings.size() != height - cap_height)
-        return false;
-    if (leaf_index >> height != 0)
-        return false;
-
-    HashOut node = hashOrNoop(leaf_data);
-    size_t idx = leaf_index;
-    for (const HashOut &sibling : proof.siblings) {
-        node = (idx & 1) ? hashTwoToOne(sibling, node)
-                         : hashTwoToOne(node, sibling);
-        idx >>= 1;
+    const uint32_t path = height - cap_height;
+    for (size_t i = 0; i < n; ++i) {
+        if (proofs[i]->siblings.size() != path)
+            return false;
+        if (indices[i] >> height != 0)
+            return false;
     }
-    return cap[idx] == node;
+
+    std::vector<HashOut> nodes(n);
+    hashOrNoopBatch(leaves, n, nodes.data());
+    // children[2i], children[2i + 1]: the ordered inputs of path i's
+    // next node, the sibling on the side its index bit names.
+    std::vector<HashOut> children(2 * n);
+    for (uint32_t level = 0; level < path; ++level) {
+        for (size_t i = 0; i < n; ++i) {
+            const size_t bit = (indices[i] >> level) & 1;
+            children[2 * i + bit] = nodes[i];
+            children[2 * i + (bit ^ 1)] = proofs[i]->siblings[level];
+        }
+        hashTwoToOneBatch(children.data(), n, nodes.data());
+    }
+    for (size_t i = 0; i < n; ++i)
+        if (cap[indices[i] >> path] != nodes[i])
+            return false;
+    return true;
+}
+
+bool
+MerkleTree::verify(const std::vector<Fp> &leaf_data, size_t leaf_index,
+                   const MerkleProof &proof, const MerkleCap &cap,
+                   uint32_t height)
+{
+    const std::vector<Fp> *leaf = &leaf_data;
+    const MerkleProof *path = &proof;
+    return verifyBatch(&leaf, &leaf_index, &path, 1, cap, height);
 }
 
 size_t

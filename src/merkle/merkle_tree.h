@@ -61,13 +61,23 @@ class MerkleTree
     MerkleProof prove(size_t leaf_index) const;
 
     /**
-     * Verify @p proof against @p cap for the given leaf data and index.
+     * Verify @p n openings of one committed tree against @p cap: opening
+     * i claims that leaves[i] sits at index indices[i], authenticated by
+     * proofs[i]. True iff every opening verifies.
      * @param height log2 of the committed tree's leaf count; the
      *        verifier knows it from protocol context (e.g. the FRI
      *        domain size). Proofs whose length differs from
      *        height - cap_height are rejected: accepting shorter paths
      *        would let an interior node masquerade as a leaf.
+     * The leaves go through hashOrNoopBatch, and each level of all n
+     * paths through one hashTwoToOneBatch call.
      */
+    static bool verifyBatch(const std::vector<Fp> *const *leaves,
+                            const size_t *indices,
+                            const MerkleProof *const *proofs, size_t n,
+                            const MerkleCap &cap, uint32_t height);
+
+    /** verifyBatch for a single opening. */
     static bool verify(const std::vector<Fp> &leaf_data, size_t leaf_index,
                        const MerkleProof &proof, const MerkleCap &cap,
                        uint32_t height);

@@ -488,7 +488,8 @@ plonkVerify(const MerkleCap &constants_cap, const PlonkProof &proof,
 {
     const size_t n = proof.rows;
     const size_t reps = proof.repetitions;
-    if (n == 0 || !isPowerOfTwo(n) || reps == 0)
+    // Rejects row counts whose FRI domain has no root of unity.
+    if (!friDomainFits(n, cfg) || reps == 0)
         return false;
     const size_t num_polys = flatPolyCount(reps);
     if (proof.openings.size() != 2)

@@ -454,8 +454,8 @@ ProofService::proverLane(unsigned lane_id)
 
         // Declared before the span so the request span (and every
         // nested pipeline span on this thread) carries the trace id.
-        // Spans recorded by pool workers do not inherit it -- the id is
-        // thread-local -- which DESIGN.md section 6.10 calls out.
+        // Pool workers run this lane's chunks under the same id: each
+        // parallelFor region carries its submitter's trace id.
         const obs::ScopedTraceId trace(req.traceId);
         {
             UNIZK_SPAN("service/request");

@@ -303,7 +303,8 @@ starkVerify(const StarkAir &air, const StarkProof &proof,
 {
     const size_t n = proof.rows;
     const size_t cols = air.numColumns();
-    if (n == 0 || !isPowerOfTwo(n) || proof.columns != cols)
+    // Rejects row counts whose FRI domain has no root of unity.
+    if (!friDomainFits(n, cfg) || proof.columns != cols)
         return false;
     const size_t num_chunks =
         std::max<size_t>(1, air.constraintDegree() - 1);

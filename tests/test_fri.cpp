@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "fri/fri.h"
@@ -83,6 +85,15 @@ struct FriFixture
     verify(const std::vector<std::vector<Fp2>> &open,
            const FriProof &p) const
     {
+        return verify(batchInfos(), open, p);
+    }
+
+    /** Verify against @p infos instead of the committed batches. */
+    bool
+    verify(const std::vector<FriBatchInfo> &infos,
+           const std::vector<std::vector<Fp2>> &open,
+           const FriProof &p) const
+    {
         Challenger challenger;
         const Fp2 zeta = challenger.challengeExt();
         (void)zeta;
@@ -91,8 +102,8 @@ struct FriFixture
                 challenger.observe(v.limb(0));
                 challenger.observe(v.limb(1));
             }
-        return friVerify(batchInfos(), batch_a->degreeBound(), points,
-                         open, p, challenger, cfg);
+        return friVerify(infos, batch_a->degreeBound(), points, open, p,
+                         challenger, cfg);
     }
 };
 
@@ -238,6 +249,76 @@ TEST(Fri, WrongQueryCountFails)
     auto bad = f.proof;
     bad.queries.pop_back();
     EXPECT_FALSE(f.verify(f.openings, bad));
+}
+
+TEST(Fri, ForgedLeafInAnyOneQueryRejected)
+{
+    // A prover that commits to a changed leaf of batch a passes every
+    // Merkle check, so only the arithmetic of the queries opening that
+    // leaf can catch it. Forge the leaf of each query in turn, at pool
+    // sizes that move the query-chunk boundaries.
+    FriConfig cfg = FriConfig::testing();
+    cfg.numQueries = 20;
+    FriFixture f(64, 3, 2, cfg);
+    ASSERT_TRUE(f.verify(f.openings, f.proof));
+    const MerkleTree &tree = f.batch_a->tree();
+    std::vector<std::vector<Fp>> leaves;
+    for (size_t i = 0; i < tree.leafCount(); ++i)
+        leaves.push_back(tree.leaf(i));
+    // The query indices, recovered from the opened (random) leaves.
+    std::vector<size_t> indices;
+    for (const auto &round : f.proof.queries)
+        indices.push_back(static_cast<size_t>(
+            std::find(leaves.begin(), leaves.end(),
+                      round.initial[0].values) -
+            leaves.begin()));
+
+    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+        setGlobalThreadCount(threads);
+        for (size_t k = 0; k < cfg.numQueries; ++k) {
+            auto forged_leaves = leaves;
+            forged_leaves[indices[k]][0] += Fp::one();
+            const MerkleTree forged(forged_leaves, tree.capHeight());
+            auto bad = f.proof;
+            for (size_t q = 0; q < cfg.numQueries; ++q) {
+                bad.queries[q].initial[0].values =
+                    forged.leaf(indices[q]);
+                bad.queries[q].initial[0].proof = forged.prove(indices[q]);
+            }
+            auto infos = f.batchInfos();
+            infos[0].cap = forged.cap();
+            EXPECT_FALSE(f.verify(infos, f.openings, bad))
+                << "query " << k << " threads " << threads;
+        }
+    }
+    setGlobalThreadCount(0);
+}
+
+TEST(Fri, DomainBeyondTwoAdicityRejected)
+{
+    // Regression: a degree bound whose LDE domain has 2^33 points used
+    // to abort in Fp::primitiveRootOfUnity once the proof's shape
+    // passed the earlier checks. This one does: 27 layer caps fold
+    // 2^30 down to the final length 8, one query round, no PoW.
+    FriConfig cfg = FriConfig::testing();
+    cfg.powBits = 0;
+    cfg.numQueries = 1;
+    const size_t n = size_t{1} << 30; // blowup 8
+    FriProof proof;
+    proof.layerCaps.assign(27, MerkleCap(2));
+    proof.queries.resize(1);
+    const std::vector<FriBatchInfo> batches{{MerkleCap(2), 1}};
+    const std::vector<Fp2> points{Fp2(Fp(7))};
+    const std::vector<std::vector<Fp2>> openings{{Fp2()}};
+    Challenger challenger;
+    EXPECT_FALSE(friVerify(batches, n, points, openings, proof,
+                           challenger, cfg));
+
+    EXPECT_FALSE(friDomainFits(n, cfg));
+    EXPECT_TRUE(friDomainFits(n / 2, cfg));
+    EXPECT_FALSE(friDomainFits(size_t{1} << 33, FriConfig{}));
+    EXPECT_FALSE(friDomainFits(0, cfg));
+    EXPECT_FALSE(friDomainFits(48, cfg));
 }
 
 TEST(Fri, ProofSizeIsPositiveAndGrowsWithQueries)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the Merkle tree: construction, proofs against caps of
- * various heights, tamper detection, and permutation-count accounting.
+ * various heights, tamper detection, batched path verification against
+ * a single-path oracle, and permutation-count accounting.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "common/bits.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "hash/goldilocks_simd.h"
 #include "hash/hashing.h"
 #include "merkle/merkle_tree.h"
 
@@ -300,6 +302,213 @@ TEST_P(MerkleDifferential, MatchesLevelByLevelOracle)
 // Leaf widths: empty (hashes), 4 (noop packing), 5 (one permutation),
 // 135 (the paper's leaf width, 17 permutations).
 INSTANTIATE_TEST_SUITE_P(Widths, MerkleDifferential,
+                         ::testing::Values(size_t{0}, size_t{4}, size_t{5},
+                                           size_t{135}));
+
+/**
+ * Single-path oracle: every structural check, then one scalar
+ * hashTwoToOne per level from the leaf digest up to the cap.
+ */
+bool
+oracleVerify(const std::vector<Fp> &leaf, size_t index,
+             const MerkleProof &proof, const MerkleCap &cap,
+             uint32_t height)
+{
+    if (!isPowerOfTwo(cap.size()))
+        return false;
+    const uint32_t cap_h = log2Exact(cap.size());
+    if (cap_h > height || proof.siblings.size() != height - cap_h ||
+        index >> height != 0)
+        return false;
+    HashOut node = hashOrNoop(leaf);
+    for (const HashOut &sibling : proof.siblings) {
+        node = (index & 1) ? hashTwoToOne(sibling, node)
+                           : hashTwoToOne(node, sibling);
+        index >>= 1;
+    }
+    return cap[index] == node;
+}
+
+/** The one fault injected into one opening of a batch. */
+enum class Fault
+{
+    None,
+    Sibling,
+    Leaf,
+    Index,
+    PathShort,
+    PathLong,
+    IndexTooHigh,
+    Cap,
+};
+
+/** n openings of one tree, the cap and height they are checked against. */
+struct OpeningBatch
+{
+    std::vector<std::vector<Fp>> leaves;
+    std::vector<size_t> indices;
+    std::vector<MerkleProof> proofs;
+    MerkleCap cap;
+    uint32_t height = 0;
+    bool honest = true; ///< no fault that changes what is opened
+    std::string label;
+
+    bool
+    verifyBatch() const
+    {
+        std::vector<const std::vector<Fp> *> leaf_ptrs;
+        std::vector<const MerkleProof *> proof_ptrs;
+        for (size_t i = 0; i < leaves.size(); ++i) {
+            leaf_ptrs.push_back(&leaves[i]);
+            proof_ptrs.push_back(&proofs[i]);
+        }
+        return MerkleTree::verifyBatch(leaf_ptrs.data(), indices.data(),
+                                       proof_ptrs.data(), leaves.size(),
+                                       cap, height);
+    }
+
+    /** AND of the oracle over every opening. */
+    bool
+    oracle() const
+    {
+        bool ok = true;
+        for (size_t i = 0; i < leaves.size(); ++i)
+            ok = oracleVerify(leaves[i], indices[i], proofs[i], cap,
+                              height) &&
+                 ok;
+        return ok;
+    }
+};
+
+/**
+ * Every batch for one leaf width: heights 1-10, caps 0..min(h, 4),
+ * 1-9 openings (ragged SIMD tails), and each fault that applies to the
+ * shape injected into one random opening.
+ */
+std::vector<OpeningBatch>
+openingBatches(size_t width)
+{
+    std::vector<OpeningBatch> batches;
+    SplitMix64 rng(1000 + width);
+    for (uint32_t height = 1; height <= 10; ++height) {
+        const auto leaves =
+            randomLeaves(size_t{1} << height, width, 31 * height + width);
+        for (uint32_t cap_h = 0; cap_h <= std::min(height, 4u); ++cap_h) {
+            const MerkleTree tree(leaves, cap_h);
+            const uint32_t path = height - cap_h;
+            for (size_t n = 1; n <= 9; ++n) {
+                OpeningBatch base;
+                base.cap = tree.cap();
+                base.height = height;
+                for (size_t i = 0; i < n; ++i) {
+                    const size_t idx = rng.nextBelow(leaves.size());
+                    base.leaves.push_back(leaves[idx]);
+                    base.indices.push_back(idx);
+                    base.proofs.push_back(tree.prove(idx));
+                }
+                for (const Fault fault :
+                     {Fault::None, Fault::Sibling, Fault::Leaf, Fault::Index,
+                      Fault::PathShort, Fault::PathLong,
+                      Fault::IndexTooHigh, Fault::Cap}) {
+                    if ((fault == Fault::Sibling ||
+                         fault == Fault::PathShort) &&
+                        path == 0)
+                        continue;
+                    if (fault == Fault::Leaf && width == 0)
+                        continue;
+                    OpeningBatch b = base;
+                    // Empty leaves are all equal, so moving an index
+                    // opens the same data there.
+                    b.honest = fault == Fault::None ||
+                               (fault == Fault::Index && width == 0);
+                    const size_t t = rng.nextBelow(n);
+                    auto &siblings = b.proofs[t].siblings;
+                    switch (fault) {
+                    case Fault::None:
+                        break;
+                    case Fault::Sibling:
+                        siblings[rng.nextBelow(path)]
+                            .elems[rng.nextBelow(4)] += Fp::one();
+                        break;
+                    case Fault::Leaf:
+                        b.leaves[t][rng.nextBelow(width)] += Fp::one();
+                        break;
+                    case Fault::Index:
+                        b.indices[t] ^= size_t{1} << rng.nextBelow(height);
+                        break;
+                    case Fault::PathShort:
+                        siblings.pop_back();
+                        break;
+                    case Fault::PathLong:
+                        siblings.push_back(HashOut{});
+                        break;
+                    case Fault::IndexTooHigh:
+                        b.indices[t] |= size_t{1} << height;
+                        break;
+                    case Fault::Cap:
+                        b.cap[b.indices[t] >> path].elems[0] += Fp::one();
+                        break;
+                    }
+                    b.label = "height=" + std::to_string(height) +
+                              " cap=" + std::to_string(cap_h) +
+                              " n=" + std::to_string(n) + " fault=" +
+                              std::to_string(static_cast<int>(fault)) +
+                              " opening=" + std::to_string(t);
+                    batches.push_back(std::move(b));
+                }
+            }
+        }
+    }
+    return batches;
+}
+
+class MerkleVerifyBatch : public ::testing::TestWithParam<size_t>
+{
+  protected:
+    void
+    TearDown() override
+    {
+        setGlobalThreadCount(0);
+        setSimdLevel(level_);
+    }
+
+    const SimdLevel level_ = activeSimdLevel();
+};
+
+TEST_P(MerkleVerifyBatch, MatchesSinglePathOracle)
+{
+    // The batch answer must be the AND of the oracle over its openings,
+    // for honest batches and for each single fault, at every SIMD level
+    // and pool size. The batches run concurrently on the pool, so the
+    // thread-count legs also check that verification shares no state.
+    const auto batches = openingBatches(GetParam());
+    std::vector<uint8_t> expected(batches.size());
+    for (size_t i = 0; i < batches.size(); ++i) {
+        expected[i] = batches[i].oracle();
+        // Honest batches verify and every fault is caught.
+        ASSERT_EQ(expected[i] != 0, batches[i].honest)
+            << batches[i].label;
+    }
+    for (const SimdLevel level : {SimdLevel::Scalar, SimdLevel::Avx2}) {
+        if (!simdLevelAvailable(level))
+            continue;
+        ASSERT_TRUE(setSimdLevel(level));
+        for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+            setGlobalThreadCount(threads);
+            std::vector<uint8_t> got(batches.size());
+            parallelFor(0, batches.size(), 1, [&](size_t lo, size_t hi) {
+                for (size_t i = lo; i < hi; ++i)
+                    got[i] = batches[i].verifyBatch();
+            });
+            for (size_t i = 0; i < batches.size(); ++i)
+                ASSERT_EQ(got[i], expected[i])
+                    << batches[i].label << " simd=" << simdLevelName(level)
+                    << " threads=" << threads;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, MerkleVerifyBatch,
                          ::testing::Values(size_t{0}, size_t{4}, size_t{5},
                                            size_t{135}));
 

@@ -199,6 +199,22 @@ TEST(Plonk, TamperedQuotientOpeningFails)
     EXPECT_FALSE(plonkVerify(f.key.constants->cap(), bad, f.cfg));
 }
 
+TEST(Plonk, RowCountBeyondTwoAdicityRejected)
+{
+    // Regression: a row count with no root of unity of its order (or
+    // whose FRI domain has none) used to abort the verifier in
+    // Fp::primitiveRootOfUnity instead of rejecting the proof.
+    PlonkFixture f(1);
+    ASSERT_TRUE(plonkVerify(f.key.constants->cap(), f.proof, f.cfg));
+    auto bad = f.proof;
+    // 2^33 rows; 2^30 rows at blowup 8 need a 2^33-point domain.
+    for (const size_t rows : {size_t{1} << 33, size_t{1} << 30}) {
+        bad.rows = rows;
+        EXPECT_FALSE(plonkVerify(f.key.constants->cap(), bad, f.cfg))
+            << "rows=" << rows;
+    }
+}
+
 TEST(Plonk, ProofSizeReported)
 {
     PlonkFixture f(1);

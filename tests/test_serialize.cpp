@@ -2,12 +2,14 @@
  * @file
  * Tests for proof serialization: byte-level primitives, round trips
  * for every proof type (the round-tripped proof must still verify),
- * and robustness against truncated / corrupted / non-canonical input.
+ * and robustness against truncated / corrupted / non-canonical input,
+ * including a one-bit flip in every word of small proofs.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "serialize/bytes.h"
 #include "serialize/proof_io.h"
 #include "workloads/apps.h"
@@ -237,6 +239,31 @@ TEST(ProofIo, PlonkTrailingGarbageRejected)
     EXPECT_FALSE(deserializePlonkProof(bytes).has_value());
 }
 
+/**
+ * Flip one bit in every 8-byte word of @p bytes -- bit w mod 64 of word
+ * w, so the flips sweep every bit position -- and expect @p accepts
+ * (decode, then verify) to refuse each mutant, at 1 and 4 pool threads.
+ */
+template <typename Accepts>
+void
+expectEveryWordFlipRejected(std::vector<uint8_t> bytes, Accepts accepts)
+{
+    ASSERT_EQ(bytes.size() % 8, 0u);
+    for (const unsigned threads : {1u, 4u}) {
+        setGlobalThreadCount(threads);
+        for (size_t w = 0; w < bytes.size() / 8; ++w) {
+            const size_t bit = w % 64;
+            uint8_t &byte = bytes[8 * w + bit / 8];
+            const auto mask = static_cast<uint8_t>(uint64_t{1} << (bit % 8));
+            byte ^= mask;
+            EXPECT_FALSE(accepts(bytes))
+                << "word " << w << " bit " << bit << " threads " << threads;
+            byte ^= mask;
+        }
+    }
+    setGlobalThreadCount(0);
+}
+
 TEST(ProofIo, PlonkCorruptedEitherRejectedOrFailsVerify)
 {
     PlonkProofFixture f;
@@ -253,6 +280,11 @@ TEST(ProofIo, PlonkCorruptedEitherRejectedOrFailsVerify)
                 << "trial " << trial;
         }
     }
+    expectEveryWordFlipRejected(bytes, [&](const auto &bad) {
+        const auto back = deserializePlonkProof(bad);
+        return back.has_value() &&
+               plonkVerify(f.key.constants->cap(), *back, f.cfg);
+    });
 }
 
 TEST(ProofIo, StarkRoundTripVerifies)
@@ -269,6 +301,22 @@ TEST(ProofIo, StarkRoundTripVerifies)
     ASSERT_TRUE(back.has_value());
     EXPECT_TRUE(starkVerify(*app.air, *back, cfg));
     EXPECT_EQ(serializeStarkProof(*back), bytes);
+}
+
+TEST(ProofIo, StarkCorruptedEitherRejectedOrFailsVerify)
+{
+    FriConfig cfg = FriConfig::testing();
+    cfg.blowupBits = 1;
+    cfg.numQueries = 10;
+    const StarkApp app = buildStarkApp(AppId::Fibonacci, 128);
+    ProverContext ctx;
+    const StarkProof proof = starkProve(*app.air, app.trace, cfg, ctx);
+    const auto bytes = serializeStarkProof(proof);
+    ASSERT_TRUE(starkVerify(*app.air, proof, cfg));
+    expectEveryWordFlipRejected(bytes, [&](const auto &bad) {
+        const auto back = deserializeStarkProof(bad);
+        return back.has_value() && starkVerify(*app.air, *back, cfg);
+    });
 }
 
 TEST(ProofIo, StarkTruncatedRejected)

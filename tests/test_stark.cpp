@@ -193,6 +193,25 @@ TEST(Stark, TamperedOpeningFails)
     EXPECT_FALSE(starkVerify(air, proof, cfg));
 }
 
+TEST(Stark, RowCountBeyondTwoAdicityRejected)
+{
+    // Regression: a row count with no root of unity of its order (or
+    // whose FRI domain has none) used to abort the verifier in
+    // Fp::primitiveRootOfUnity instead of rejecting the proof.
+    const auto trace = fibonacciTrace(128);
+    FibonacciAir air(trace[1].back());
+    ProverContext ctx;
+    FriConfig cfg = FriConfig::testing();
+    cfg.blowupBits = 1;
+    auto proof = starkProve(air, trace, cfg, ctx);
+    ASSERT_TRUE(starkVerify(air, proof, cfg));
+    // 2^33 rows; 2^32 rows at blowup 2 need a 2^33-point domain.
+    for (const size_t rows : {size_t{1} << 33, size_t{1} << 32}) {
+        proof.rows = rows;
+        EXPECT_FALSE(starkVerify(air, proof, cfg)) << "rows=" << rows;
+    }
+}
+
 TEST(Stark, TamperedTraceCapFails)
 {
     const auto trace = fibonacciTrace(128);
