@@ -6,6 +6,9 @@
  * performance-per-watt, and performance-per-mm^2 for each candidate.
  *
  * Run:  ./examples/hw_design_explorer [--rows 1024] [--app factorial]
+ *
+ * --app takes the lowercase app tokens (factorial, fibonacci, ecdsa,
+ * sha256, image-crop, mvm, recursion).
  */
 
 #include <cstdio>
@@ -17,31 +20,13 @@
 
 using namespace unizk;
 
-namespace {
-
-AppId
-parseApp(const std::string &name)
-{
-    for (const AppId app : evaluationApps())
-        if (name == appName(app))
-            return app;
-    if (name == "factorial")
-        return AppId::Factorial;
-    if (name == "mvm")
-        return AppId::Mvm;
-    if (name == "sha256")
-        return AppId::Sha256;
-    return AppId::Factorial;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     const CliOptions cli(argc, argv);
     const size_t rows = cli.getUint("rows", 1024);
-    const AppId app = parseApp(cli.getString("app", "factorial"));
+    const AppId app =
+        appFromToken(cli.getString("app", "factorial"), "--app");
 
     FriConfig cfg = FriConfig::plonky2();
     cfg.powBits = 8;

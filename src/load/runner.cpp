@@ -56,8 +56,8 @@ mixIndexOf(const Scenario &scenario,
  */
 bool
 issueOne(ServiceClient &client, const Scenario &scenario,
-         const LoadRequest &item, const Stopwatch &run_clock,
-         RunState &state)
+         const RunOptions &opts, const LoadRequest &item,
+         const Stopwatch &run_clock, RunState &state)
 {
     const Stopwatch request_clock;
     const auto resp = client.prove(item.request);
@@ -91,6 +91,15 @@ issueOne(ServiceClient &client, const Scenario &scenario,
     }
     if (resp->tag != Tag::ProveOk ||
         (item.request.verify && !resp->prove.verified)) {
+        MutexLock lock(state.mutex);
+        state.errors += 1;
+        return true;
+    }
+    if (!opts.references.empty() &&
+        resp->prove.proof != opts.references.at(item.key)) {
+        warn("unizk_load: proof of trace ", item.request.traceId,
+             " (key ", item.key, ") differs from the in-process "
+             "reference");
         MutexLock lock(state.mutex);
         state.errors += 1;
         return true;
@@ -152,7 +161,8 @@ runClosedConnection(const Scenario &scenario,
         return;
     }
     for (size_t i = 0; i < mine.size(); ++i) {
-        if (!issueOne(client, scenario, *mine[i], run_clock, state)) {
+        if (!issueOne(client, scenario, opts, *mine[i], run_clock,
+                      state)) {
             chargeSkipped(state, mine.size() - i - 1);
             return;
         }
@@ -187,7 +197,7 @@ runOpenWorker(const Scenario &scenario, const Schedule &schedule,
             std::this_thread::sleep_for(
                 std::chrono::nanoseconds(item.arrivalNs - now_ns));
         }
-        if (!issueOne(client, scenario, item, run_clock, state)) {
+        if (!issueOne(client, scenario, opts, item, run_clock, state)) {
             // This entry is already charged; put no others at risk.
             return;
         }
@@ -196,10 +206,28 @@ runOpenWorker(const Scenario &scenario, const Schedule &schedule,
 
 } // namespace
 
+ReferenceProofs
+referenceProofs(const Schedule &schedule)
+{
+    ReferenceProofs refs;
+    for (const LoadRequest &item : schedule.requests) {
+        if (refs.count(item.key) == 0)
+            refs[item.key] = service::runRequest(item.request).proofBlob;
+    }
+    return refs;
+}
+
 RunReport
 runScenario(const Scenario &scenario, const Schedule &schedule,
             const RunOptions &opts)
 {
+    if (!opts.references.empty()) {
+        for (const LoadRequest &item : schedule.requests) {
+            unizk_assert(opts.references.count(item.key) != 0,
+                         "no reference proof for a schedule key");
+        }
+    }
+
     // A fresh capture window: the latency histogram and percentiles
     // below describe exactly this schedule, not earlier runs or setup.
     obs::resetForMeasurement();

@@ -13,18 +13,20 @@
  * offered load follows the Poisson schedule regardless of how fast
  * the daemon answers (up to the concurrency the worker count allows).
  *
- * Outcome accounting matches the unizk_client injector: queue-full and
- * shutting-down rejections are backpressure, not failures; transport
- * losses and protocol errors count as errors. Every schedule entry is
- * accounted exactly once: ok + queueFull + shuttingDown + errors ==
- * issued (entries stranded by a dead connection are charged as
- * errors), which the tools/load schema validator re-checks.
+ * Outcome accounting: queue-full and shutting-down rejections are
+ * backpressure, not failures; transport losses, protocol errors and
+ * (with reference proofs) proof-byte mismatches count as errors. Every
+ * schedule entry is accounted exactly once: ok + queueFull +
+ * shuttingDown + errors == issued (entries stranded by a dead
+ * connection are charged as errors), which the tools/load schema
+ * validator re-checks.
  */
 
 #ifndef UNIZK_LOAD_RUNNER_H
 #define UNIZK_LOAD_RUNNER_H
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -34,10 +36,27 @@
 namespace unizk {
 namespace load {
 
+/** Expected proof bytes per circuit key (LoadRequest::key). */
+using ReferenceProofs = std::map<uint64_t, std::vector<uint8_t>>;
+
 struct RunOptions
 {
     std::string socketPath;
+
+    /**
+     * Empty (the default) checks nothing. Otherwise it must hold every
+     * key of the schedule, and each ok response whose proof differs
+     * from its key's bytes is warned about and counted as an error.
+     */
+    ReferenceProofs references;
 };
+
+/**
+ * The in-process proof of every circuit key in @p schedule
+ * (service::runRequest, the prover lanes' own path). Every key maps to
+ * one fixed request shape, so one proof per key covers the schedule.
+ */
+ReferenceProofs referenceProofs(const Schedule &schedule);
 
 /** Latency summary derived from the load.request_latency_ns obs
  *  histogram (quantiles via obs::histogramQuantile, so within the

@@ -69,9 +69,9 @@ makeEntry(service::WireProtocol protocol, AppId app, uint64_t weight,
 }
 
 /**
- * The shared small-shape Plonky2/Starky mix (the same app cycle the
- * unizk_client injector uses, here with weighted draws and a size
- * range). Shapes stay sub-second so smoke runs are cheap.
+ * The shared small-shape Plonky2/Starky mix: weighted draws over four
+ * (protocol, app) pairs with a size range each. Shapes stay sub-second
+ * so smoke runs are cheap.
  */
 std::vector<MixEntry>
 smallMixedWorkload()
@@ -126,45 +126,6 @@ skewName(Skew skew)
       default:
         unizk_panic("unknown skew model");
     }
-}
-
-const char *
-appToken(AppId app)
-{
-    switch (app) {
-      case AppId::Factorial:
-        return "factorial";
-      case AppId::Fibonacci:
-        return "fibonacci";
-      case AppId::Ecdsa:
-        return "ecdsa";
-      case AppId::Sha256:
-        return "sha256";
-      case AppId::ImageCrop:
-        return "image-crop";
-      case AppId::Mvm:
-        return "mvm";
-      case AppId::Recursion:
-        return "recursion";
-      default:
-        unizk_panic("unknown app");
-    }
-}
-
-AppId
-appFromToken(const std::string &token, const std::string &origin)
-{
-    static const AppId all[] = {
-        AppId::Factorial, AppId::Fibonacci, AppId::Ecdsa,
-        AppId::Sha256,    AppId::ImageCrop, AppId::Mvm,
-        AppId::Recursion};
-    for (const AppId app : all) {
-        if (token == appToken(app))
-            return app;
-    }
-    unizk_fatal(origin, ": unknown app \"", token,
-                "\" (expected factorial, fibonacci, ecdsa, sha256, "
-                "image-crop, mvm, or recursion)");
 }
 
 const std::vector<Scenario> &

@@ -131,10 +131,11 @@ const Scenario &builtinScenario(const std::string &name);
  *   keyspace 64
  *   mix <plonky2|starky> <app> <weight> <minRows> <maxRows> <reps>
  *
- * App tokens: factorial fibonacci ecdsa sha256 image-crop mvm
- * recursion. Every error (unreadable file, unknown directive, junk
- * number, range violation, empty mix, Starky entry for an app without
- * an AET) is a unizk_fatal naming the file and line.
+ * App tokens are appToken's (src/workloads/apps.h): factorial
+ * fibonacci ecdsa sha256 image-crop mvm recursion. Every error
+ * (unreadable file, unknown directive, junk number, range violation,
+ * empty mix, Starky entry for an app without an AET) is a unizk_fatal
+ * naming the file and line.
  */
 Scenario parseScenarioFile(const std::string &path);
 
@@ -146,12 +147,6 @@ Scenario parseScenarioFile(const std::string &path);
  */
 void validateScenario(const Scenario &scenario,
                       const std::string &origin);
-
-/** Lowercase CLI/file token for an app ("sha256", "image-crop", ...). */
-const char *appToken(AppId app);
-
-/** Inverse of appToken; unizk_fatal (mentioning @p origin) if unknown. */
-AppId appFromToken(const std::string &token, const std::string &origin);
 
 } // namespace load
 } // namespace unizk

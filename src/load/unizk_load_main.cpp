@@ -6,7 +6,7 @@
  *              [--seed N] [--requests N] [--connections N] \
  *              [--rate RPS] [--theta T] [--keyspace N] \
  *              [--report FILE] [--schedule-out FILE] [--dry-run] \
- *              [--list-scenarios] [--threads N]
+ *              [--check] [--list-scenarios] [--threads N]
  *
  * A scenario (built-in name via --scenario, or a file via
  * --scenario-file; see src/load/scenario.h for the format) is expanded
@@ -17,9 +17,14 @@
  * after generation and prints the schedule fingerprint, which is how
  * the load smoke asserts seed-determinism without a daemon.
  *
+ * --check proves every circuit key of the schedule in process before
+ * any load runs (the prover lanes' own path, service::runRequest) and
+ * byte-compares each served proof against its key's reference; a
+ * mismatch counts as an error.
+ *
  * Exits 0 iff every issued request was answered without a transport or
- * protocol error; queue-full / shutting-down rejections are expected
- * backpressure and never fail the run.
+ * protocol error (or --check mismatch); queue-full / shutting-down
+ * rejections are expected backpressure and never fail the run.
  */
 
 #include <cstdio>
@@ -109,12 +114,17 @@ main(int argc, char **argv)
     if (cli.has("dry-run"))
         return 0;
 
+    load::RunOptions opts;
+    opts.socketPath = cli.getString("socket", "unizkd.sock");
+    if (cli.has("check")) {
+        opts.references = load::referenceProofs(schedule);
+        std::printf("unizk_load: computed %zu reference proofs\n",
+                    opts.references.size());
+    }
+
     // The latency percentiles in the report come from the obs
     // histograms, so observability is always on in the generator.
     obs::setEnabled(true);
-
-    load::RunOptions opts;
-    opts.socketPath = cli.getString("socket", "unizkd.sock");
     const load::RunReport report =
         load::runScenario(scenario, schedule, opts);
 

@@ -109,6 +109,18 @@ requestReps(const ProveRequest &req)
     return req.reps ? req.reps : defaultParams(req.app).repetitions;
 }
 
+AppRunResult
+runRequest(const ProveRequest &req)
+{
+    const FriConfig cfg = requestFriConfig(req);
+    const HardwareConfig hw = HardwareConfig::paperDefault();
+    return req.protocol == WireProtocol::Plonky2
+               ? runPlonky2App(req.app, requestRows(req),
+                               requestReps(req), cfg, hw, req.verify)
+               : runStarkyApp(req.app, requestRows(req), cfg, hw,
+                              req.verify);
+}
+
 const char *
 errorCodeName(ErrorCode code)
 {

@@ -27,6 +27,7 @@
 
 #include "fri/fri_config.h"
 #include "obs/obs.h"
+#include "unizk/pipeline.h"
 #include "workloads/apps.h"
 
 namespace unizk {
@@ -190,13 +191,20 @@ constexpr uint64_t kMaxRequestReps = 128;
 
 /**
  * Resolve a request to concrete prover inputs, mirroring unizk_cli's
- * --fast and default-shape handling. Server lanes and the client's
- * --check verification both use these, which is what makes service
+ * --fast and default-shape handling, which is what makes service
  * proofs byte-identical to the direct CLI path.
  */
 FriConfig requestFriConfig(const ProveRequest &req);
 size_t requestRows(const ProveRequest &req);
 size_t requestReps(const ProveRequest &req);
+
+/**
+ * Prove @p req in process: runPlonky2App or runStarkyApp on the inputs
+ * above, with paper-default hardware. Prover lanes serve requests
+ * through it and unizk_load --check computes its reference proofs
+ * with it, so the two cannot drift apart.
+ */
+AppRunResult runRequest(const ProveRequest &req);
 
 /** Emits Tag::Prove when req.traceId == 0, Tag::ProveV2 otherwise. */
 std::vector<uint8_t> encodeProveRequest(const ProveRequest &req);

@@ -16,10 +16,11 @@
  * frame, validates and enqueues it (or rejects with a typed error when
  * the queue is full / draining), waits for the lane's result, writes
  * the response, then reads the next frame. Prover lanes run requests
- * through the existing pipeline (runPlonky2App / runStarkyApp). Their
- * parallelFor regions run concurrently on the shared global pool with
- * schedule-free chunk boundaries, so proofs remain byte-identical to
- * the one-shot unizk_cli path.
+ * through runRequest (protocol.h), the same function unizk_load --check
+ * proves its references with. Their parallelFor regions run
+ * concurrently on the shared global pool with schedule-free chunk
+ * boundaries, so proofs remain byte-identical to the one-shot
+ * unizk_cli path.
  *
  * Shutdown (SIGINT/SIGTERM via requestStop, or a protocol Shutdown
  * frame) drains: stop accepting, close the queue (admitted jobs still

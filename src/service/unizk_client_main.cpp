@@ -1,246 +1,46 @@
 /**
  * @file
- * unizk_client: driver and closed-loop load injector for unizkd.
+ * unizk_client: control tool for a running unizkd.
  *
- *   unizk_client --socket /tmp/unizkd.sock \
- *                [--connections 4] [--requests 4] \
- *                [--protocol mixed|plonky2|starky] [--app NAME] \
- *                [--rows N] [--reps R] [--check] [--proof-out FILE] \
- *                [--no-trace] [--ping] [--shutdown]
+ *   unizk_client --socket /tmp/unizkd.sock [--ping] [--shutdown] \
+ *                [--threads N]
  *
- * Default mode drives N concurrent connections, each issuing M
- * closed-loop requests drawn from a deterministic mixed
- * Plonky2/Starky workload cycle. --check recomputes every distinct
- * request through the in-process pipeline (the same path unizk_cli
- * takes) and asserts the daemon's proofs are byte-identical.
+ * --ping checks that the daemon answers; --shutdown asks it to drain
+ * and exit through the protocol Shutdown frame. With both, the ping
+ * goes first. Driving load and checking served proofs byte for byte is
+ * unizk_load's job (`unizk_load --check`).
  *
- * Requests carry a trace id by default (ProveV2 frames), so responses
- * come back with the server's latency decomposition (queued / prove /
- * serialize) and the summary reports it against the client-observed
- * round-trip time -- the residual is network + framing. --no-trace
- * falls back to the v1 frames, e.g. when talking to an old daemon.
- *
- * Exits 0 iff every request got a well-formed response and all --check
- * comparisons passed. Backpressure rejections (queue-full /
- * shutting-down errors) are expected under overload: they are counted
- * and reported in the summary line, not treated as failures.
+ * Exits 0 iff every requested action was acknowledged, 1 when the
+ * daemon does not acknowledge one, and 2 (after printing the usage)
+ * when neither action is given.
  */
 
 #include <cstdio>
-#include <thread>
-#include <vector>
+#include <string>
 
 #include "common/cli.h"
 #include "common/logging.h"
-#include "common/stats.h"
-#include "common/sync.h"
-#include "obs/json_writer.h"
 #include "service/client.h"
-#include "unizk/pipeline.h"
-
-namespace {
-
-using namespace unizk;
-using service::ProveRequest;
-using service::ResponseFrame;
-using service::ServiceClient;
-using service::Tag;
-using service::WireProtocol;
-
-/** Small shapes keep load-test requests sub-second. */
-const std::vector<ProveRequest> &
-mixedWorkload()
-{
-    static const std::vector<ProveRequest> mix = [] {
-        std::vector<ProveRequest> specs;
-        ProveRequest r;
-        r.protocol = WireProtocol::Plonky2;
-        r.app = AppId::Factorial;
-        r.rows = 256;
-        r.reps = 2;
-        specs.push_back(r);
-        r.protocol = WireProtocol::Starky;
-        r.app = AppId::Fibonacci;
-        r.rows = 256;
-        r.reps = 0;
-        specs.push_back(r);
-        r.protocol = WireProtocol::Plonky2;
-        r.app = AppId::Fibonacci;
-        r.rows = 128;
-        r.reps = 2;
-        specs.push_back(r);
-        r.protocol = WireProtocol::Starky;
-        r.app = AppId::Sha256;
-        r.rows = 128;
-        r.reps = 0;
-        specs.push_back(r);
-        return specs;
-    }();
-    return mix;
-}
-
-AppId
-parseApp(const std::string &name)
-{
-    static const AppId all[] = {
-        AppId::Factorial, AppId::Fibonacci, AppId::Ecdsa,
-        AppId::Sha256,    AppId::ImageCrop, AppId::Mvm,
-        AppId::Recursion};
-    for (const AppId app : all) {
-        if (name == appName(app))
-            return app;
-    }
-    unizk_fatal("unknown --app \"", name, "\"");
-}
-
-/** Run the request through the in-process pipeline (unizk_cli path). */
-std::vector<uint8_t>
-localProof(const ProveRequest &req)
-{
-    const FriConfig cfg = service::requestFriConfig(req);
-    const HardwareConfig hw = HardwareConfig::paperDefault();
-    const AppRunResult result =
-        req.protocol == WireProtocol::Plonky2
-            ? runPlonky2App(req.app, service::requestRows(req),
-                            service::requestReps(req), cfg, hw,
-                            req.verify)
-            : runStarkyApp(req.app, service::requestRows(req), cfg,
-                           hw, req.verify);
-    return result.proofBlob;
-}
-
-/**
- * Shared result tally. Counts move once per completed request, so a
- * single mutex costs nothing measurable -- and unlike the per-field
- * atomics it replaced, the UNIZK_GUARDED_BY contract makes any future
- * unlocked access a compile error under -Werror=thread-safety.
- */
-struct Tally
-{
-    Mutex mutex;
-    uint64_t ok UNIZK_GUARDED_BY(mutex) = 0;
-    uint64_t queueFull UNIZK_GUARDED_BY(mutex) = 0;
-    uint64_t shuttingDown UNIZK_GUARDED_BY(mutex) = 0;
-    /** transport/protocol/verify failures */
-    uint64_t otherErrors UNIZK_GUARDED_BY(mutex) = 0;
-    /** --check byte diffs */
-    uint64_t mismatches UNIZK_GUARDED_BY(mutex) = 0;
-
-    // Server-side decomposition, summed over traced ok responses.
-    uint64_t traced UNIZK_GUARDED_BY(mutex) = 0;
-    uint64_t sumQueuedNs UNIZK_GUARDED_BY(mutex) = 0;
-    uint64_t sumProveNs UNIZK_GUARDED_BY(mutex) = 0;
-    uint64_t sumSerializeNs UNIZK_GUARDED_BY(mutex) = 0;
-    uint64_t sumServerNs UNIZK_GUARDED_BY(mutex) = 0;
-    uint64_t sumClientNs UNIZK_GUARDED_BY(mutex) = 0;
-    /** responses violating queued+prove+serialize <= serverNs
-     *  <= clientNs, or echoing the wrong trace id */
-    uint64_t breakdownViolations UNIZK_GUARDED_BY(mutex) = 0;
-};
-
-void
-runConnection(const std::string &socket_path, size_t conn_index,
-              size_t requests, const std::vector<ProveRequest> &specs,
-              const std::vector<std::vector<uint8_t>> &expected,
-              bool trace, Tally &tally)
-{
-    ServiceClient client(socket_path);
-    if (!client.connected()) {
-        warn("unizk_client: connection ", conn_index, " failed");
-        MutexLock lock(tally.mutex);
-        tally.otherErrors += requests;
-        return;
-    }
-    for (size_t i = 0; i < requests; ++i) {
-        const size_t which =
-            (conn_index * requests + i) % specs.size();
-        ProveRequest req = specs[which];
-        // Trace ids only need to be unique within the run; 0 would
-        // silently downgrade to a v1 frame, hence the +1.
-        req.traceId =
-            trace ? conn_index * requests + i + 1 : 0;
-        const Stopwatch round_trip;
-        const auto resp = client.prove(req);
-        const uint64_t client_ns = static_cast<uint64_t>(
-            round_trip.elapsedSeconds() * 1e9);
-        if (!resp) {
-            MutexLock lock(tally.mutex);
-            tally.otherErrors += 1;
-            return; // transport gone; rest of this stream is lost
-        }
-        if (resp->tag == Tag::Error) {
-            MutexLock lock(tally.mutex);
-            switch (resp->error.code) {
-            case service::ErrorCode::QueueFull:
-                tally.queueFull += 1;
-                break;
-            case service::ErrorCode::ShuttingDown:
-                tally.shuttingDown += 1;
-                break;
-            default:
-                warn("unizk_client: server error: ",
-                     errorCodeName(resp->error.code), ": ",
-                     resp->error.message);
-                tally.otherErrors += 1;
-                break;
-            }
-            continue;
-        }
-        if (resp->tag != Tag::ProveOk ||
-            (req.verify && !resp->prove.verified)) {
-            MutexLock lock(tally.mutex);
-            tally.otherErrors += 1;
-            continue;
-        }
-        if (!expected.empty() &&
-            resp->prove.proof != expected[which]) {
-            warn("unizk_client: proof mismatch vs local pipeline "
-                 "(spec ",
-                 which, ")");
-            MutexLock lock(tally.mutex);
-            tally.mismatches += 1;
-            continue;
-        }
-        MutexLock lock(tally.mutex);
-        tally.ok += 1;
-        const service::ProveResponse &p = resp->prove;
-        if (p.hasServerTiming) {
-            tally.traced += 1;
-            tally.sumQueuedNs += p.queuedNs;
-            tally.sumProveNs += p.proveNs;
-            tally.sumSerializeNs += p.serializeNs;
-            tally.sumServerNs += p.latencyNs;
-            tally.sumClientNs += client_ns;
-            if (p.traceId != req.traceId ||
-                p.queuedNs + p.proveNs + p.serializeNs >
-                    p.latencyNs ||
-                p.latencyNs > client_ns) {
-                warn("unizk_client: timing breakdown violated "
-                     "(trace ",
-                     req.traceId, ")");
-                tally.breakdownViolations += 1;
-            }
-        }
-    }
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
+    using namespace unizk;
+    using service::ServiceClient;
+    using service::Tag;
+
     CliOptions cli(argc, argv);
     applyGlobalCliOptions(cli);
 
+    if (!cli.has("ping") && !cli.has("shutdown")) {
+        std::fprintf(stderr,
+                     "usage: unizk_client [--socket PATH] [--ping] "
+                     "[--shutdown] [--threads N]\n"
+                     "  (drive load with unizk_load)\n");
+        return 2;
+    }
     const std::string socket_path =
         cli.getString("socket", "unizkd.sock");
-    const size_t connections = cli.getUint("connections", 4);
-    const size_t requests = cli.getUint("requests", 4);
-    const std::string protocol =
-        cli.getString("protocol", "mixed");
-    const bool check = cli.has("check");
-    const bool trace = !cli.has("no-trace");
-    const std::string proof_out = cli.getString("proof-out", "");
 
     if (cli.has("ping")) {
         ServiceClient client(socket_path);
@@ -250,60 +50,7 @@ main(int argc, char **argv)
             return 1;
         }
         std::printf("unizk_client: pong\n");
-        return 0;
     }
-
-    std::vector<ProveRequest> specs;
-    if (protocol == "mixed") {
-        specs = mixedWorkload();
-    } else if (protocol == "plonky2" || protocol == "starky") {
-        ProveRequest r;
-        r.protocol = protocol == "plonky2" ? WireProtocol::Plonky2
-                                           : WireProtocol::Starky;
-        r.app = parseApp(cli.getString("app", "factorial"));
-        r.rows = cli.getUint("rows", 256);
-        r.reps = cli.getUint("reps", 2);
-        specs.push_back(r);
-    } else {
-        unizk_fatal("--protocol must be mixed, plonky2, or starky");
-    }
-
-    // --check: compute the reference proofs once, in-process, before
-    // any load is applied.
-    std::vector<std::vector<uint8_t>> expected;
-    if (check) {
-        for (const ProveRequest &spec : specs)
-            expected.push_back(localProof(spec));
-    }
-
-    Tally tally;
-    std::vector<std::thread> workers;
-    for (size_t c = 0; c < connections; ++c) {
-        workers.emplace_back([&, c] {
-            runConnection(socket_path, c, requests, specs, expected,
-                          trace, tally);
-        });
-    }
-    for (auto &w : workers)
-        w.join();
-
-    if (!proof_out.empty()) {
-        ServiceClient client(socket_path);
-        const auto resp = client.prove(specs[0]);
-        if (resp && resp->tag == Tag::ProveOk) {
-            const std::string bytes(resp->prove.proof.begin(),
-                                    resp->prove.proof.end());
-            if (!obs::writeFile(proof_out, bytes))
-                unizk_fatal("cannot write ", proof_out);
-            std::printf("unizk_client: wrote proof: %s\n",
-                        proof_out.c_str());
-        } else {
-            warn("unizk_client: --proof-out request failed");
-            MutexLock lock(tally.mutex);
-            tally.otherErrors += 1;
-        }
-    }
-
     if (cli.has("shutdown")) {
         ServiceClient client(socket_path);
         const auto resp = client.shutdownServer();
@@ -313,39 +60,5 @@ main(int argc, char **argv)
         }
         std::printf("unizk_client: server acknowledged shutdown\n");
     }
-
-    MutexLock lock(tally.mutex);
-    std::printf("unizk_client: ok=%llu queue_full=%llu "
-                "shutting_down=%llu errors=%llu mismatches=%llu\n",
-                static_cast<unsigned long long>(tally.ok),
-                static_cast<unsigned long long>(tally.queueFull),
-                static_cast<unsigned long long>(tally.shuttingDown),
-                static_cast<unsigned long long>(tally.otherErrors),
-                static_cast<unsigned long long>(tally.mismatches));
-    if (tally.traced > 0) {
-        const double n = static_cast<double>(tally.traced);
-        // Residual = client round-trip minus everything the server
-        // accounted for: socket writes, framing, scheduling.
-        const double residual_ms =
-            (static_cast<double>(tally.sumClientNs) -
-             static_cast<double>(tally.sumServerNs)) /
-            n / 1e6;
-        std::printf(
-            "unizk_client: traced=%llu mean ms: queued=%.2f "
-            "prove=%.2f serialize=%.2f server=%.2f client=%.2f "
-            "residual=%.2f violations=%llu\n",
-            static_cast<unsigned long long>(tally.traced),
-            static_cast<double>(tally.sumQueuedNs) / n / 1e6,
-            static_cast<double>(tally.sumProveNs) / n / 1e6,
-            static_cast<double>(tally.sumSerializeNs) / n / 1e6,
-            static_cast<double>(tally.sumServerNs) / n / 1e6,
-            static_cast<double>(tally.sumClientNs) / n / 1e6,
-            residual_ms,
-            static_cast<unsigned long long>(
-                tally.breakdownViolations));
-    }
-    return (tally.otherErrors || tally.mismatches ||
-            tally.breakdownViolations)
-               ? 1
-               : 0;
+    return 0;
 }

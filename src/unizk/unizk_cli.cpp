@@ -10,7 +10,7 @@
  * Options:
  *   --protocol plonky2|starky   proof system (default plonky2)
  *   --app NAME                  factorial, fibonacci, ecdsa, sha256,
- *                               imagecrop, mvm, recursion (default
+ *                               image-crop, mvm, recursion (default
  *                               factorial; Starky supports the first
  *                               two plus sha256)
  *   --rows N --reps R           workload shape (defaults per app)
@@ -41,42 +41,7 @@
 #include "obs/trace_export.h"
 #include "unizk/pipeline.h"
 
-namespace {
-
 using namespace unizk;
-
-/** Lowercase with separators removed, for forgiving app-name matching. */
-std::string
-normalized(const std::string &s)
-{
-    std::string out;
-    for (const char c : s) {
-        if (c >= 'A' && c <= 'Z')
-            out += static_cast<char>(c - 'A' + 'a');
-        else if ((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9'))
-            out += c;
-    }
-    return out;
-}
-
-AppId
-appFromString(const std::string &name)
-{
-    static const AppId all[] = {
-        AppId::Factorial, AppId::Fibonacci, AppId::Ecdsa,
-        AppId::Sha256,    AppId::ImageCrop, AppId::Mvm,
-        AppId::Recursion};
-    const std::string want = normalized(name);
-    for (const AppId app : all) {
-        if (normalized(appName(app)) == want)
-            return app;
-    }
-    unizk_fatal("unknown --app \"", name,
-                "\" (try factorial, fibonacci, ecdsa, sha256, "
-                "imagecrop, mvm, recursion)");
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -90,7 +55,8 @@ main(int argc, char **argv)
     if (protocol != "plonky2" && protocol != "starky")
         unizk_fatal("--protocol must be plonky2 or starky");
 
-    const AppId app = appFromString(cli.getString("app", "factorial"));
+    const AppId app =
+        appFromToken(cli.getString("app", "factorial"), "--app");
     const WorkloadParams params =
         defaultParams(app, static_cast<uint32_t>(cli.getUint("scale", 0)));
     const size_t rows = cli.getUint("rows", params.rows);

@@ -28,6 +28,45 @@ appName(AppId app)
     }
 }
 
+const char *
+appToken(AppId app)
+{
+    switch (app) {
+      case AppId::Factorial:
+        return "factorial";
+      case AppId::Fibonacci:
+        return "fibonacci";
+      case AppId::Ecdsa:
+        return "ecdsa";
+      case AppId::Sha256:
+        return "sha256";
+      case AppId::ImageCrop:
+        return "image-crop";
+      case AppId::Mvm:
+        return "mvm";
+      case AppId::Recursion:
+        return "recursion";
+      default:
+        unizk_panic("unknown app");
+    }
+}
+
+AppId
+appFromToken(const std::string &token, const std::string &origin)
+{
+    static const AppId all[] = {
+        AppId::Factorial, AppId::Fibonacci, AppId::Ecdsa,
+        AppId::Sha256,    AppId::ImageCrop, AppId::Mvm,
+        AppId::Recursion};
+    for (const AppId app : all) {
+        if (token == appToken(app))
+            return app;
+    }
+    unizk_fatal(origin, ": unknown app \"", token,
+                "\" (expected factorial, fibonacci, ecdsa, sha256, "
+                "image-crop, mvm, or recursion)");
+}
+
 WorkloadParams
 defaultParams(AppId app, uint32_t scale)
 {

@@ -51,7 +51,21 @@ evaluationApps()
     return apps;
 }
 
+/** Display name ("SHA-256", "Image Crop", ...) for reports. */
 const char *appName(AppId app);
+
+/**
+ * Lowercase token naming an app on command lines and in scenario files
+ * ("sha256", "image-crop", ...).
+ */
+const char *appToken(AppId app);
+
+/**
+ * Inverse of appToken, the one parser of app names. Accepts exactly
+ * the appToken spellings; anything else is a unizk_fatal (mentioning
+ * @p origin) that lists them, never a fallback app.
+ */
+AppId appFromToken(const std::string &token, const std::string &origin);
 
 /** Default shape parameters for an application. */
 struct WorkloadParams

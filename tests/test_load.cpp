@@ -5,8 +5,9 @@
  * distribution shape of the samplers (uniform/zipfian key ratios and
  * Poisson interarrival mean within tolerance over large draws),
  * per-key request-shape stability, strict scenario-file parsing
- * (every misparse is fatal, never a silent default), and an
- * in-process end-to-end run against a live ProofService.
+ * (every misparse is fatal, never a silent default), and in-process
+ * end-to-end runs against a live ProofService, including the
+ * reference-proof byte check.
  */
 
 #include <gtest/gtest.h>
@@ -407,6 +408,44 @@ TEST(LoadRunner, ClosedLoopAgainstLiveService)
     EXPECT_NE(json.find("\"name\": \"test-tiny\""), std::string::npos);
     EXPECT_NE(json.find("\"breakdown\""), std::string::npos);
     EXPECT_NE(json.find("\"violations\": 0"), std::string::npos);
+}
+
+TEST(LoadRunner, CheckCountsOnlyTheAlteredKeyAsErrors)
+{
+    obs::setEnabled(true);
+    const std::string socket = testSocketPath("check");
+    service::ServiceConfig cfg;
+    cfg.socketPath = socket;
+    cfg.queueCapacity = 8;
+    cfg.proverLanes = 2;
+    service::ProofService svc(cfg);
+    ASSERT_TRUE(svc.start());
+
+    Scenario s = tinyScenario();
+    s.requests = 6;
+    s.keySpace = 2; // keys repeat, so one key covers several requests
+    const Schedule sched = buildSchedule(s, 3);
+    RunOptions opts;
+    opts.socketPath = socket;
+    opts.references = referenceProofs(sched);
+    const RunReport correct = runScenario(s, sched, opts);
+
+    const uint64_t altered = sched.requests.front().key;
+    uint64_t altered_requests = 0;
+    for (const LoadRequest &item : sched.requests)
+        altered_requests += item.key == altered ? 1 : 0;
+    ASSERT_LT(altered_requests, s.requests);
+    opts.references[altered].back() ^= 1;
+    const RunReport wrong = runScenario(s, sched, opts);
+    svc.stop();
+
+    EXPECT_EQ(correct.ok, s.requests);
+    EXPECT_EQ(correct.errors, 0u);
+    EXPECT_EQ(wrong.errors, altered_requests);
+    EXPECT_EQ(wrong.ok, s.requests - altered_requests);
+    EXPECT_EQ(wrong.ok + wrong.queueFull + wrong.shuttingDown +
+                  wrong.errors,
+              wrong.issued);
 }
 
 TEST(LoadRunner, OpenLoopAgainstLiveService)

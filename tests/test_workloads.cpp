@@ -2,8 +2,9 @@
  * @file
  * Tests for the workload generators: every app must build a satisfiable
  * circuit of the requested size, Starky apps must produce valid traces,
- * and the end-to-end pipeline (prove on CPU, record trace, simulate
- * UniZK, verify) must succeed for representatives of each protocol.
+ * the app-name tokens must round-trip, and the end-to-end pipeline
+ * (prove on CPU, record trace, simulate UniZK, verify) must succeed for
+ * representatives of each protocol.
  */
 
 #include <gtest/gtest.h>
@@ -45,6 +46,11 @@ TEST_P(AllApps, DefaultParamsSane)
     EXPECT_EQ(scaled.rows, p.rows * 4);
 }
 
+TEST_P(AllApps, TokenRoundTrips)
+{
+    EXPECT_EQ(appFromToken(appToken(GetParam()), "test"), GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Apps, AllApps,
     ::testing::Values(AppId::Factorial, AppId::Fibonacci, AppId::Ecdsa,
@@ -57,6 +63,19 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name;
     });
+
+// appFromToken is the only app-name parser (unizk_cli, scenario files,
+// the examples): display names and near misses must die, never fall
+// back to some default app.
+TEST(AppTokensDeathTest, UnknownNamesAreFatal)
+{
+    for (const char *name :
+         {"", "Factorial", "SHA-256", "imagecrop", "fib"}) {
+        EXPECT_DEATH(appFromToken(name, "--app"),
+                     "unknown app.*image-crop")
+            << name;
+    }
+}
 
 TEST(StarkApps, TracesSatisfyTheirAirs)
 {

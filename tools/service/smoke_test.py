@@ -3,24 +3,28 @@
 
 Two legs:
 
-  1. Steady state: start unizkd, drive unizk_client through a small
-     mixed Plonky2/Starky workload over 4 concurrent connections with
-     --check (proofs byte-compared against the in-process pipeline),
+  1. Steady state: start unizkd, drive unizk_load through 12 requests
+     of the mixed Plonky2/Starky uniform-closed scenario over 4
+     concurrent connections with --check (every served proof
+     byte-compared against the in-process proof of its circuit key),
      then SIGTERM the daemon and assert a graceful drain: exit code 0,
      socket file unlinked, and a valid unizk-stats-v2 document whose
      histograms carry one service.request_latency_ns sample per
-     completed request.
+     completed request. Both protocols must appear in the run itself
+     (load report and daemon stats), not be assumed from the seed.
 
   2. Overload: a second daemon with --queue-capacity 0 rejects every
-     request with the typed queue-full error (client reports them as
-     backpressure, not failures), then shuts down cleanly via the
-     protocol Shutdown frame.
+     request with the typed queue-full error (unizk_load reports them
+     as backpressure, not failures). unizk_client answers a ping,
+     refuses an old load-injector command line (usage, exit 2), then
+     shuts the daemon down cleanly via the protocol Shutdown frame.
 
 Registered as the `service_smoke` ctest; also run by CI's
 service-smoke job. Stdlib-only by design.
 
 Usage:
-    python3 tools/service/smoke_test.py /path/to/unizkd /path/to/unizk_client
+    python3 tools/service/smoke_test.py /path/to/unizkd \\
+        /path/to/unizk_load /path/to/unizk_client
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ sys.path.insert(
 import validate_obs_json  # noqa: E402
 
 SUMMARY_RE = re.compile(
-    r"unizk_client: ok=(\d+) queue_full=(\d+) shutting_down=(\d+) "
-    r"errors=(\d+) mismatches=(\d+)"
+    r"unizk_load: ok=(\d+) queue_full=(\d+) shutting_down=(\d+) "
+    r"errors=(\d+)"
 )
 
 
@@ -59,23 +63,27 @@ def wait_for_socket(path: str, daemon: subprocess.Popen) -> None:
     raise SystemExit(f"unizkd never created {path}")
 
 
-def run_client(client: str, args: list) -> dict:
+def run(binary: str, args: list, expect_code: int = 0) -> str:
     proc = subprocess.run(
-        [client] + args,
+        [binary] + args,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
         timeout=600,
     )
     print(proc.stdout, end="")
-    if proc.returncode != 0:
+    if proc.returncode != expect_code:
         raise SystemExit(
-            f"unizk_client {' '.join(args)} exited with {proc.returncode}"
-        )
-    match = SUMMARY_RE.search(proc.stdout)
+            f"{os.path.basename(binary)} {' '.join(args)} exited with "
+            f"{proc.returncode}, expected {expect_code}")
+    return proc.stdout
+
+
+def run_load(load: str, args: list) -> dict:
+    match = SUMMARY_RE.search(run(load, args))
     if not match:
-        raise SystemExit("unizk_client printed no summary line")
-    keys = ("ok", "queue_full", "shutting_down", "errors", "mismatches")
+        raise SystemExit("unizk_load printed no summary line")
+    keys = ("ok", "queue_full", "shutting_down", "errors")
     return dict(zip(keys, (int(g) for g in match.groups())))
 
 
@@ -93,9 +101,10 @@ def stop_daemon(daemon: subprocess.Popen, sock: str, how: str) -> None:
         raise SystemExit(f"unizkd leaked its socket file {sock}")
 
 
-def steady_state_leg(unizkd: str, client: str, workdir: str) -> None:
+def steady_state_leg(unizkd: str, load: str, workdir: str) -> None:
     sock = os.path.join(workdir, "unizkd.sock")
     stats_path = os.path.join(workdir, "service-stats.json")
+    report_path = os.path.join(workdir, "load-report.json")
     daemon = subprocess.Popen(
         [unizkd, "--socket", sock, "--queue-capacity", "8",
          "--lanes", "2", "--threads", "2", "--stats-json", stats_path],
@@ -105,18 +114,26 @@ def steady_state_leg(unizkd: str, client: str, workdir: str) -> None:
     )
     try:
         wait_for_socket(sock, daemon)
-        tally = run_client(
-            client,
-            ["--socket", sock, "--connections", "4", "--requests", "3",
-             "--check", "--threads", "2"],
+        tally = run_load(
+            load,
+            ["--socket", sock, "--scenario", "uniform-closed",
+             "--seed", "1", "--requests", "12", "--connections", "4",
+             "--check", "--threads", "2", "--report", report_path],
         )
-        if tally["ok"] != 12 or tally["errors"] or tally["mismatches"]:
+        if tally["ok"] != 12 or tally["errors"]:
             raise SystemExit(f"steady state: bad tally {tally}")
         daemon.send_signal(signal.SIGTERM)
         stop_daemon(daemon, sock, "SIGTERM")
     finally:
         if daemon.poll() is None:
             daemon.kill()
+
+    with open(report_path, "r", encoding="utf-8") as f:
+        report = json.load(f)
+    served = {p["protocol"] for p in report["results"]["perApp"]
+              if p["count"] > 0}
+    if served != {"plonky2", "starky"}:
+        raise SystemExit(f"expected a mixed run, load report has {served}")
 
     errors = validate_obs_json.validate_file(stats_path, "stats")
     if errors:
@@ -141,7 +158,8 @@ def steady_state_leg(unizkd: str, client: str, workdir: str) -> None:
     print("service_smoke: steady-state leg OK")
 
 
-def overload_leg(unizkd: str, client: str, workdir: str) -> None:
+def overload_leg(unizkd: str, load: str, client: str,
+                 workdir: str) -> None:
     sock = os.path.join(workdir, "unizkd-overload.sock")
     daemon = subprocess.Popen(
         [unizkd, "--socket", sock, "--queue-capacity", "0",
@@ -152,19 +170,27 @@ def overload_leg(unizkd: str, client: str, workdir: str) -> None:
     )
     try:
         wait_for_socket(sock, daemon)
-        tally = run_client(
-            client,
-            ["--socket", sock, "--connections", "4", "--requests", "2",
+        tally = run_load(
+            load,
+            ["--socket", sock, "--scenario", "uniform-closed",
+             "--seed", "1", "--requests", "8", "--connections", "4",
              "--threads", "2"],
         )
         if tally["queue_full"] != 8 or tally["ok"] or tally["errors"]:
             raise SystemExit(f"overload: bad tally {tally}")
+        if "pong" not in run(client, ["--socket", sock, "--ping"]):
+            raise SystemExit("unizk_client --ping printed no pong")
+        # The old load-injector command line must fail loudly, not
+        # exit 0 without sending anything.
+        out = run(client,
+                  ["--socket", sock, "--connections", "4",
+                   "--requests", "3", "--check"],
+                  expect_code=2)
+        if "usage" not in out:
+            raise SystemExit("unizk_client without an action printed "
+                             "no usage")
         # Shut down over the protocol instead of a signal this time.
-        run_client(
-            client,
-            ["--socket", sock, "--connections", "0", "--requests", "0",
-             "--shutdown", "--threads", "2"],
-        )
+        run(client, ["--socket", sock, "--shutdown", "--threads", "2"])
         stop_daemon(daemon, sock, "protocol shutdown")
     finally:
         if daemon.poll() is None:
@@ -173,13 +199,13 @@ def overload_leg(unizkd: str, client: str, workdir: str) -> None:
 
 
 def main(argv) -> int:
-    if len(argv) != 2:
+    if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
-    unizkd, client = argv
+    unizkd, load, client = argv
     with tempfile.TemporaryDirectory() as workdir:
-        steady_state_leg(unizkd, client, workdir)
-        overload_leg(unizkd, client, workdir)
+        steady_state_leg(unizkd, load, workdir)
+        overload_leg(unizkd, load, client, workdir)
     print("service_smoke: OK")
     return 0
 
