@@ -11,6 +11,7 @@
 #include "obs/json_writer.h"
 #include "obs/obs.h"
 #include "service/client.h"
+#include "service/key_cache.h"
 
 namespace unizk {
 namespace load {
@@ -209,10 +210,22 @@ runOpenWorker(const Scenario &scenario, const Schedule &schedule,
 ReferenceProofs
 referenceProofs(const Schedule &schedule)
 {
+    service::KeyCache cache;
+    std::map<service::ShapeKey, std::vector<uint8_t>> by_shape;
     ReferenceProofs refs;
     for (const LoadRequest &item : schedule.requests) {
-        if (refs.count(item.key) == 0)
-            refs[item.key] = service::runRequest(item.request).proofBlob;
+        if (refs.count(item.key) != 0)
+            continue;
+        const service::ShapeKey shape = service::shapeKeyOf(item.request);
+        auto it = by_shape.find(shape);
+        if (it == by_shape.end()) {
+            it = by_shape
+                     .emplace(shape,
+                              service::runRequest(item.request, cache)
+                                  .proofBlob)
+                     .first;
+        }
+        refs[item.key] = it->second;
     }
     return refs;
 }

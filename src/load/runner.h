@@ -54,7 +54,9 @@ struct RunOptions
 /**
  * The in-process proof of every circuit key in @p schedule
  * (service::runRequest, the prover lanes' own path). Every key maps to
- * one fixed request shape, so one proof per key covers the schedule.
+ * one fixed request shape, and many keys to the same resolved shape
+ * (service::shapeKeyOf), so each distinct shape is proved once and its
+ * bytes are copied to every key drawing it.
  */
 ReferenceProofs referenceProofs(const Schedule &schedule);
 

@@ -17,10 +17,10 @@
  * after generation and prints the schedule fingerprint, which is how
  * the load smoke asserts seed-determinism without a daemon.
  *
- * --check proves every circuit key of the schedule in process before
- * any load runs (the prover lanes' own path, service::runRequest) and
- * byte-compares each served proof against its key's reference; a
- * mismatch counts as an error.
+ * --check proves every distinct request shape of the schedule in
+ * process before any load runs (the prover lanes' own path,
+ * service::runRequest) and byte-compares each served proof against its
+ * key's reference; a mismatch counts as an error.
  *
  * Exits 0 iff every issued request was answered without a transport or
  * protocol error (or --check mismatch); queue-full / shutting-down
@@ -118,7 +118,8 @@ main(int argc, char **argv)
     opts.socketPath = cli.getString("socket", "unizkd.sock");
     if (cli.has("check")) {
         opts.references = load::referenceProofs(schedule);
-        std::printf("unizk_load: computed %zu reference proofs\n",
+        std::printf("unizk_load: computed reference proofs for %zu "
+                    "keys\n",
                     opts.references.size());
     }
 

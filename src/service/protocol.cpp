@@ -1,6 +1,7 @@
 #include "service/protocol.h"
 
 #include "serialize/bytes.h"
+#include "service/key_cache.h"
 
 namespace unizk {
 namespace service {
@@ -110,15 +111,10 @@ requestReps(const ProveRequest &req)
 }
 
 AppRunResult
-runRequest(const ProveRequest &req)
+runRequest(const ProveRequest &req, KeyCache &cache)
 {
-    const FriConfig cfg = requestFriConfig(req);
-    const HardwareConfig hw = HardwareConfig::paperDefault();
-    return req.protocol == WireProtocol::Plonky2
-               ? runPlonky2App(req.app, requestRows(req),
-                               requestReps(req), cfg, hw, req.verify)
-               : runStarkyApp(req.app, requestRows(req), cfg, hw,
-                              req.verify);
+    return provePreparedApp(*cache.get(req),
+                            HardwareConfig::paperDefault(), req.verify);
 }
 
 const char *

@@ -116,7 +116,11 @@ struct ProveResponse
     uint64_t traceId = 0;     ///< echo of the request's trace id
     uint64_t laneId = 0;      ///< prover lane that ran the request
     uint64_t queuedNs = 0;    ///< admission -> lane dequeue
-    uint64_t proveNs = 0;     ///< prover pipeline (prove + verify)
+    /** runRequest on the lane: prepared-circuit lookup (build and,
+     *  for Plonky2, setup on a cache miss only), prove, kernel-trace
+     *  recording, proof serialization, verification (if requested)
+     *  and UniZK simulation. */
+    uint64_t proveNs = 0;
     uint64_t serializeNs = 0; ///< response proof-section serialization
 };
 
@@ -198,13 +202,18 @@ FriConfig requestFriConfig(const ProveRequest &req);
 size_t requestRows(const ProveRequest &req);
 size_t requestReps(const ProveRequest &req);
 
+class KeyCache;
+
 /**
- * Prove @p req in process: runPlonky2App or runStarkyApp on the inputs
- * above, with paper-default hardware. Prover lanes serve requests
- * through it and unizk_load --check computes its reference proofs
- * with it, so the two cannot drift apart.
+ * Prove @p req in process: provePreparedApp, with paper-default
+ * hardware, on the prepared circuit of the request's resolved shape
+ * from @p cache (prepared now on a miss). This is runPlonky2App or
+ * runStarkyApp on the inputs above, minus the repeated build and
+ * setup. Prover lanes serve requests through it with the service's
+ * cache and unizk_load --check computes its reference proofs with it
+ * and a local cache, so the two cannot drift apart.
  */
-AppRunResult runRequest(const ProveRequest &req);
+AppRunResult runRequest(const ProveRequest &req, KeyCache &cache);
 
 /** Emits Tag::Prove when req.traceId == 0, Tag::ProveV2 otherwise. */
 std::vector<uint8_t> encodeProveRequest(const ProveRequest &req);

@@ -452,6 +452,7 @@ ProofService::proverLane(unsigned lane_id)
         lanes_busy_.fetch_add(1, std::memory_order_relaxed);
         const Stopwatch busy;
 
+        std::vector<uint8_t> payload;
         // Declared before the span so the request span (and every
         // nested pipeline span on this thread) carries the trace id.
         // Pool workers run this lane's chunks under the same id: each
@@ -461,7 +462,7 @@ ProofService::proverLane(unsigned lane_id)
             UNIZK_SPAN("service/request");
 
             const Stopwatch proving;
-            const AppRunResult result = runRequest(req);
+            const AppRunResult result = runRequest(req, key_cache_);
             const uint64_t prove_ns = static_cast<uint64_t>(
                 proving.elapsedSeconds() * 1e9);
 
@@ -503,14 +504,19 @@ ProofService::proverLane(unsigned lane_id)
                         globalThreadCount()));
                 }
             }
-            job->promise.set_value(
-                finishProveResponse(response, proof_section));
+            payload = finishProveResponse(response, proof_section);
         }
 
         UNIZK_COUNTER_ADD(
             "service.lane_busy_ns",
             static_cast<uint64_t>(busy.elapsedSeconds() * 1e9));
         lanes_busy_.fetch_sub(1, std::memory_order_relaxed);
+
+        // Answer last: the request span and counters above are recorded
+        // before the client can see the response, so a client that
+        // resets obs right after it (obs::resetForMeasurement between
+        // load runs) cannot race this lane's span buffer.
+        job->promise.set_value(std::move(payload));
     }
 }
 

@@ -17,7 +17,8 @@
  * the queue is full / draining), waits for the lane's result, writes
  * the response, then reads the next frame. Prover lanes run requests
  * through runRequest (protocol.h), the same function unizk_load --check
- * proves its references with. Their parallelFor regions run
+ * proves its references with, against the service's KeyCache of
+ * prepared circuits (key_cache.h). Their parallelFor regions run
  * concurrently on the shared global pool with schedule-free chunk
  * boundaries, so proofs remain byte-identical to the one-shot
  * unizk_cli path.
@@ -43,6 +44,7 @@
 #include "common/sync.h"
 #include "obs/stats_export.h"
 #include "service/job_queue.h"
+#include "service/key_cache.h"
 #include "service/protocol.h"
 #include "service/socket_io.h"
 
@@ -180,6 +182,9 @@ class ProofService
     std::unique_ptr<BoundedQueue<std::shared_ptr<Job>>> queue_;
     std::thread accept_thread_;
     std::vector<std::thread> lanes_;
+
+    /** Prepared circuits shared by every lane, filled on demand. */
+    KeyCache key_cache_;
 
     /** Lanes currently running a request (gauge for GetStats). */
     std::atomic<uint64_t> lanes_busy_{0};

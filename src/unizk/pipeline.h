@@ -11,6 +11,7 @@
 #define UNIZK_UNIZK_PIPELINE_H
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,53 @@ struct AppRunResult
  * magnitudes are comparable with the paper's Table 3.
  */
 constexpr double cpuParallelSpeedup = 10.0;
+
+/**
+ * A workload built and ready to prove: the part of a run that depends
+ * only on the request shape. A Plonky2 entry also holds the proving
+ * key; setup (preprocessing) is offline in Plonky2 and excluded from
+ * the measured proving time, like the paper excludes Arithmetization.
+ * Nothing in it is mutated by proving, so one instance can serve any
+ * number of concurrent provePreparedApp calls.
+ */
+struct PreparedApp
+{
+    AppId app = AppId::Factorial;
+    size_t rows = 0;        ///< proved rows (Plonky2: padded circuit)
+    size_t repetitions = 0; ///< Plonky2 only
+    FriConfig cfg;          ///< the configuration setup committed under
+
+    /** Plonky2: circuit and witnesses, with their proving key. */
+    std::optional<PlonkApp> plonk;
+    PlonkProvingKey key;
+
+    /** Starky: the AET and its AIR. */
+    std::optional<StarkApp> stark;
+
+    /**
+     * Resident size estimated from the shape: the committed LDE points
+     * times their width, the Merkle digests over them, and the
+     * row-sized circuit, sigma, witness or trace columns.
+     */
+    size_t estimatedBytes() const;
+};
+
+/** Build @p app's circuit and witnesses and run plonkSetup. */
+PreparedApp preparePlonky2App(AppId app, size_t rows, size_t repetitions,
+                              const FriConfig &cfg);
+
+/** Build @p app's AET; Starky has no setup. */
+PreparedApp prepareStarkyApp(AppId app, size_t rows,
+                             const FriConfig &cfg);
+
+/**
+ * Prove a prepared app with kernel-time instrumentation, record the
+ * kernel trace, simulate UniZK on it, serialize and (if asked) verify
+ * the proof.
+ */
+AppRunResult provePreparedApp(const PreparedApp &prepared,
+                              const HardwareConfig &hw,
+                              bool verify_proof = true);
 
 /** Prove @p app under Plonky2 configuration and simulate UniZK. */
 AppRunResult runPlonky2App(AppId app, size_t rows, size_t repetitions,

@@ -3,7 +3,8 @@
  * Tests for the unizkd proving service: wire-protocol encode/decode
  * totality (unknown tags, truncated and oversized frames, trailing
  * bytes), frame I/O against real sockets, admission control, graceful
- * shutdown, and byte-identity of served proofs vs the direct pipeline.
+ * shutdown, the prepared-circuit cache, and byte-identity of served
+ * proofs (cache misses and hits) vs the direct pipeline.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,8 +24,11 @@
 #include <unistd.h>
 
 #include "common/stats.h"
+#include "common/thread_pool.h"
+#include "obs/obs.h"
 #include "serialize/bytes.h"
 #include "service/client.h"
+#include "service/key_cache.h"
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/socket_io.h"
@@ -756,6 +762,147 @@ TEST(BoundedQueue, ConcurrentCloseRace)
 }
 
 // ---------------------------------------------------------------------
+// Prepared-circuit cache.
+
+/** Run @p body at each pool size the determinism tests use. */
+template <typename Body>
+void
+atEachPoolSize(Body body)
+{
+    const unsigned saved = globalThreadCount();
+    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+        SCOPED_TRACE(threads);
+        setGlobalThreadCount(threads);
+        body();
+    }
+    setGlobalThreadCount(saved);
+}
+
+TEST(KeyCache, ConcurrentColdRequestsPrepareOnce)
+{
+    atEachPoolSize([] {
+        KeyCache cache;
+        const ProveRequest req = smallRequest();
+        constexpr size_t kRequesters = 8;
+        std::atomic<bool> go{false};
+        std::vector<std::shared_ptr<const PreparedApp>> got(kRequesters);
+        std::vector<std::thread> threads;
+        for (size_t t = 0; t < kRequesters; ++t) {
+            threads.emplace_back([&, t] {
+                while (!go.load(std::memory_order_acquire))
+                    std::this_thread::yield();
+                got[t] = cache.get(req);
+            });
+        }
+        go.store(true, std::memory_order_release);
+        for (auto &t : threads)
+            t.join();
+
+        const KeyCacheStats st = cache.stats();
+        EXPECT_EQ(st.misses, 1u);
+        EXPECT_EQ(st.hits, kRequesters - 1);
+        EXPECT_EQ(st.entries, 1u);
+        ASSERT_NE(got[0], nullptr);
+        for (const auto &app : got)
+            EXPECT_EQ(app.get(), got[0].get());
+    });
+}
+
+TEST(KeyCache, KeysOnTheResolvedShape)
+{
+    atEachPoolSize([] {
+        KeyCache cache;
+
+        ProveRequest implicit_rows = smallRequest();
+        implicit_rows.app = AppId::Fibonacci;
+        implicit_rows.rows = 0;
+        ProveRequest default_rows = implicit_rows;
+        default_rows.rows = defaultParams(AppId::Fibonacci).rows;
+        EXPECT_EQ(cache.get(implicit_rows), cache.get(default_rows));
+
+        // Starky ignores reps.
+        ProveRequest stark = smallRequest();
+        stark.protocol = WireProtocol::Starky;
+        stark.reps = 0;
+        ProveRequest stark_reps = stark;
+        stark_reps.reps = 5;
+        EXPECT_EQ(cache.get(stark), cache.get(stark_reps));
+
+        // fast selects another FriConfig, so another entry.
+        ProveRequest fast = smallRequest();
+        ProveRequest full = fast;
+        full.fast = false;
+        EXPECT_NE(cache.get(fast), cache.get(full));
+
+        const KeyCacheStats st = cache.stats();
+        EXPECT_EQ(st.misses, 4u);
+        EXPECT_EQ(st.hits, 2u);
+        EXPECT_EQ(st.entries, 4u);
+        EXPECT_EQ(st.evictions, 0u);
+    });
+}
+
+TEST(KeyCache, EvictsLeastRecentlyUsedAndReprovesIdentically)
+{
+    atEachPoolSize([] {
+        ProveRequest a = smallRequest();
+        a.reps = 2;
+        ProveRequest b = a;
+        b.fast = false;
+        ProveRequest c = a;
+        c.reps = 1;
+        size_t bytes_a = 0, bytes_b = 0, bytes_c = 0;
+        {
+            KeyCache sizing;
+            bytes_a = sizing.get(a)->estimatedBytes();
+            bytes_b = sizing.get(b)->estimatedBytes();
+            bytes_c = sizing.get(c)->estimatedBytes();
+        }
+        ASSERT_EQ(bytes_b, bytes_a);
+        ASSERT_LT(bytes_c, bytes_a);
+
+        // Room for a and b, not for all three.
+        KeyCache cache(bytes_a + bytes_b);
+        const std::vector<uint8_t> first = runRequest(a, cache).proofBlob;
+        cache.get(b);
+        cache.get(a); // a is now the most recently used
+        cache.get(c); // evicts b, the least recently used
+        KeyCacheStats st = cache.stats();
+        EXPECT_EQ(st.evictions, 1u);
+        EXPECT_EQ(st.entries, 2u);
+        EXPECT_EQ(st.residentBytes, bytes_a + bytes_c);
+
+        cache.get(b); // a miss again, evicting a
+        const AppRunResult again = runRequest(a, cache); // and a misses
+        st = cache.stats();
+        EXPECT_EQ(st.misses, 5u);
+        EXPECT_EQ(st.hits, 1u);
+        EXPECT_EQ(st.evictions, 3u);
+        EXPECT_TRUE(again.verified);
+        EXPECT_EQ(again.proofBlob, first);
+    });
+}
+
+TEST(KeyCache, OversizedEntriesServeTheirRequestUnkept)
+{
+    atEachPoolSize([] {
+        KeyCache cache(1);
+        const ProveRequest req = smallRequest();
+        const AppRunResult first = runRequest(req, cache);
+        const AppRunResult second = runRequest(req, cache);
+        EXPECT_TRUE(first.verified);
+        EXPECT_EQ(second.proofBlob, first.proofBlob);
+
+        const KeyCacheStats st = cache.stats();
+        EXPECT_EQ(st.misses, 2u);
+        EXPECT_EQ(st.hits, 0u);
+        EXPECT_EQ(st.entries, 0u);
+        EXPECT_EQ(st.residentBytes, 0u);
+        EXPECT_EQ(st.evictions, 0u);
+    });
+}
+
+// ---------------------------------------------------------------------
 // End-to-end service tests.
 
 TEST(Service, PingAndUnknownTag)
@@ -813,12 +960,34 @@ TEST(Service, OversizedFrameDrawsBadFrameAndDisconnect)
     EXPECT_GE(svc.counters().malformedFrames, 1u);
 }
 
+uint64_t
+counterDelta(const std::map<std::string, uint64_t> &before,
+             const std::map<std::string, uint64_t> &after,
+             const std::string &name)
+{
+    const auto b = before.find(name);
+    const auto a = after.find(name);
+    return (a == after.end() ? 0 : a->second) -
+           (b == before.end() ? 0 : b->second);
+}
+
 TEST(Service, ProofMatchesDirectPipeline)
 {
-    const ProveRequest req = smallRequest();
-    const AppRunResult direct = runPlonky2App(
-        req.app, requestRows(req), requestReps(req),
-        requestFriConfig(req), HardwareConfig::paperDefault(), true);
+    const ProveRequest plonk = smallRequest();
+    ProveRequest stark = smallRequest();
+    stark.protocol = WireProtocol::Starky;
+    stark.app = AppId::Fibonacci;
+    stark.reps = 0;
+    const AppRunResult plonk_direct = runPlonky2App(
+        plonk.app, requestRows(plonk), requestReps(plonk),
+        requestFriConfig(plonk), HardwareConfig::paperDefault(), true);
+    const AppRunResult stark_direct = runStarkyApp(
+        stark.app, requestRows(stark), requestFriConfig(stark),
+        HardwareConfig::paperDefault(), true);
+
+    const bool obs_was_enabled = obs::enabled();
+    obs::setEnabled(true);
+    const auto before = obs::counterSnapshot();
 
     ServiceConfig cfg;
     cfg.socketPath = testSocketPath("prove");
@@ -828,17 +997,34 @@ TEST(Service, ProofMatchesDirectPipeline)
 
     ServiceClient client(cfg.socketPath);
     ASSERT_TRUE(client.connected());
-    auto resp = client.prove(req);
-    ASSERT_TRUE(resp.has_value());
-    ASSERT_EQ(resp->tag, Tag::ProveOk);
-    EXPECT_TRUE(resp->prove.verified);
-    EXPECT_EQ(resp->prove.proof, direct.proofBlob);
+    // The Plonky2 shape twice (a cache miss, then a hit), then Starky.
+    const std::pair<const ProveRequest *, const AppRunResult *> sends[] =
+        {{&plonk, &plonk_direct},
+         {&plonk, &plonk_direct},
+         {&stark, &stark_direct}};
+    for (const auto &[req, direct] : sends) {
+        auto resp = client.prove(*req);
+        ASSERT_TRUE(resp.has_value());
+        ASSERT_EQ(resp->tag, Tag::ProveOk);
+        EXPECT_TRUE(resp->prove.verified);
+        EXPECT_EQ(resp->prove.proof, direct->proofBlob);
+    }
 
     svc.stop();
+    const auto after = obs::counterSnapshot();
+    obs::setEnabled(obs_was_enabled);
     const ServiceCounters c = svc.counters();
-    EXPECT_EQ(c.requestsCompleted, 1u);
-    ASSERT_EQ(svc.runStats().size(), 1u);
+    EXPECT_EQ(c.requestsCompleted, 3u);
+    ASSERT_EQ(svc.runStats().size(), 3u);
     EXPECT_EQ(svc.runStats()[0].protocol, "plonky2");
+    EXPECT_EQ(svc.runStats()[2].protocol, "starky");
+#if !defined(UNIZK_OBS_DISABLE)
+    EXPECT_EQ(counterDelta(before, after, "service.key_cache_hits"), 1u);
+    EXPECT_EQ(counterDelta(before, after, "service.key_cache_misses"),
+              2u);
+    EXPECT_EQ(counterDelta(before, after, "service.key_cache_evictions"),
+              0u);
+#endif
 }
 
 TEST(Service, ZeroCapacityQueueRejectsWithQueueFull)

@@ -12,6 +12,9 @@ Two legs:
      histograms carry one service.request_latency_ns sample per
      completed request. Both protocols must appear in the run itself
      (load report and daemon stats), not be assumed from the seed.
+     Every request looks up its shape in the daemon's prepared-circuit
+     cache once: hits + misses == 12, and 0 < misses <= the number of
+     distinct shapes in the schedule (read back from --schedule-out).
 
   2. Overload: a second daemon with --queue-capacity 0 rejects every
      request with the typed queue-full error (unizk_load reports them
@@ -33,6 +36,7 @@ import json
 import os
 import re
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
@@ -101,10 +105,33 @@ def stop_daemon(daemon: subprocess.Popen, sock: str, how: str) -> None:
         raise SystemExit(f"unizkd leaked its socket file {sock}")
 
 
+def schedule_shapes(path: str) -> set:
+    """Distinct request shapes of a unizk_load --schedule-out file.
+
+    The encoding is scheduleBytes (src/load/generator.cpp): a u64 count,
+    then ten little-endian u64 per request: key, protocol, app, rows,
+    reps, fast, verify, traceId, arrivalNs, connection. A shape is what
+    the daemon's cache keys on; Starky (protocol 1) ignores reps.
+    """
+    with open(path, "rb") as f:
+        blob = f.read()
+    (count,) = struct.unpack_from("<Q", blob, 0)
+    if len(blob) != 8 + count * 80:
+        raise SystemExit(f"schedule file {path} has a bad length")
+    shapes = set()
+    for i in range(count):
+        fields = struct.unpack_from("<10Q", blob, 8 + i * 80)
+        _, protocol, app, rows, reps, fast = fields[:6]
+        shapes.add((protocol, app, rows, reps if protocol == 0 else 0,
+                    fast))
+    return shapes
+
+
 def steady_state_leg(unizkd: str, load: str, workdir: str) -> None:
     sock = os.path.join(workdir, "unizkd.sock")
     stats_path = os.path.join(workdir, "service-stats.json")
     report_path = os.path.join(workdir, "load-report.json")
+    schedule_path = os.path.join(workdir, "schedule.bin")
     daemon = subprocess.Popen(
         [unizkd, "--socket", sock, "--queue-capacity", "8",
          "--lanes", "2", "--threads", "2", "--stats-json", stats_path],
@@ -118,7 +145,8 @@ def steady_state_leg(unizkd: str, load: str, workdir: str) -> None:
             load,
             ["--socket", sock, "--scenario", "uniform-closed",
              "--seed", "1", "--requests", "12", "--connections", "4",
-             "--check", "--threads", "2", "--report", report_path],
+             "--check", "--threads", "2", "--report", report_path,
+             "--schedule-out", schedule_path],
         )
         if tally["ok"] != 12 or tally["errors"]:
             raise SystemExit(f"steady state: bad tally {tally}")
@@ -155,7 +183,18 @@ def steady_state_leg(unizkd: str, load: str, workdir: str) -> None:
     if completed != 12:
         raise SystemExit(
             f"service.requests_completed is {completed}, expected 12")
-    print("service_smoke: steady-state leg OK")
+    hits = stats["counters"].get("service.key_cache_hits", 0)
+    misses = stats["counters"].get("service.key_cache_misses", 0)
+    if hits + misses != 12:
+        raise SystemExit(
+            f"key cache hits {hits} + misses {misses} != 12 requests")
+    shapes = len(schedule_shapes(schedule_path))
+    if not 0 < misses <= shapes:
+        raise SystemExit(
+            f"key cache misses {misses}, expected 1..{shapes} (the "
+            "schedule's distinct shapes)")
+    print(f"service_smoke: steady-state leg OK (key cache {hits} hits, "
+          f"{misses} misses, {shapes} shapes)")
 
 
 def overload_leg(unizkd: str, load: str, client: str,
