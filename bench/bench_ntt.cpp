@@ -7,6 +7,11 @@
  * workload (coset NTT^NR with blowup 8), sized by output domain so the
  * "2^20 LDE" row matches the acceptance criterion directly.
  *
+ * The lanes rows time the same engine on one thread at the scalar SIMD
+ * level and at the dispatched one (setSimdLevel), isolating what the
+ * Goldilocks lane kernels add to the wide butterfly stages and scaling
+ * passes; lanes_over_scalar is gated as ntt.lanes_over_scalar.
+ *
  * Flags:
  *   --min-log N / --max-log N  sweep bounds on the transform size
  *                              (default 12..22)
@@ -16,7 +21,9 @@
  *                              as the ctest smoke leg
  *   --stats-json PATH          write a unizk-ntt-bench-v2 JSON artifact
  *                              with every timing plus the obs counters
- *                              (measured and warmup pools kept apart)
+ *                              (measured and warmup pools kept apart);
+ *                              "lanes" and "simd" carry the lane rows
+ *                              and the dispatched level
  */
 
 #include <algorithm>
@@ -26,6 +33,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "field/goldilocks_simd.h"
 #include "ntt/ntt.h"
 
 using namespace unizk;
@@ -111,6 +119,27 @@ struct Row
     double engineNtSeconds = 0;
 };
 
+/** One thread, the same engine at the scalar and the dispatched level. */
+struct LaneRow
+{
+    std::string kernel;
+    uint32_t logSize = 0;
+    double scalarLevelSeconds = 0;
+    double activeLevelSeconds = 0;
+};
+
+/** Temporarily force a SIMD level (restores the previous level). */
+struct SimdLevelGuard
+{
+    SimdLevel saved;
+
+    explicit SimdLevelGuard(SimdLevel level) : saved(activeSimdLevel())
+    {
+        setSimdLevel(level);
+    }
+    ~SimdLevelGuard() { setSimdLevel(saved); }
+};
+
 } // namespace
 
 int
@@ -136,7 +165,9 @@ main(int argc, char **argv)
     printRow({"Kernel", "Size", "Seed 1T (ms)", "Engine 1T (ms)",
               "Engine NT (ms)", "1T gain", "NT gain"});
 
+    const SimdLevel level = activeSimdLevel();
     std::vector<Row> rows;
+    std::vector<LaneRow> lane_rows;
     for (uint32_t log = min_log; log <= max_log; ++log) {
         const size_t n = size_t{1} << log;
         // Keep every reading above timer noise without letting small
@@ -168,6 +199,20 @@ main(int argc, char **argv)
                     nttNR(a);
                 });
             rows.push_back(row);
+
+            LaneRow lane;
+            lane.kernel = "ntt-nr";
+            lane.logSize = log;
+            const ThreadCountGuard guard(1);
+            lane.activeLevelSeconds = row.engine1tSeconds;
+            {
+                const SimdLevelGuard scalar(SimdLevel::Scalar);
+                lane.scalarLevelSeconds =
+                    timeTransform(input, reps, [](std::vector<Fp> &a) {
+                        nttNR(a);
+                    });
+            }
+            lane_rows.push_back(lane);
         }
 
         // Coset LDE with output domain 2^log (the FRI commit kernel).
@@ -209,12 +254,23 @@ main(int argc, char **argv)
                   fmtX(r.scalarSeconds / r.engineNtSeconds)});
     }
 
+    std::printf("\n=== Lanes (simd=%s) vs scalar level, 1 thread ===\n\n",
+                simdLevelName(level));
+    printRow({"Kernel", "Size", "Scalar (ms)", "Lanes (ms)", "Gain"});
+    for (const auto &r : lane_rows) {
+        printRow({r.kernel, "2^" + std::to_string(r.logSize),
+                  fmt(r.scalarLevelSeconds * 1e3, 3),
+                  fmt(r.activeLevelSeconds * 1e3, 3),
+                  fmtX(r.scalarLevelSeconds / r.activeLevelSeconds)});
+    }
+
     if (!stats_path.empty()) {
         obs::JsonWriter w;
         w.beginObject();
         w.kv("schema", "unizk-ntt-bench-v2");
         w.kv("threads", static_cast<uint64_t>(threads));
         w.kv("smoke", smoke);
+        w.kv("simd", simdLevelName(level));
         w.key("rows").beginArray();
         for (const auto &r : rows) {
             w.beginObject();
@@ -226,6 +282,18 @@ main(int argc, char **argv)
             w.kv("engine_nt_seconds", r.engineNtSeconds);
             w.kv("speedup_1t", r.scalarSeconds / r.engine1tSeconds);
             w.kv("speedup_nt", r.scalarSeconds / r.engineNtSeconds);
+            w.endObject();
+        }
+        w.endArray();
+        w.key("lanes").beginArray();
+        for (const auto &r : lane_rows) {
+            w.beginObject();
+            w.kv("kernel", r.kernel);
+            w.kv("log_size", static_cast<uint64_t>(r.logSize));
+            w.kv("scalar_level_seconds", r.scalarLevelSeconds);
+            w.kv("lanes_seconds", r.activeLevelSeconds);
+            w.kv("lanes_over_scalar",
+                 r.scalarLevelSeconds / r.activeLevelSeconds);
             w.endObject();
         }
         w.endArray();

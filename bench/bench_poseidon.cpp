@@ -32,7 +32,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "hash/goldilocks_simd.h"
+#include "field/goldilocks_simd.h"
 #include "hash/hashing.h"
 #include "hash/poseidon.h"
 

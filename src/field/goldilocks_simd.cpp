@@ -1,10 +1,10 @@
-#include "hash/goldilocks_simd.h"
+#include "field/goldilocks_simd.h"
 
 #include <atomic>
 
 #include "common/env.h"
 #include "common/logging.h"
-#include "hash/poseidon_batch.h"
+#include "field/goldilocks_simd_kernels.h"
 
 namespace unizk {
 
@@ -101,17 +101,18 @@ setSimdLevel(SimdLevel level)
     return true;
 }
 
-void
-poseidonPermuteBatch4Scalar(const Poseidon &p, PoseidonState *states)
+const LaneKernels &
+laneKernels(SimdLevel level)
 {
-    poseidonPermuteBatch4Impl<FpVec4Scalar>(p, states);
-}
-
-void
-fpDotBatch4Scalar(const Fp *row, const PoseidonState *states, size_t n,
-                  Fp *out)
-{
-    fpDotBatch4Impl<FpVec4Scalar>(row, states, n, out);
+    unizk_assert(simdLevelAvailable(level),
+                 "lane kernels requested for an unavailable SIMD level");
+#if defined(UNIZK_HAVE_AVX2)
+    if (level == SimdLevel::Avx2)
+        return avx2LaneKernels();
+#endif
+    static const LaneKernels scalar =
+        makeLaneKernels<FpVec4Scalar>();
+    return scalar;
 }
 
 } // namespace unizk

@@ -5,7 +5,7 @@
 
 #include "common/bits.h"
 #include "common/thread_pool.h"
-#include "hash/goldilocks_simd.h"
+#include "field/goldilocks_simd.h"
 #include "ntt/ntt.h"
 #include "obs/obs.h"
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/bits.h"
-#include "hash/goldilocks_simd.h"
+#include "field/goldilocks_simd.h"
 
 namespace unizk {
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "hash/goldilocks_simd.h"
+#include "hash/poseidon_batch.h"
 
 namespace unizk {
 
@@ -205,6 +205,15 @@ Poseidon::deriveOptimizedForm()
     for (uint32_t i = 0; i < t; ++i)
         for (uint32_t j = 0; j < t; ++j)
             pre_flat[i * t + j] = pre_matrix.at(i, j);
+
+    // Limb splits for the batch kernels' dot().
+    for (size_t k = 0; k < t * t; ++k) {
+        mds_limbs[k] = FpLimbs::split(mds_flat[k]);
+        pre_limbs[k] = FpLimbs::split(pre_flat[k]);
+    }
+    for (auto &layer : sparse_layers)
+        for (uint32_t j = 0; j < t; ++j)
+            layer.rowLimbs[j] = FpLimbs::split(layer.row[j]);
 }
 
 void
@@ -238,6 +247,12 @@ Poseidon::permute(PoseidonState &state) const
 
     for (uint32_t r = 0; r < half; ++r)
         fullRound(state, half + rp + r);
+}
+
+void
+poseidonPermuteBatch4Scalar(const Poseidon &p, PoseidonState *states)
+{
+    poseidonPermuteBatch4Impl<FpVec4Scalar>(p, states);
 }
 
 void

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "field/goldilocks.h"
+#include "field/goldilocks_simd.h"
 #include "field/matrix.h"
 #include "hash/poseidon_params.h"
 
@@ -49,6 +50,8 @@ struct SparseMdsLayer
 {
     /** First row [m00, v^T], contiguous so out[0] is one dot product. */
     std::array<Fp, PoseidonConfig::width> row;
+    /** row split into dot() limbs, for the batch kernels. */
+    std::array<FpLimbs, PoseidonConfig::width> rowLimbs;
     std::array<Fp, PoseidonConfig::width - 1> w;
 };
 
@@ -79,11 +82,11 @@ class Poseidon
     /**
      * Permute @p n independent states in place, advancing them in
      * groups of kSimdBatchWidth through the SIMD backend selected by
-     * activeSimdLevel() (goldilocks_simd.h). On AVX2 a ragged tail of
-     * 2-3 states runs as one zero-padded group; otherwise the tail
-     * falls back to scalar permute(). Bit-identical to n scalar permute() calls at
-     * every dispatch level, so callers may batch freely without
-     * affecting proof bytes.
+     * activeSimdLevel() (field/goldilocks_simd.h). On AVX2 a ragged
+     * tail of 2-3 states runs as one zero-padded group; otherwise the
+     * tail falls back to scalar permute(). Bit-identical to n scalar
+     * permute() calls at every dispatch level, so callers may batch
+     * freely without affecting proof bytes.
      */
     void permuteBatch(PoseidonState *states, size_t n) const;
 
@@ -103,11 +106,20 @@ class Poseidon
     /** Dense matrix applied once before the partial rounds. */
     const FpMatrix &preMdsMatrix() const { return pre_matrix; }
 
-    /** Flat row-major MDS matrix (width*width), for the batch kernels. */
+    /** Flat row-major MDS matrix (width*width). */
     const Fp *mdsFlat() const { return mds_flat.data(); }
 
-    /** Flat row-major PreMDSMatrix, for the batch kernels. */
+    /** Flat row-major PreMDSMatrix. */
     const Fp *preFlat() const { return pre_flat.data(); }
+
+    /**
+     * mdsFlat() / preFlat() split into dot() limbs once, at
+     * construction, for the batch kernels.
+     * @{
+     */
+    const FpLimbs *mdsLimbs() const { return mds_limbs.data(); }
+    const FpLimbs *preLimbs() const { return pre_limbs.data(); }
+    /** @} */
 
     /** Constant vector added before PreMDSMatrix. */
     const PoseidonState &prePartialConstants() const { return pre_constants; }
@@ -147,6 +159,11 @@ class Poseidon
     PoseidonState pre_constants;
     std::array<Fp, PoseidonConfig::partialRounds> partial_constants;
     std::array<SparseMdsLayer, PoseidonConfig::partialRounds> sparse_layers;
+
+    std::array<FpLimbs, PoseidonConfig::width * PoseidonConfig::width>
+        mds_limbs{};
+    std::array<FpLimbs, PoseidonConfig::width * PoseidonConfig::width>
+        pre_limbs{};
 };
 
 } // namespace unizk

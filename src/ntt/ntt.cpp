@@ -1,10 +1,12 @@
 #include "ntt/ntt.h"
 
+#include <algorithm>
 #include <type_traits>
 
 #include "common/bits.h"
 #include "common/thread_pool.h"
 #include "field/field_checks.h"
+#include "field/goldilocks_simd.h"
 #include "obs/obs.h"
 
 namespace unizk {
@@ -84,54 +86,83 @@ ditButterfly(T &lo, T &hi, Fp w)
 }
 
 /**
- * Table-driven decimation-in-frequency butterfly network
- * (Gentleman-Sande): natural input order, bit-reversed output order.
- *
- * @param tw    twiddle table with tw[j] = root^j for a transform of
- *              size n * stride0 (stride0 = 1 when the table matches n).
- * @param stride0 table stride of the size-n stage: the stage with block
- *              length `len` reads tw[j * stride0 * (n/len)].
- *
- * No loop-carried dependency: every butterfly reads its twiddle straight
- * from the table, so the compiler can pipeline the inner loop and
- * callers can run disjoint (block, j) chunks concurrently.
+ * One scalar DIF stage over @p n contiguous elements: blocks of
+ * 2 * half, butterfly j of every block reading stage[j] (the stage's
+ * run of the stage-major table, ntt/twiddles.h). No loop-carried
+ * dependency: every butterfly reads its twiddle straight from the
+ * table.
  */
 template <typename T>
 void
-difTabled(T *a, size_t n, const Fp *tw, size_t stride0)
+difStageScalar(T *a, size_t n, size_t half, const Fp *stage)
 {
-    size_t step = stride0;
-    for (size_t len = n; len >= 2; len >>= 1) {
-        const size_t half = len / 2;
-        for (size_t start = 0; start < n; start += len) {
-            T *lo = a + start;
-            T *hi = lo + half;
-            for (size_t j = 0; j < half; ++j)
-                difButterfly(lo[j], hi[j], tw[j * step]);
-        }
-        step <<= 1;
+    for (size_t start = 0; start < n; start += 2 * half) {
+        T *lo = a + start;
+        T *hi = lo + half;
+        for (size_t j = 0; j < half; ++j)
+            difButterfly(lo[j], hi[j], stage[j]);
+    }
+}
+
+/** One scalar DIT stage; see difStageScalar. */
+template <typename T>
+void
+ditStageScalar(T *a, size_t n, size_t half, const Fp *stage)
+{
+    for (size_t start = 0; start < n; start += 2 * half) {
+        T *lo = a + start;
+        T *hi = lo + half;
+        for (size_t j = 0; j < half; ++j)
+            ditButterfly(lo[j], hi[j], stage[j]);
     }
 }
 
 /**
- * Table-driven decimation-in-time butterfly network (Cooley-Tukey):
- * bit-reversed input order, natural output order. Same table layout as
- * difTabled.
+ * Decimation-in-frequency network (Gentleman-Sande) on scalar
+ * butterflies: natural input order, bit-reversed output order. Serves
+ * the Fp2 transforms; Fp transforms run difNetwork.
  */
 template <typename T>
 void
-ditTabled(T *a, size_t n, const Fp *tw, size_t stride0)
+difTabled(T *a, size_t n, const Fp *tw)
 {
-    size_t step = stride0 * (n / 2);
-    for (size_t len = 2; len <= n; len <<= 1) {
-        const size_t half = len / 2;
-        for (size_t start = 0; start < n; start += len) {
-            T *lo = a + start;
-            T *hi = lo + half;
-            for (size_t j = 0; j < half; ++j)
-                ditButterfly(lo[j], hi[j], tw[j * step]);
-        }
-        step >>= 1;
+    for (size_t half = n / 2; half >= 1; half /= 2)
+        difStageScalar(a, n, half, tw + half);
+}
+
+/**
+ * Stages at least this wide run four butterflies per lane op; the
+ * narrower ones stay on the scalar core.
+ */
+constexpr size_t lane_min_half = kSimdBatchWidth;
+
+/**
+ * The Fp DIF network of size @p n: natural input order, bit-reversed
+ * output order, stages read from the stage-major table @p tw.
+ */
+void
+difNetwork(Fp *a, size_t n, const Fp *tw, const LaneKernels &lanes)
+{
+    for (size_t half = n / 2; half >= 1; half /= 2) {
+        if (half >= lane_min_half)
+            lanes.difStage(a, n, half, tw + half);
+        else
+            difStageScalar(a, n, half, tw + half);
+    }
+}
+
+/**
+ * The Fp decimation-in-time network (Cooley-Tukey): bit-reversed input
+ * order, natural output order.
+ */
+void
+ditNetwork(Fp *a, size_t n, const Fp *tw, const LaneKernels &lanes)
+{
+    for (size_t half = 1; half < n; half *= 2) {
+        if (half >= lane_min_half)
+            lanes.ditStage(a, n, half, tw + half);
+        else
+            ditStageScalar(a, n, half, tw + half);
     }
 }
 
@@ -143,14 +174,35 @@ runParallel(size_t n, bool allow_parallel)
 }
 
 /**
+ * Split the butterflies [first, last) of one stage with half-width
+ * @p half into runs within one block and call run(lo, hi, j, count) for
+ * each: butterfly b * half + j pairs data[b * 2half + j] (lo) with the
+ * element half further on (hi), and the run covers j .. j + count - 1.
+ */
+template <typename Run>
+void
+forStageRuns(Fp *data, size_t half, size_t first, size_t last,
+             const Run &run)
+{
+    for (size_t idx = first; idx < last;) {
+        const size_t b = idx / half;
+        const size_t j = idx - b * half;
+        const size_t count = std::min(half - j, last - idx);
+        Fp *lo = data + b * 2 * half + j;
+        run(lo, lo + half, j, count);
+        idx += count;
+    }
+}
+
+/**
  * Pool-parallel DIF via the cache-blocked four-step decomposition: the
  * leading stages (each a full sweep of independent butterflies — the
  * column NTTs fused with the inter-dimension twiddle multiplications of
  * the four-step scheme) run stage-by-stage across the pool; the
  * remaining stages form n/2^block_log independent contiguous
- * sub-transforms (the row NTTs) that run one per chunk with twiddles
- * read at stride from the same table. Identical butterflies and twiddle
- * values to the serial core, so results are thread-count invariant.
+ * sub-transforms (the row NTTs) that run one per chunk, reading the
+ * same stage-major table. Identical butterflies and twiddle values to
+ * the serial core, so results are thread-count invariant.
  */
 void
 difRun(Fp *data, size_t n, const Fp *tw, bool allow_parallel)
@@ -159,40 +211,28 @@ difRun(Fp *data, size_t n, const Fp *tw, bool allow_parallel)
     UNIZK_COUNTER_ADD("ntt.transforms", 1);
     if (n < 2)
         return;
+    const LaneKernels &lanes = activeLaneKernels();
     if (!runParallel(n, allow_parallel)) {
-        difTabled(data, n, tw, 1);
+        difNetwork(data, n, tw, lanes);
         return;
     }
     size_t len = n;
-    size_t step = 1;
     const size_t block = size_t{1} << block_log;
     while (len > block) {
         const size_t half = len / 2;
-        const size_t cur_len = len;
-        const size_t cur_step = step;
+        const Fp *stage = tw + half;
         parallelFor(0, n / 2, stage_grain, [&](size_t lo, size_t hi) {
-            // Decode (block, offset) once per chunk, then step
-            // incrementally: a divide per butterfly would dominate the
-            // branchless butterfly itself.
-            size_t b = lo / half;
-            size_t j = lo - b * half;
-            for (size_t idx = lo; idx < hi; ++idx) {
-                Fp *base = data + b * cur_len;
-                difButterfly(base[j], base[j + half], tw[j * cur_step]);
-                if (++j == half) {
-                    j = 0;
-                    ++b;
-                }
-            }
+            forStageRuns(data, half, lo, hi,
+                         [&](Fp *a, Fp *b, size_t j, size_t count) {
+                             lanes.difRun(a, b, stage + j, count);
+                         });
         });
         len >>= 1;
-        step <<= 1;
     }
     const size_t sub = len;
-    const size_t sub_stride = step;
     parallelFor(0, n / sub, /*grain=*/1, [&](size_t lo, size_t hi) {
         for (size_t b = lo; b < hi; ++b)
-            difTabled(data + b * sub, sub, tw, sub_stride);
+            difNetwork(data + b * sub, sub, tw, lanes);
     });
 }
 
@@ -204,47 +244,58 @@ ditRun(Fp *data, size_t n, const Fp *tw, bool allow_parallel)
     UNIZK_COUNTER_ADD("ntt.transforms", 1);
     if (n < 2)
         return;
+    const LaneKernels &lanes = activeLaneKernels();
     if (!runParallel(n, allow_parallel)) {
-        ditTabled(data, n, tw, 1);
+        ditNetwork(data, n, tw, lanes);
         return;
     }
     const size_t block = size_t{1} << block_log;
     parallelFor(0, n / block, /*grain=*/1, [&](size_t lo, size_t hi) {
         for (size_t b = lo; b < hi; ++b)
-            ditTabled(data + b * block, block, tw, n / block);
+            ditNetwork(data + b * block, block, tw, lanes);
     });
     for (size_t len = 2 * block; len <= n; len <<= 1) {
         const size_t half = len / 2;
-        const size_t cur_step = n / len;
+        const Fp *stage = tw + half;
         parallelFor(0, n / 2, stage_grain, [&](size_t lo, size_t hi) {
-            size_t b = lo / half;
-            size_t j = lo - b * half;
-            for (size_t idx = lo; idx < hi; ++idx) {
-                Fp *base = data + b * len;
-                ditButterfly(base[j], base[j + half], tw[j * cur_step]);
-                if (++j == half) {
-                    j = 0;
-                    ++b;
-                }
-            }
+            forStageRuns(data, half, lo, hi,
+                         [&](Fp *a, Fp *b, size_t j, size_t count) {
+                             lanes.ditRun(a, b, stage + j, count);
+                         });
         });
     }
 }
 
-/** Multiply every element by the same constant (pool-chunked). */
+/** Multiply every element by the same constant (pool-chunked lanes). */
 void
 scaleAll(std::vector<Fp> &a, Fp c, bool allow_parallel)
 {
+    const LaneKernels &lanes = activeLaneKernels();
+    Fp *data = a.data();
     if (!runParallel(a.size(), allow_parallel)) {
-        for (auto &x : a)
-            x = Fp::mulBranchless(x, c);
+        lanes.scale(data, a.size(), c);
         return;
     }
-    Fp *data = a.data();
     parallelFor(0, a.size(), stage_grain, [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i)
-            data[i] = Fp::mulBranchless(data[i], c);
+        lanes.scale(data + lo, hi - lo, c);
     });
+}
+
+/**
+ * dst[i] = src[i] * first * step^i for i < count, as a lane power
+ * chain four links at a time. Field arithmetic is exact, so this equals
+ * the serial `p *= step` chain value for value.
+ */
+void
+scaleByPowers(const LaneKernels &lanes, Fp *dst, const Fp *src,
+              size_t count, Fp first, Fp step)
+{
+    Fp start[kSimdBatchWidth];
+    start[0] = first;
+    for (size_t k = 1; k < kSimdBatchWidth; ++k)
+        start[k] = start[k - 1] * step;
+    lanes.scaleByPowers(dst, src, count, start,
+                        step.pow(kSimdBatchWidth));
 }
 
 /**
@@ -262,23 +313,17 @@ applyCosetScale(std::vector<Fp> &a, Fp shift, Fp extra,
     Fp *data = a.data();
     const Fp *pows =
         table.size() == n && !table.empty() ? table.data() : nullptr;
-    const bool par = runParallel(n, allow_parallel);
+    const LaneKernels &lanes = activeLaneKernels();
 
     auto chunk = [&](size_t lo, size_t hi) {
         if (pows) {
-            for (size_t i = lo; i < hi; ++i) {
-                data[i] = Fp::mulBranchless(
-                    data[i], Fp::mulBranchless(pows[i], extra));
-            }
+            lanes.scaleByTable(data + lo, pows + lo, extra, hi - lo);
         } else {
-            Fp p = shift.pow(lo) * extra;
-            for (size_t i = lo; i < hi; ++i) {
-                data[i] = Fp::mulBranchless(data[i], p);
-                p *= shift;
-            }
+            scaleByPowers(lanes, data + lo, data + lo, hi - lo,
+                          shift.pow(lo) * extra, shift);
         }
     };
-    if (par)
+    if (runParallel(n, allow_parallel))
         parallelFor(0, n, stage_grain, chunk);
     else
         chunk(0, n);
@@ -499,6 +544,7 @@ ldeNRInto(const std::vector<Fp> &coeffs, uint32_t blowup, Fp shift,
     const uint32_t log_b = log2Exact(blowup);
     const Fp w_m = Fp::primitiveRootOfUnity(log2Exact(m));
     const auto t = acquireTwiddles(log2Exact(n));
+    const LaneKernels &lanes = activeLaneKernels();
 
     auto oneCoset = [&](size_t c, bool par) {
         Fp *slice = out + reverseBits(c, log_b) * n;
@@ -506,11 +552,8 @@ ldeNRInto(const std::vector<Fp> &coeffs, uint32_t blowup, Fp shift,
         // slice[i] = coeffs[i] * coset_shift^i, chunked power chains.
         const Fp *src = coeffs.data();
         auto scale = [&](size_t lo, size_t hi) {
-            Fp p = coset_shift.pow(lo);
-            for (size_t i = lo; i < hi; ++i) {
-                slice[i] = Fp::mulBranchless(src[i], p);
-                p *= coset_shift;
-            }
+            scaleByPowers(lanes, slice + lo, src + lo, hi - lo,
+                          coset_shift.pow(lo), coset_shift);
         };
         if (runParallel(n, par))
             parallelFor(0, n, stage_grain, scale);
@@ -743,7 +786,7 @@ inttNNExt(std::vector<Fp2> &a)
     // bit-reverse and scale, mirroring inttNN. The FRI final polynomial
     // is short, so this path stays serial.
     const auto t = acquireTwiddles(log2Exact(n));
-    difTabled(a.data(), n, t->inv.data(), 1);
+    difTabled(a.data(), n, t->inv.data());
     bitReversePermute(a);
     const Fp n_inv = t->sizeInv;
     for (auto &x : a)

@@ -15,18 +15,21 @@
  * inside FRI, exactly the two variants highlighted in Figure 1 of the
  * paper.
  *
- * Engine (this PR's shape, mirroring SZKP/zkPHIRE twiddle datapaths):
- * every transform consumes precomputed twiddle tables from the registry
- * in ntt/twiddles.h, so butterflies are table lookups with no
- * loop-carried `w *= w_len` dependency. Large transforms run
- * pool-parallel through a cache-blocked four-step decomposition: the
- * leading radix-2 stages (the "column NTTs plus inter-dimension
- * twiddles" of the four-step scheme, executed stage by stage across the
- * whole pool) peel the transform into independent contiguous cache-sized
- * sub-transforms (the "row NTTs"), which then run one-per-chunk on the
- * pool with twiddles read at stride from the same table. Every element
- * sees the same butterflies with the same twiddle values regardless of
- * thread count or cache setting, so proofs stay byte-identical.
+ * Engine (mirroring SZKP/zkPHIRE twiddle datapaths): every transform
+ * consumes precomputed stage-major twiddle tables from the registry in
+ * ntt/twiddles.h, so butterflies are table lookups with no loop-carried
+ * `w *= w_len` dependency. Stages at least four butterflies wide, and
+ * the element-wise scaling passes, run on the Goldilocks lane kernels
+ * of activeSimdLevel() (field/goldilocks_simd.h), four butterflies per
+ * lane op. Large transforms run pool-parallel through a cache-blocked
+ * four-step decomposition: the leading radix-2 stages (the "column NTTs
+ * plus inter-dimension twiddles" of the four-step scheme, executed
+ * stage by stage across the whole pool) peel the transform into
+ * independent contiguous cache-sized sub-transforms (the "row NTTs"),
+ * which then run one-per-chunk on the pool reading the same table.
+ * Every element sees the same butterflies with the same twiddle values
+ * regardless of thread count, SIMD level or cache setting, so proofs
+ * stay byte-identical.
  *
  * The batch entry points (inttBatchNN / nttBatchNR / ldeBatch /
  * ldeBatchNN) commit a whole set of polynomials with one twiddle

@@ -13,8 +13,8 @@ namespace {
 
 /**
  * Largest log-size the registry keeps resident. A cached size-2^k
- * table costs 2^k * 8 bytes for fwd+inv combined; 2^26 caps the pair
- * at 512 MiB in the (unrealistic) worst case while covering every
+ * table costs 2^k * 16 bytes for fwd+inv combined; 2^26 caps the pair
+ * at 1 GiB in the (unrealistic) worst case while covering every
  * transform the benches and recursion-sized LDEs reach. Larger sizes
  * still work -- they build a private table per call.
  */
@@ -43,6 +43,21 @@ fillPowers(Fp *out, size_t out_len, Fp base)
     }
 }
 
+/**
+ * Fill the stage-major layout out[h + j] = root^(j * n / 2h) for a
+ * primitive n-th root: the widest stage (h = n/2) is the power chain,
+ * and each narrower stage takes every other entry of the one above.
+ */
+void
+fillStages(std::vector<Fp> &out, size_t n, Fp root)
+{
+    out.assign(n, Fp::one());
+    fillPowers(out.data() + n / 2, n / 2, root);
+    for (size_t h = n / 4; h >= 1; h /= 2)
+        for (size_t j = 0; j < h; ++j)
+            out[h + j] = out[2 * h + 2 * j];
+}
+
 std::shared_ptr<const TwiddleTable>
 buildTable(uint32_t log_size)
 {
@@ -56,11 +71,8 @@ buildTable(uint32_t log_size)
         return t;
 
     const Fp w = Fp::primitiveRootOfUnity(log_size);
-    const Fp w_inv = w.inverse();
-    t->fwd.resize(n / 2);
-    t->inv.resize(n / 2);
-    fillPowers(t->fwd.data(), n / 2, w);
-    fillPowers(t->inv.data(), n / 2, w_inv);
+    fillStages(t->fwd, n, w);
+    fillStages(t->inv, n, w.inverse());
 
     if (log_size <= max_coset_log) {
         const Fp g = Fp(Fp::multiplicativeGenerator);

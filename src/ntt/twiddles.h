@@ -14,11 +14,14 @@
  * A TwiddleTable for log-size k stores, in the layout the DIF/DIT cores
  * consume directly:
  *
- *  - fwd[j] = w^j  for j < 2^(k-1), w the primitive 2^k-th root: the
- *    stage with block length `len` reads fwd[j * (n/len)], so inner
- *    loops are pure table lookups with no loop-carried dependency and
- *    can be chunked across pool workers.
- *  - inv[j] = w^-j, the same layout for inverse transforms.
+ *  - fwd: stage-major twiddles, fwd[h + j] = w_{2h}^j for every stage
+ *    half-width h = 1, 2, 4, ..., n/2 and j < h, w_{2h} the primitive
+ *    2h-th root (fwd[0] is unused). The stage with block length 2h reads
+ *    the contiguous run fwd[h .. 2h), so inner loops are pure table
+ *    lookups with no loop-carried dependency, a lane op loads four
+ *    consecutive twiddles, and every sub-transform of a four-step split
+ *    reads the same table (its stages are a prefix of the layout).
+ *  - inv: the same layout for inverse roots, inv[h + j] = w_{2h}^-j.
  *  - cosetFwd[i] = g^i and cosetInv[i] = g^-i for the standard coset
  *    shift g (defaultCosetShift), the pre/post-scaling vectors of the
  *    LDE and its inverse.
@@ -48,10 +51,10 @@ struct TwiddleTable
 {
     uint32_t logSize = 0;
 
-    /** fwd[j] = w^j, j < n/2 (empty for n == 1). */
+    /** fwd[h + j] = w_{2h}^j for stages h < n (empty for n == 1). */
     std::vector<Fp> fwd;
 
-    /** inv[j] = w^-j, j < n/2. */
+    /** inv[h + j] = w_{2h}^-j, same layout. */
     std::vector<Fp> inv;
 
     /** cosetFwd[i] = g^i, i < n, g = defaultCosetShift(). */

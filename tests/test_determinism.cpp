@@ -9,15 +9,19 @@
  * linter in tools/lint/unizk_lint.py is meant to keep out.
  */
 
+#include <cstdio>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "field/goldilocks_simd.h"
 #include "hash/challenger.h"
 #include "ntt/twiddles.h"
 #include "plonk/plonk.h"
 #include "serialize/bytes.h"
 #include "serialize/proof_io.h"
+#include "workloads/apps.h"
 
 namespace unizk {
 namespace {
@@ -127,6 +131,54 @@ TEST(Determinism, PlonkProofBytesInvariantToThreadsAndTwiddleCache)
     clearTwiddleCache();
     EXPECT_EQ(provePlonkSeeded(777), reference) << "twiddle cache off";
     setTwiddleCacheEnabled(true);
+}
+
+std::vector<uint8_t>
+proveStarkSeeded()
+{
+    const StarkApp app = buildStarkApp(AppId::Fibonacci, 1024);
+    ProverContext ctx;
+    const FriConfig cfg = FriConfig::testing();
+    const StarkProof proof = starkProve(*app.air, app.trace, cfg, ctx);
+    EXPECT_TRUE(starkVerify(*app.air, proof, cfg));
+    return serializeStarkProof(proof);
+}
+
+TEST(Determinism, ProofBytesIdenticalAcrossSimdLevelsAndThreads)
+{
+    // One process, every SIMD level this host can execute, 1/2/3/8
+    // threads: the Poseidon batch kernel and the NTT both dispatch on
+    // the level, so this is where a lane kernel that differs from the
+    // scalar one in even one canonical value would show. (Comparing
+    // each level only with itself, run by run, would miss it.)
+    const unsigned saved_threads = globalThreadCount();
+    const SimdLevel saved_level = activeSimdLevel();
+
+    ASSERT_TRUE(setSimdLevel(SimdLevel::Scalar));
+    setGlobalThreadCount(1);
+    const std::vector<uint8_t> plonk_ref = provePlonkSeeded(4321);
+    const std::vector<uint8_t> stark_ref = proveStarkSeeded();
+    ASSERT_FALSE(plonk_ref.empty());
+    ASSERT_FALSE(stark_ref.empty());
+
+    std::vector<SimdLevel> levels{SimdLevel::Scalar};
+    if (simdLevelAvailable(SimdLevel::Avx2))
+        levels.push_back(SimdLevel::Avx2);
+    else
+        std::printf("AVX2 unavailable: comparing the scalar level only\n");
+    for (const SimdLevel level : levels) {
+        ASSERT_TRUE(setSimdLevel(level));
+        for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+            setGlobalThreadCount(threads);
+            EXPECT_EQ(provePlonkSeeded(4321), plonk_ref)
+                << simdLevelName(level) << " threads=" << threads;
+            EXPECT_EQ(proveStarkSeeded(), stark_ref)
+                << simdLevelName(level) << " threads=" << threads;
+        }
+    }
+
+    setGlobalThreadCount(saved_threads);
+    ASSERT_TRUE(setSimdLevel(saved_level));
 }
 
 TEST(Determinism, SplitMix64IsPureStateMachine)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit and property tests for Goldilocks base-field and quadratic
- * extension-field arithmetic.
+ * extension-field arithmetic, and differential tests of the lazily
+ * reduced lane layer against them at every SIMD level.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "common/rng.h"
 #include "field/extension.h"
 #include "field/goldilocks.h"
+#include "field/goldilocks_simd.h"
 
 namespace unizk {
 namespace {
@@ -191,6 +193,303 @@ TEST(Extension, FrobeniusViaPow)
     Fp2 ap = a.pow(Fp::modulus);
     Fp2 app = ap.pow(Fp::modulus);
     EXPECT_EQ(app, a);
+}
+
+// ---- Lane layer (field/goldilocks_simd.h): every lazy op at every
+// available level, against scalar Fp arithmetic on the residues and
+// against the scalar lazy formulas bit for bit.
+
+std::vector<SimdLevel>
+availableLevels()
+{
+    std::vector<SimdLevel> levels{SimdLevel::Scalar};
+    if (simdLevelAvailable(SimdLevel::Avx2))
+        levels.push_back(SimdLevel::Avx2);
+    return levels;
+}
+
+/**
+ * Lane operands: the edge values 0, 1, 2^32 - 1, 2^32, p - 1 and
+ * 2^64 - 1, non-canonical values in [p, 2^64), and random 64-bit words.
+ */
+std::vector<uint64_t>
+laneOperands()
+{
+    const uint64_t p = Fp::modulus;
+    std::vector<uint64_t> v{0,
+                            1,
+                            0xFFFFFFFFULL,
+                            0x100000000ULL,
+                            0x8000000000000000ULL,
+                            p - 1,
+                            p,
+                            p + 1,
+                            p + 0xFFFFFFFEULL,
+                            ~0ULL - 1,
+                            ~0ULL};
+    SplitMix64 rng(77);
+    for (int i = 0; i < 21; ++i)
+        v.push_back(rng.next());
+    return v;
+}
+
+/** The canonical subset of laneOperands() (constants must be). */
+std::vector<uint64_t>
+canonicalOperands()
+{
+    std::vector<uint64_t> out;
+    for (const uint64_t x : laneOperands())
+        if (x < Fp::modulus)
+            out.push_back(x);
+    return out;
+}
+
+/** Run @p check over every 4-lane window of @p xs paired with @p ys. */
+template <typename Check>
+void
+forLaneWindows(const std::vector<uint64_t> &xs,
+               const std::vector<uint64_t> &ys, Check check)
+{
+    for (size_t i = 0; i < xs.size(); ++i) {
+        for (size_t j = 0; j < ys.size(); ++j) {
+            uint64_t a[kSimdBatchWidth], b[kSimdBatchWidth];
+            for (size_t k = 0; k < kSimdBatchWidth; ++k) {
+                a[k] = xs[(i + k) % xs.size()];
+                b[k] = ys[(j + 3 * k) % ys.size()];
+            }
+            check(a, b);
+        }
+    }
+}
+
+TEST(LaneOps, MulSquareMatchFpAtEveryLevel)
+{
+    for (const SimdLevel level : availableLevels()) {
+        const LaneKernels &lanes = laneKernels(level);
+        const auto ops = laneOperands();
+        forLaneWindows(ops, ops, [&](const uint64_t *a, const uint64_t *b) {
+            uint64_t prod[kSimdBatchWidth], sq[kSimdBatchWidth];
+            lanes.mul(a, b, prod);
+            lanes.square(a, sq);
+            for (size_t k = 0; k < kSimdBatchWidth; ++k) {
+                EXPECT_EQ(prod[k], lazy::mul(a[k], b[k]))
+                    << simdLevelName(level);
+                EXPECT_EQ(Fp(prod[k]), Fp(a[k]) * Fp(b[k]))
+                    << simdLevelName(level) << " a=" << a[k]
+                    << " b=" << b[k];
+                EXPECT_EQ(sq[k], lazy::mul(a[k], a[k]))
+                    << simdLevelName(level) << " a=" << a[k];
+            }
+        });
+    }
+}
+
+TEST(LaneOps, AddSubWithCanonicalOperandMatchFp)
+{
+    for (const SimdLevel level : availableLevels()) {
+        const LaneKernels &lanes = laneKernels(level);
+        forLaneWindows(
+            laneOperands(), canonicalOperands(),
+            [&](const uint64_t *a, const uint64_t *c) {
+                uint64_t sum[kSimdBatchWidth], diff[kSimdBatchWidth];
+                lanes.add(a, c, sum);
+                lanes.sub(a, c, diff);
+                for (size_t k = 0; k < kSimdBatchWidth; ++k) {
+                    EXPECT_EQ(sum[k], lazy::add(a[k], c[k]));
+                    EXPECT_EQ(diff[k], lazy::sub(a[k], c[k]));
+                    EXPECT_EQ(Fp(sum[k]), Fp(a[k]) + Fp(c[k]))
+                        << simdLevelName(level) << " a=" << a[k]
+                        << " c=" << c[k];
+                    EXPECT_EQ(Fp(diff[k]), Fp(a[k]) - Fp(c[k]))
+                        << simdLevelName(level) << " a=" << a[k]
+                        << " b=" << c[k];
+                    // Canonical inputs stay canonical under sub.
+                    if (a[k] < Fp::modulus) {
+                        EXPECT_LT(diff[k], Fp::modulus);
+                    }
+                }
+            });
+    }
+}
+
+TEST(LaneOps, FusedMulAddMatchesFp)
+{
+    for (const SimdLevel level : availableLevels()) {
+        const LaneKernels &lanes = laneKernels(level);
+        const auto ops = laneOperands();
+        for (const uint64_t addend : ops) {
+            forLaneWindows(ops, ops,
+                           [&](const uint64_t *b, const uint64_t *c) {
+                               uint64_t a[kSimdBatchWidth];
+                               uint64_t out[kSimdBatchWidth];
+                               for (auto &x : a)
+                                   x = addend;
+                               lanes.mulAdd(a, b, c, out);
+                               for (size_t k = 0; k < kSimdBatchWidth;
+                                    ++k) {
+                                   ASSERT_EQ(out[k],
+                                             lazy::mulAdd(a[k], b[k], c[k]));
+                                   ASSERT_EQ(Fp(out[k]),
+                                             Fp(a[k]) + Fp(b[k]) * Fp(c[k]))
+                                       << simdLevelName(level);
+                               }
+                           });
+        }
+    }
+}
+
+TEST(LaneOps, CanonicalizeIsExact)
+{
+    for (const SimdLevel level : availableLevels()) {
+        const LaneKernels &lanes = laneKernels(level);
+        const auto ops = laneOperands();
+        forLaneWindows(ops, ops, [&](const uint64_t *a, const uint64_t *) {
+            uint64_t out[kSimdBatchWidth];
+            lanes.canonical(a, out);
+            for (size_t k = 0; k < kSimdBatchWidth; ++k)
+                EXPECT_EQ(out[k], Fp(a[k]).value()) << simdLevelName(level);
+        });
+    }
+}
+
+TEST(LaneOps, LimbSplitRoundTrips)
+{
+    for (const uint64_t x : canonicalOperands()) {
+        const FpLimbs l = FpLimbs::split(Fp(x));
+        EXPECT_LT(l.l0, 1u << 22);
+        EXPECT_LT(l.l1, 1u << 22);
+        EXPECT_LT(l.l2, 1u << 20);
+        EXPECT_EQ(l.value(), x);
+    }
+}
+
+/** sum_j row[j] * x[j] over residues, the dot() oracle. */
+Fp
+fpDotOfLanes(const std::vector<Fp> &row, const uint64_t *x, size_t n,
+             size_t lane)
+{
+    Fp acc;
+    for (size_t j = 0; j < n; ++j)
+        acc += row[j] * Fp(x[j * kSimdBatchWidth + lane]);
+    return acc;
+}
+
+TEST(LaneOps, DotMatchesFpOnEdgeRowsAndLanes)
+{
+    // Rows: all p - 1 (every limb at its maximum), all 2^64 - 2^32
+    // (the largest canonical high half) and a random row; lanes: every
+    // operand, canonical or not, at every length up to the maximum.
+    const size_t max = kLaneDotMaxTerms;
+    SplitMix64 rng(5);
+    std::vector<std::vector<Fp>> rows{
+        std::vector<Fp>(max, Fp(Fp::modulus - 1)),
+        std::vector<Fp>(max, Fp(0xFFFFFFFF00000000ULL)),
+        std::vector<Fp>(max)};
+    for (auto &c : rows.back())
+        c = randomFp(rng);
+
+    const auto ops = laneOperands();
+    for (const SimdLevel level : availableLevels()) {
+        const LaneKernels &lanes = laneKernels(level);
+        for (const auto &row : rows) {
+            std::vector<FpLimbs> limbs;
+            for (const Fp c : row)
+                limbs.push_back(FpLimbs::split(c));
+            for (size_t n = 1; n <= max; ++n) {
+                for (size_t s = 0; s < ops.size(); ++s) {
+                    // Lane k of term j: all-max lanes for s == 0,
+                    // otherwise a walk through the operands.
+                    uint64_t x[kLaneDotMaxTerms * kSimdBatchWidth];
+                    for (size_t j = 0; j < n; ++j)
+                        for (size_t k = 0; k < kSimdBatchWidth; ++k)
+                            x[j * kSimdBatchWidth + k] =
+                                s == 0 ? ~0ULL
+                                       : ops[(s + j * 5 + k * 7) % ops.size()];
+                    uint64_t out[kSimdBatchWidth];
+                    lanes.dot(limbs.data(), x, n, out);
+                    for (size_t k = 0; k < kSimdBatchWidth; ++k)
+                        ASSERT_EQ(Fp(out[k]), fpDotOfLanes(row, x, n, k))
+                            << simdLevelName(level) << " n=" << n
+                            << " s=" << s << " lane=" << k;
+                }
+            }
+        }
+    }
+}
+
+TEST(LaneOps, ScalingKernelsMatchFpAtEveryLength)
+{
+    // Every length 0..13 covers whole groups and each padded tail.
+    SplitMix64 rng(9);
+    const Fp c = randomFp(rng);
+    const Fp step = randomFp(rng);
+    for (const SimdLevel level : availableLevels()) {
+        const LaneKernels &lanes = laneKernels(level);
+        for (size_t n = 0; n <= 13; ++n) {
+            std::vector<Fp> a(n + 1), pows(n + 1);
+            for (size_t i = 0; i < n; ++i) {
+                a[i] = randomFp(rng);
+                pows[i] = randomFp(rng);
+            }
+            const Fp guard = a[n]; // one past the end stays untouched
+
+            auto scaled = a;
+            lanes.scale(scaled.data(), n, c);
+            auto tabled = a;
+            lanes.scaleByTable(tabled.data(), pows.data(), c, n);
+            auto tabled_one = a;
+            lanes.scaleByTable(tabled_one.data(), pows.data(), Fp::one(),
+                               n);
+            const Fp start[kSimdBatchWidth] = {c, c * step,
+                                               c * step * step,
+                                               c * step * step * step};
+            std::vector<Fp> chained(n + 1, guard);
+            lanes.scaleByPowers(chained.data(), a.data(), n, start,
+                                step.pow(kSimdBatchWidth));
+
+            Fp p = c;
+            for (size_t i = 0; i < n; ++i) {
+                EXPECT_EQ(scaled[i], a[i] * c) << simdLevelName(level);
+                EXPECT_EQ(tabled[i], a[i] * pows[i] * c);
+                EXPECT_EQ(tabled_one[i], a[i] * pows[i]);
+                EXPECT_EQ(chained[i], a[i] * p) << simdLevelName(level);
+                p *= step;
+            }
+            EXPECT_EQ(scaled[n], guard);
+            EXPECT_EQ(tabled[n], guard);
+            EXPECT_EQ(chained[n], guard);
+        }
+    }
+}
+
+TEST(LaneOps, ButterflyRunsMatchFpAtEveryLength)
+{
+    SplitMix64 rng(10);
+    for (const SimdLevel level : availableLevels()) {
+        const LaneKernels &lanes = laneKernels(level);
+        for (size_t n = 0; n <= 13; ++n) {
+            std::vector<Fp> lo(n + 1), hi(n + 1), tw(n);
+            for (size_t i = 0; i <= n; ++i) {
+                lo[i] = randomFp(rng);
+                hi[i] = randomFp(rng);
+            }
+            for (auto &w : tw)
+                w = randomFp(rng);
+            auto dif_lo = lo, dif_hi = hi, dit_lo = lo, dit_hi = hi;
+            lanes.difRun(dif_lo.data(), dif_hi.data(), tw.data(), n);
+            lanes.ditRun(dit_lo.data(), dit_hi.data(), tw.data(), n);
+            for (size_t j = 0; j < n; ++j) {
+                EXPECT_EQ(dif_lo[j], lo[j] + hi[j]) << simdLevelName(level);
+                EXPECT_EQ(dif_hi[j], (lo[j] - hi[j]) * tw[j]);
+                EXPECT_EQ(dit_lo[j], lo[j] + hi[j] * tw[j]);
+                EXPECT_EQ(dit_hi[j], lo[j] - hi[j] * tw[j]);
+            }
+            EXPECT_EQ(dif_lo[n], lo[n]);
+            EXPECT_EQ(dif_hi[n], hi[n]);
+            EXPECT_EQ(dit_lo[n], lo[n]);
+            EXPECT_EQ(dit_hi[n], hi[n]);
+        }
+    }
 }
 
 } // namespace

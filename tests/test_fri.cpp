@@ -12,7 +12,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "fri/fri.h"
-#include "hash/goldilocks_simd.h"
+#include "field/goldilocks_simd.h"
 #include "hash/hashing.h"
 
 namespace unizk {

@@ -12,7 +12,7 @@
 #include "common/bits.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "hash/goldilocks_simd.h"
+#include "field/goldilocks_simd.h"
 #include "hash/hashing.h"
 #include "merkle/merkle_tree.h"
 

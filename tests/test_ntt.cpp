@@ -5,6 +5,7 @@
  * multi-dimensional decomposition used by the hardware mapper.
  */
 
+#include <algorithm>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include "common/bits.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "field/goldilocks_simd.h"
 #include "ntt/ntt.h"
 
 namespace unizk {
@@ -572,6 +574,132 @@ TEST(NttParallel, LargeTransformsThreadCountInvariant)
     }
 }
 
+// ---- Lane dispatch: the NTT's wide stages and scaling passes run on
+// the lane kernels of activeSimdLevel(). Every variant at every size
+// 2^0..2^15 (n = 2, 4, 8 are at or below one lane group; 2^15 reaches
+// the pool-parallel four-step path), at every level and 1/2/3/8
+// threads, must equal the scalar level on one thread, which is itself
+// anchored to naiveDft / naiveIdft at the sizes where they are cheap.
+
+/** Force a SIMD level for a scope, restoring the previous one. */
+struct SimdLevelGuard
+{
+    SimdLevel saved;
+
+    explicit SimdLevelGuard(SimdLevel level) : saved(activeSimdLevel())
+    {
+        unizk_assert(setSimdLevel(level), "SIMD level unavailable");
+    }
+    ~SimdLevelGuard() { setSimdLevel(saved); }
+};
+
+/** Every transform entry point applied to @p orig, in a fixed order. */
+std::vector<std::vector<Fp>>
+allVariants(const std::vector<Fp> &orig, Fp shift)
+{
+    const Fp g = defaultCosetShift();
+    std::vector<std::vector<Fp>> out;
+    const auto run = [&](auto &&fn) {
+        auto a = orig;
+        fn(a);
+        out.push_back(std::move(a));
+    };
+    run([](std::vector<Fp> &a) { nttNN(a); });
+    run([](std::vector<Fp> &a) { nttNR(a); });
+    run([](std::vector<Fp> &a) { nttRN(a); });
+    run([](std::vector<Fp> &a) { inttNN(a); });
+    run([](std::vector<Fp> &a) { inttNR(a); });
+    run([](std::vector<Fp> &a) { inttRN(a); });
+    // A random shift takes the power-chain scaling; the standard shift
+    // takes the cached coset-power tables.
+    for (const Fp s : {shift, g}) {
+        run([s](std::vector<Fp> &a) { cosetNttNN(a, s); });
+        run([s](std::vector<Fp> &a) { cosetNttNR(a, s); });
+        run([s](std::vector<Fp> &a) { cosetInttNN(a, s); });
+        run([s](std::vector<Fp> &a) { cosetInttRN(a, s); });
+        out.push_back(lowDegreeExtension(orig, 4, s));
+    }
+    std::vector<std::vector<Fp>> polys{orig, orig};
+    std::reverse(polys[1].begin(), polys[1].end());
+    for (auto &v : ldeBatch(polys, 2, g))
+        out.push_back(std::move(v));
+    for (auto &v : ldeBatchNN(polys, 2, shift))
+        out.push_back(std::move(v));
+    auto batch = polys;
+    inttBatchNN(batch);
+    nttBatchNR(batch);
+    for (auto &v : batch)
+        out.push_back(std::move(v));
+    return out;
+}
+
+TEST(NttLanes, EveryVariantMatchesScalarLevelAtEveryThreadCount)
+{
+    std::vector<SimdLevel> levels{SimdLevel::Scalar};
+    if (simdLevelAvailable(SimdLevel::Avx2))
+        levels.push_back(SimdLevel::Avx2);
+
+    for (uint32_t log = 0; log <= 15; ++log) {
+        const size_t n = size_t{1} << log;
+        const auto orig = randomVector(n, 12000 + log);
+        const Fp shift = randomShift(13000 + log);
+
+        std::vector<std::vector<Fp>> reference;
+        {
+            const SimdLevelGuard level(SimdLevel::Scalar);
+            const ThreadCountGuard threads(1);
+            reference = allVariants(orig, shift);
+        }
+        if (log <= 10) {
+            EXPECT_EQ(reference[0], naiveDft(orig, Fp::one())) << n;
+            EXPECT_EQ(reference[6], naiveDft(orig, shift)) << n;
+        }
+        if (log <= 8) {
+            EXPECT_EQ(reference[3], naiveIdft(orig, Fp::one())) << n;
+            EXPECT_EQ(reference[8], naiveIdft(orig, shift)) << n;
+        }
+
+        for (const SimdLevel level : levels) {
+            for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+                const SimdLevelGuard level_guard(level);
+                const ThreadCountGuard thread_guard(threads);
+                const auto got = allVariants(orig, shift);
+                ASSERT_EQ(got.size(), reference.size());
+                for (size_t v = 0; v < got.size(); ++v)
+                    EXPECT_EQ(got[v], reference[v])
+                        << simdLevelName(level) << " threads=" << threads
+                        << " n=" << n << " variant=" << v;
+            }
+        }
+    }
+}
+
+TEST(NttLanes, SeedScalarPathMatchesEveryLevel)
+{
+    // The seed-era chained-twiddle core against both levels on the
+    // lane-sized edge cases and one pool-parallel size.
+    std::vector<SimdLevel> levels{SimdLevel::Scalar};
+    if (simdLevelAvailable(SimdLevel::Avx2))
+        levels.push_back(SimdLevel::Avx2);
+    for (const size_t n : {size_t{2}, size_t{4}, size_t{8}, size_t{16},
+                           size_t{1} << 15}) {
+        const auto orig = randomVector(n, 14000 + n);
+        auto seed = orig;
+        scalarNttNR(seed);
+        const auto seed_lde = scalarLowDegreeExtension(orig, 2,
+                                                       defaultCosetShift());
+        for (const SimdLevel level : levels) {
+            const SimdLevelGuard guard(level);
+            auto a = orig;
+            nttNR(a);
+            EXPECT_EQ(a, seed) << simdLevelName(level) << " n=" << n;
+            EXPECT_EQ(lowDegreeExtension(orig, 2, defaultCosetShift()),
+                      seed_lde)
+                << simdLevelName(level) << " n=" << n;
+        }
+    }
+}
+
 // ---- Twiddle registry behaviour.
 
 TEST(NttTwiddles, CacheOnOffProducesIdenticalValues)
@@ -599,16 +727,21 @@ TEST(NttTwiddles, TableLayoutMatchesRootPowers)
     const uint32_t log = 10;
     const size_t n = size_t{1} << log;
     const auto t = acquireTwiddles(log);
-    const Fp w = Fp::primitiveRootOfUnity(log);
-    const Fp w_inv = w.inverse();
-    ASSERT_EQ(t->fwd.size(), n / 2);
-    ASSERT_EQ(t->inv.size(), n / 2);
-    Fp p = Fp::one(), q = Fp::one();
-    for (size_t j = 0; j < n / 2; ++j) {
-        EXPECT_EQ(t->fwd[j], p);
-        EXPECT_EQ(t->inv[j], q);
-        p *= w;
-        q *= w_inv;
+    // Stage-major: the stage of half-width h holds the powers of the
+    // primitive 2h-th root at [h, 2h).
+    ASSERT_EQ(t->fwd.size(), n);
+    ASSERT_EQ(t->inv.size(), n);
+    for (uint32_t k = 1; k <= log; ++k) {
+        const size_t h = size_t{1} << (k - 1);
+        const Fp w = Fp::primitiveRootOfUnity(k);
+        const Fp w_inv = w.inverse();
+        Fp p = Fp::one(), q = Fp::one();
+        for (size_t j = 0; j < h; ++j) {
+            EXPECT_EQ(t->fwd[h + j], p) << "h=" << h << " j=" << j;
+            EXPECT_EQ(t->inv[h + j], q) << "h=" << h << " j=" << j;
+            p *= w;
+            q *= w_inv;
+        }
     }
     ASSERT_EQ(t->cosetFwd.size(), n);
     const Fp g = defaultCosetShift();

@@ -11,7 +11,8 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "hash/challenger.h"
-#include "hash/goldilocks_simd.h"
+#include "field/goldilocks_simd.h"
+#include "hash/poseidon_batch.h"
 #include "hash/hashing.h"
 #include "hash/poseidon.h"
 #include "unizk/pipeline.h"
@@ -402,14 +403,9 @@ TEST(SimdDispatch, DotMatchesFpDotOnEdgeValues)
         inputs.push_back(in);
     }
 
-    using Kernel = void (*)(const Fp *, const PoseidonState *, size_t,
-                            Fp *);
-    std::vector<std::pair<const char *, Kernel>> kernels{
-        {"scalar", fpDotBatch4Scalar}};
-#if defined(UNIZK_HAVE_AVX2)
+    std::vector<SimdLevel> levels{SimdLevel::Scalar};
     if (simdLevelAvailable(SimdLevel::Avx2))
-        kernels.emplace_back("avx2", fpDotBatch4Avx2);
-#endif
+        levels.push_back(SimdLevel::Avx2);
 
     size_t borrows = 0, carries = 0;
     for (size_t n = 1; n <= width; ++n) {
@@ -428,13 +424,20 @@ TEST(SimdDispatch, DotMatchesFpDotOnEdgeValues)
                     borrows += b.borrow;
                     carries += b.carry;
                 }
-                for (const auto &[name, kernel] : kernels) {
-                    Fp got[kSimdBatchWidth];
-                    kernel(row.data(), in.data(), n, got);
+                std::array<FpLimbs, PoseidonConfig::width> limbs;
+                for (size_t j = 0; j < width; ++j)
+                    limbs[j] = FpLimbs::split(row[j]);
+                uint64_t lanes[PoseidonConfig::width * kSimdBatchWidth];
+                for (size_t j = 0; j < width; ++j)
                     for (size_t k = 0; k < kSimdBatchWidth; ++k)
-                        ASSERT_EQ(got[k], expect[k])
-                            << name << " n=" << n << " lane=" << k
-                            << " row[0]=" << row[0]
+                        lanes[j * kSimdBatchWidth + k] = in[k][j].value();
+                for (const SimdLevel level : levels) {
+                    uint64_t got[kSimdBatchWidth];
+                    laneKernels(level).dot(limbs.data(), lanes, n, got);
+                    for (size_t k = 0; k < kSimdBatchWidth; ++k)
+                        ASSERT_EQ(Fp(got[k]), expect[k])
+                            << simdLevelName(level) << " n=" << n
+                            << " lane=" << k << " row[0]=" << row[0]
                             << " x[0]=" << in[k][0];
                 }
             }
@@ -443,6 +446,56 @@ TEST(SimdDispatch, DotMatchesFpDotOnEdgeValues)
     // The inputs must actually exercise both corrections.
     EXPECT_GT(borrows, 0u);
     EXPECT_GT(carries, 0u);
+}
+
+TEST(SimdDispatch, DotMatchesFpDotOnPoseidonRows)
+{
+    // The limb-split dot on the rows the batch kernel really uses (MDS,
+    // PreMDSMatrix and every sparse first row, through the limbs split
+    // at construction), fed lazily reduced lanes: edge values and
+    // non-canonical words in [p, 2^64), as the kernel's linear layers
+    // see them between rounds.
+    const auto &p = Poseidon::instance();
+    const size_t t = PoseidonConfig::width;
+    std::vector<std::pair<const Fp *, const FpLimbs *>> rows;
+    for (size_t i = 0; i < t; ++i) {
+        rows.emplace_back(p.mdsFlat() + i * t, p.mdsLimbs() + i * t);
+        rows.emplace_back(p.preFlat() + i * t, p.preLimbs() + i * t);
+    }
+    for (const auto &layer : p.sparseLayers())
+        rows.emplace_back(layer.row.data(), layer.rowLimbs.data());
+
+    const uint64_t mod = Fp::modulus;
+    const std::vector<uint64_t> lanes_in{0,       1,          0xFFFFFFFFULL,
+                                         1ULL << 32, mod - 1, mod,
+                                         mod + 7, ~0ULL - 1,  ~0ULL};
+    std::vector<SimdLevel> levels{SimdLevel::Scalar};
+    if (simdLevelAvailable(SimdLevel::Avx2))
+        levels.push_back(SimdLevel::Avx2);
+
+    for (const auto &[row, limbs] : rows) {
+        for (size_t j = 0; j < t; ++j)
+            ASSERT_EQ(limbs[j].value(), row[j].value());
+        for (size_t s = 0; s < lanes_in.size(); ++s) {
+            uint64_t x[PoseidonConfig::width * kSimdBatchWidth];
+            for (size_t j = 0; j < t; ++j)
+                for (size_t k = 0; k < kSimdBatchWidth; ++k)
+                    x[j * kSimdBatchWidth + k] =
+                        lanes_in[(s + j * (k + 1)) % lanes_in.size()];
+            for (const SimdLevel level : levels) {
+                uint64_t got[kSimdBatchWidth];
+                laneKernels(level).dot(limbs, x, t, got);
+                for (size_t k = 0; k < kSimdBatchWidth; ++k) {
+                    Fp expect;
+                    for (size_t j = 0; j < t; ++j)
+                        expect += row[j] * Fp(x[j * kSimdBatchWidth + k]);
+                    ASSERT_EQ(Fp(got[k]), expect)
+                        << simdLevelName(level) << " s=" << s
+                        << " lane=" << k;
+                }
+            }
+        }
+    }
 }
 
 TEST(SimdDispatch, BatchHashingMatchesScalarHashing)

@@ -479,7 +479,7 @@ class TestRawSimdIntrinsic(LintHarness):
 
     def test_allowed_in_goldilocks_simd_header(self):
         self.assert_clean(
-            "src/hash/goldilocks_simd.h",
+            "src/field/goldilocks_simd.h",
             "__m256i v;\n",
         )
 
@@ -487,9 +487,25 @@ class TestRawSimdIntrinsic(LintHarness):
         # The exclude is a path *prefix*, so the separate -mavx2 TU is
         # covered too.
         self.assert_clean(
-            "src/hash/goldilocks_simd_avx2.cpp",
+            "src/field/goldilocks_simd_avx2.cpp",
             "#include <immintrin.h>\n"
             "__m256i s = _mm256_mul_epu32(a, b);\n",
+        )
+
+    def test_allowed_in_avx2_lane_header(self):
+        self.assert_clean(
+            "src/field/goldilocks_simd_avx2.h",
+            "inline __m256i f(__m256i a)\n"
+            "{ return _mm256_srli_epi64(a, 32); }\n",
+        )
+
+    def test_old_hash_location_no_longer_allowed(self):
+        # The lane layer moved to src/field; intrinsics back under
+        # src/hash would escape the one confined file set.
+        self.assert_rules(
+            "src/hash/goldilocks_simd_avx2.cpp",
+            "__m256i s = _mm256_mul_epu32(a, b);\n",
+            ["raw-simd-intrinsic"],
         )
 
     def test_batch_template_without_intrinsics_is_fine(self):

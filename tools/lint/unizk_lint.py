@@ -35,11 +35,12 @@ codebase's proof-soundness and determinism contracts:
   raw-simd-intrinsic
                     Raw vector intrinsics (_mm*/__m128/__m256/__m512,
                     <immintrin.h> and friends) are confined to
-                    src/hash/goldilocks_simd*: everywhere else goes
-                    through Poseidon::permuteBatch / the hashing.h batch
-                    entry points so runtime dispatch (UNIZK_SIMD) stays
-                    the only arbiter of which backend runs, and no TU
-                    compiled without -mavx2 can leak AVX2 codegen.
+                    src/field/goldilocks_simd*: everywhere else goes
+                    through laneKernels() / Poseidon::permuteBatch / the
+                    hashing.h batch entry points so runtime dispatch
+                    (UNIZK_SIMD) stays the only arbiter of which backend
+                    runs, and no TU compiled without -mavx2 can leak
+                    AVX2 codegen.
   raw-sync-primitive
                     No bare std::mutex / std::condition_variable /
                     std::lock_guard (or friends) outside
@@ -432,11 +433,11 @@ RULES: Tuple[Rule, ...] = (
     ),
     Rule(
         name="raw-simd-intrinsic",
-        summary="raw vector intrinsics outside src/hash/goldilocks_simd*",
+        summary="raw vector intrinsics outside src/field/goldilocks_simd*",
         message=(
-            "raw vector intrinsic outside src/hash/goldilocks_simd*; go "
-            "through Poseidon::permuteBatch or the hashing.h batch entry "
-            "points so UNIZK_SIMD runtime dispatch stays the only "
+            "raw vector intrinsic outside src/field/goldilocks_simd*; go "
+            "through laneKernels(), Poseidon::permuteBatch or the hashing.h "
+            "batch entry points so UNIZK_SIMD runtime dispatch stays the only "
             "arbiter of the executed backend (and no TU built without "
             "-mavx2 can emit AVX2 instructions)"
         ),
@@ -447,7 +448,7 @@ RULES: Tuple[Rule, ...] = (
             r"|tmmintrin|nmmintrin|wmmintrin|xmmintrin|pmmintrin"
             r"|avx\w*intrin|x86intrin)\.h>"
         ),
-        exclude=("src/hash/goldilocks_simd",),
+        exclude=("src/field/goldilocks_simd",),
     ),
     Rule(
         name="raw-sync-primitive",
