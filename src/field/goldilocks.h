@@ -272,8 +272,13 @@ std::ostream &operator<<(std::ostream &os, const Fp &f);
 /**
  * Dot product with lazy reduction: accumulates the 128-bit products and
  * performs a single modular reduction at the end, counting 2^128
- * wraparounds (2^128 === p - 2^32 mod p). Substantially faster than
- * reducing every term; used by the Poseidon linear layers.
+ * wraparounds (2^128 === p - 2^32 mod p). Each product is below 2^128,
+ * so one add wraps an accumulator at most once and the count is exact
+ * for rows of any length (the callers pass from one term up to 2^16).
+ * Substantially faster than reducing every term; used by the scalar
+ * Poseidon linear layers, the Stark quotient's alpha combination, the
+ * FRI DEEP combination (DeepCombination) and the batch openings
+ * (evalEachExt).
  */
 inline Fp
 fpDot(const Fp *a, const Fp *b, size_t n)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Runtime-dispatched SIMD lane layer for the Goldilocks field: the one
- * vector substrate the Poseidon batch sponge and the NTT share (the CPU
- * analog of the paper's unified vector-systolic array, with a mapping
- * per kernel class on top).
+ * vector substrate the Poseidon batch sponge, the NTT and the Plonk
+ * quotient share (the CPU analog of the paper's unified
+ * vector-systolic array, with a mapping per kernel class on top).
  *
  * Representation invariant (lazy reduction). Between operations a lane
  * may hold *any* 64-bit value congruent to the true result mod p; it is
@@ -37,7 +37,8 @@
  * are instantiated once per backend into a LaneKernels table: the NTT
  * butterfly runs and element-wise scaling passes, plus raw lane-op hooks
  * for the differential tests. The Poseidon batch permutation
- * (hash/poseidon_batch.h) instantiates over the same lane types.
+ * (hash/poseidon_batch.h) and the Plonk quotient kernel
+ * (plonk/quotient_kernel.h) instantiate over the same lane types.
  *
  * Dispatch is decided once per process: the UNIZK_SIMD environment
  * variable ({auto, avx2, scalar}, parsed strictly through common/env.h)

@@ -142,6 +142,15 @@ combinedOpenings(const std::vector<std::vector<Fp2>> &openings,
 
 } // namespace
 
+DeepCombination::DeepCombination(const std::vector<Fp2> &alpha_pows)
+    : limb0_(alpha_pows.size()), limb1_(alpha_pows.size())
+{
+    for (size_t k = 0; k < alpha_pows.size(); ++k) {
+        limb0_[k] = alpha_pows[k].limb(0);
+        limb1_[k] = alpha_pows[k].limb(1);
+    }
+}
+
 bool
 powValid(Fp challenge, uint64_t nonce, uint32_t bits)
 {
@@ -240,21 +249,18 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
         ScopedKernelTimer timer(ctx.breakdown, KernelClass::Polynomial);
         UNIZK_SPAN("fri/deep-quotient");
 
-        // Per-index combination: every i writes its own slot and the
-        // k-order of the inner sum is fixed, so the result is
-        // thread-count independent.
+        // Per-index combination: every i writes its own slot, and the
+        // field arithmetic is exact, so the result is thread-count
+        // independent.
+        const DeepCombination combination(alpha_pows);
         std::vector<Fp2> b_values(domain);
         parallelFor(0, domain, /*grain=*/256, [&](size_t lo, size_t hi) {
-            for (size_t i = lo; i < hi; ++i) {
-                Fp2 acc;
-                size_t k = 0;
-                for (const auto *batch : batches) {
-                    const auto &leaf = batch->tree().leaf(i);
-                    for (size_t p = 0; p < batch->polyCount(); ++p, ++k)
-                        acc += alpha_pows[k] * Fp2(leaf[p]);
-                }
-                b_values[i] = acc;
-            }
+            for (size_t i = lo; i < hi; ++i)
+                b_values[i] = combination.combine(
+                    [&](size_t b) -> const std::vector<Fp> & {
+                        return batches[b]->tree().leaf(i);
+                    },
+                    batches.size());
         });
 
         const auto b_z = combinedOpenings(openings, alpha_pows, num_polys);
@@ -428,6 +434,7 @@ friVerify(const std::vector<FriBatchInfo> &batches, size_t degree_bound,
     const Fp2 alpha = challenger.challengeExt();
     const auto alpha_pows = alphaPowers(alpha, num_polys + points.size());
     const auto b_z = combinedOpenings(openings, alpha_pows, num_polys);
+    const DeepCombination combination(alpha_pows);
 
     // Replay the transcript: caps, betas, final polynomial, PoW.
     std::vector<Fp2> betas;
@@ -470,11 +477,11 @@ friVerify(const std::vector<FriBatchInfo> &batches, size_t degree_bound,
     auto query_holds = [&](size_t q) {
         const FriQueryRound &round = proof.queries[q];
         const size_t idx = indices[q];
-        Fp2 b_x;
-        size_t k = 0;
-        for (const auto &open : round.initial)
-            for (const Fp v : open.values)
-                b_x += alpha_pows[k++] * Fp2(v);
+        const Fp2 b_x = combination.combine(
+            [&](size_t b) -> const std::vector<Fp> & {
+                return round.initial[b].values;
+            },
+            round.initial.size());
 
         // DEEP quotient at the query point. A point on the domain has no
         // quotient (the prover could not have built one): reject.

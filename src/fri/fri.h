@@ -98,6 +98,51 @@ struct PowGrindResult
 PowGrindResult powGrind(Fp challenge, uint32_t bits);
 
 /**
+ * The batch combination B = sum_k alpha^k * v_k of base-field values v,
+ * the concatenation of one row per committed batch (a leaf of each
+ * batch tree, or each batch's opened values at a query). The alpha
+ * powers are split into their two Fp limbs once, at construction, so
+ * each row costs one fpDot per limb instead of an Fp2 x Fp product per
+ * term. friProve's B(x) at every LDE point and friVerify's B(x) at
+ * every query both go through combine(), so prover and verifier share
+ * one formula.
+ */
+class DeepCombination
+{
+  public:
+    /** Powers alpha^0 .. alpha^(m-1); rows may cover at most m terms. */
+    explicit DeepCombination(const std::vector<Fp2> &alpha_pows);
+
+    /**
+     * B over the rows row_at(0) .. row_at(count - 1), concatenated in
+     * order; row_at(r) returns a const std::vector<Fp> &. Allocates
+     * nothing, so pool workers can call it per point.
+     */
+    template <typename RowAt>
+    Fp2
+    combine(RowAt row_at, size_t count) const
+    {
+        // (sum_k alpha^k * v_k).limb(l) = sum_k alpha^k.limb(l) * v_k
+        // for base-field v_k: one lazily reduced dot per limb and row.
+        Fp c0, c1;
+        size_t k = 0;
+        for (size_t r = 0; r < count; ++r) {
+            const std::vector<Fp> &row = row_at(r);
+            unizk_assert(k + row.size() <= limb0_.size(),
+                         "DEEP combination rows exceed the alpha powers");
+            c0 += fpDot(limb0_.data() + k, row.data(), row.size());
+            c1 += fpDot(limb1_.data() + k, row.data(), row.size());
+            k += row.size();
+        }
+        return Fp2(c0, c1);
+    }
+
+  private:
+    std::vector<Fp> limb0_;
+    std::vector<Fp> limb1_;
+};
+
+/**
  * Prove the openings of all polynomials in @p batches at each point of
  * @p points. @p openings[j][k] must equal the k-th polynomial's value at
  * points[j], where k runs over all batches' polynomials in order; they

@@ -109,13 +109,7 @@ PolynomialBatch::evalExt(size_t i, Fp2 z) const
 std::vector<Fp2>
 PolynomialBatch::evalAllExt(Fp2 z) const
 {
-    std::vector<Fp2> out(coeffs_.size());
-    parallelFor(0, coeffs_.size(), /*grain=*/1,
-                [&](size_t lo, size_t hi) {
-                    for (size_t i = lo; i < hi; ++i)
-                        out[i] = evalExt(i, z);
-                });
-    return out;
+    return evalEachExt(coeffs_, z);
 }
 
 } // namespace unizk

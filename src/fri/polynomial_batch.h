@@ -72,10 +72,13 @@ class PolynomialBatch
         return tree_->leaf(index)[poly];
     }
 
-    /** Evaluate polynomial @p i at an extension point. */
+    /** Evaluate polynomial @p i at an extension point (Horner). */
     Fp2 evalExt(size_t i, Fp2 z) const;
 
-    /** Evaluate all polynomials at @p z. */
+    /**
+     * Evaluate all polynomials at @p z through evalEachExt (one shared
+     * power table of z, two fpDot calls per polynomial).
+     */
     std::vector<Fp2> evalAllExt(Fp2 z) const;
 
   private:

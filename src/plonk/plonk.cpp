@@ -4,6 +4,7 @@
 #include "common/thread_pool.h"
 #include "ntt/ntt.h"
 #include "obs/obs.h"
+#include "plonk/quotient_kernel.h"
 #include "poly/polynomial.h"
 
 namespace unizk {
@@ -287,18 +288,8 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
             batch[8 + t] = wires.coefficients(t);
         for (size_t t = 0; t < reps; ++t)
             batch[8 + 3 * reps + t] = z_batch.coefficients(t);
-        auto ldes = ldeBatchNN(std::move(batch),
-                               uint32_t{1} << quotient_blowup_bits, shift);
-        std::vector<std::vector<Fp>> sel_lde(5), sig_lde(3);
-        std::vector<std::vector<Fp>> wire_lde(3 * reps), z_lde(reps);
-        for (size_t t = 0; t < 5; ++t)
-            sel_lde[t] = std::move(ldes[t]);
-        for (size_t t = 0; t < 3; ++t)
-            sig_lde[t] = std::move(ldes[5 + t]);
-        for (size_t t = 0; t < 3 * reps; ++t)
-            wire_lde[t] = std::move(ldes[8 + t]);
-        for (size_t t = 0; t < reps; ++t)
-            z_lde[t] = std::move(ldes[8 + 3 * reps + t]);
+        const auto ldes = ldeBatchNN(
+            std::move(batch), uint32_t{1} << quotient_blowup_bits, shift);
         ctx.record(NttKernel{log2Exact(big),
                              8 + 4 * reps, false, true, false,
                              PolyLayout::PolyMajor},
@@ -341,66 +332,56 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
                 l_rows[k][i] = z_h[i] * point * denom[i];
         }
 
-        const size_t rot = size_t{1} << quotient_blowup_bits;
-        // Alpha powers per repetition, precomputed so the evaluation
-        // can run index-major: each point i is independent, and the
-        // per-point accumulation keeps the original r-ascending order,
-        // so the result is bitwise identical to the serial rep-major
-        // loop.
-        std::vector<std::array<Fp, 3>> rep_alpha(reps);
+        // The constraint combination runs four consecutive points per
+        // lane op (plonk/quotient_kernel.h), dividing by Z_H on the way
+        // out: Z_H has period 4 on the coset, one lane group.
+        static_assert((size_t{1} << quotient_blowup_bits) ==
+                          kSimdBatchWidth,
+                      "Z_H's period on the coset must be one lane group");
+        PlonkQuotientInputs in;
+        in.points = big;
+        in.rotation = size_t{1} << quotient_blowup_bits;
+        in.reps = reps;
+        in.numPublic = pub_rows.size();
+        for (size_t t = 0; t < 5; ++t)
+            in.selectors[t] = ldes[t].data();
+        for (size_t j = 0; j < 3; ++j) {
+            in.sigmas[j] = ldes[5 + j].data();
+            in.betaShift[j] = beta * plonkCosetShift(j);
+        }
+        in.xs = xs.data();
+        in.l1 = l1.data();
+        std::vector<const Fp *> lagrange(pub_rows.size());
+        for (size_t k = 0; k < pub_rows.size(); ++k)
+            lagrange[k] = l_rows[k].data();
+        in.lagrangePublic = lagrange.data();
+        std::vector<const Fp *> wire_cols(3 * reps), z_cols(reps);
+        for (size_t t = 0; t < 3 * reps; ++t)
+            wire_cols[t] = ldes[8 + t].data();
+        for (size_t r = 0; r < reps; ++r)
+            z_cols[r] = ldes[8 + 3 * reps + r].data();
+        in.wires = wire_cols.data();
+        in.z = z_cols.data();
+        std::vector<Fp> neg_public(reps * pub_rows.size());
+        for (size_t r = 0; r < reps; ++r)
+            for (size_t k = 0; k < pub_rows.size(); ++k)
+                neg_public[r * pub_rows.size() + k] =
+                    -proof.publicInputs[r][k];
+        in.negPublic = neg_public.data();
+        std::vector<Fp> alphas(3 * reps);
         {
             Fp alpha_pow = Fp::one();
-            for (size_t r = 0; r < reps; ++r) {
-                rep_alpha[r][0] = alpha_pow;
-                rep_alpha[r][1] = alpha_pow * alpha;
-                rep_alpha[r][2] = rep_alpha[r][1] * alpha;
-                alpha_pow = rep_alpha[r][2] * alpha;
+            for (Fp &a : alphas) {
+                a = alpha_pow;
+                alpha_pow *= alpha;
             }
         }
-        parallelFor(0, big, /*grain=*/256, [&](size_t lo, size_t hi) {
-            for (size_t i = lo; i < hi; ++i) {
-                Fp acc;
-                for (size_t r = 0; r < reps; ++r) {
-                    const auto &a = wire_lde[3 * r + 0];
-                    const auto &b = wire_lde[3 * r + 1];
-                    const auto &c = wire_lde[3 * r + 2];
-                    const auto &z = z_lde[r];
-                    Fp gate = sel_lde[0][i] * a[i] +
-                              sel_lde[1][i] * b[i] +
-                              sel_lde[2][i] * c[i] +
-                              sel_lde[3][i] * a[i] * b[i] +
-                              sel_lde[4][i];
-                    for (size_t k = 0; k < pub_rows.size(); ++k)
-                        gate -= l_rows[k][i] * proof.publicInputs[r][k];
-                    Fp f = Fp::one(), g = Fp::one();
-                    const Fp wv[3] = {a[i], b[i], c[i]};
-                    for (size_t j = 0; j < 3; ++j) {
-                        f *= wv[j] + beta * plonkCosetShift(j) * xs[i] +
-                             gamma;
-                        g *= wv[j] + beta * sig_lde[j][i] + gamma;
-                    }
-                    const Fp z_w = z[(i + rot) % big];
-                    const Fp perm = z_w * g - z[i] * f;
-                    const Fp l1_term = l1[i] * (z[i] - Fp::one());
-                    acc += gate * rep_alpha[r][0] +
-                           perm * rep_alpha[r][1] +
-                           l1_term * rep_alpha[r][2];
-                }
-                combined[i] = acc;
-            }
-        });
-
-        // Divide by Z_H (nonzero on the coset; only `blowup` distinct
-        // values, invert once each).
-        std::vector<Fp> z_h_inv(
-            z_h.begin(),
-            z_h.begin() + static_cast<std::ptrdiff_t>(
-                              size_t{1} << quotient_blowup_bits));
-        batchInverse(z_h_inv);
-        parallelFor(0, big, /*grain=*/1024, [&](size_t lo, size_t hi) {
-            for (size_t i = lo; i < hi; ++i)
-                combined[i] *= z_h_inv[i % z_h_inv.size()];
-        });
+        in.alphas = alphas.data();
+        in.beta = beta;
+        in.gamma = gamma;
+        for (size_t k = 0; k < kSimdBatchWidth; ++k)
+            in.zhInverse[k] = z_h[k].inverse();
+        plonkQuotient(in, combined.data());
     }
     ctx.record(VecOpKernel{big, static_cast<uint32_t>(8 + 4 * reps), 1,
                            static_cast<uint32_t>(30 * reps),

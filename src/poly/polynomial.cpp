@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/bits.h"
+#include "common/thread_pool.h"
 #include "ntt/ntt.h"
 
 namespace unizk {
@@ -305,6 +306,37 @@ vanishingOnCoset(size_t n, uint32_t blowup, Fp shift)
             out[i] = val;
         cur *= w_n;
     }
+    return out;
+}
+
+std::vector<Fp2>
+evalEachExt(const std::vector<std::vector<Fp>> &coeffs, Fp2 z)
+{
+    size_t len = 0;
+    for (const auto &c : coeffs)
+        len = std::max(len, c.size());
+    // z^0 .. z^(len-1) once for every polynomial, split into limbs:
+    // p(z).limb(l) = sum_k c_k * (z^k).limb(l) for base-field c_k, one
+    // lazily reduced dot per limb and polynomial. Each chunk of the
+    // power chain starts from its own z^lo, so the table is the same
+    // at every thread count.
+    std::vector<Fp> pow0(len), pow1(len);
+    parallelFor(0, len, /*grain=*/4096, [&](size_t lo, size_t hi) {
+        Fp2 cur = z.pow(lo);
+        for (size_t k = lo; k < hi; ++k) {
+            pow0[k] = cur.limb(0);
+            pow1[k] = cur.limb(1);
+            cur *= z;
+        }
+    });
+    std::vector<Fp2> out(coeffs.size());
+    parallelFor(0, coeffs.size(), /*grain=*/1, [&](size_t lo, size_t hi) {
+        for (size_t i = lo; i < hi; ++i) {
+            const auto &c = coeffs[i];
+            out[i] = Fp2(fpDot(pow0.data(), c.data(), c.size()),
+                         fpDot(pow1.data(), c.data(), c.size()));
+        }
+    });
     return out;
 }
 

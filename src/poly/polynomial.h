@@ -112,6 +112,14 @@ std::vector<Fp> vecAddScalar(const std::vector<Fp> &a, Fp c);
 /** @} */
 
 /**
+ * Evaluate every coefficient vector of @p coeffs (lengths may differ)
+ * at the extension point @p z: one shared table of z's powers, then
+ * two fpDot calls per polynomial. Equal to Polynomial::evalExt on each.
+ */
+std::vector<Fp2> evalEachExt(const std::vector<std::vector<Fp>> &coeffs,
+                             Fp2 z);
+
+/**
  * Quotient-chunk products (paper Eq. 1): h[i] = prod of each
  * @p chunk_size -element chunk of q. q.size() must be a multiple of
  * chunk_size.

@@ -187,33 +187,46 @@ starkProve(const StarkAir &air,
         batchInverse(inv_first);
         batchInverse(inv_last);
 
+        // The combination's alpha powers are the same at every point:
+        // alpha^t for transition t, then alpha^(T + b) * w^row(b) for
+        // boundary b, computed once. Per point the transitions are one
+        // lazily reduced dot, scaled once by their divisor factor.
         const auto bounds = air.boundaries();
+        const size_t num_trans = air.numConstraints();
+        std::vector<Fp> trans_alpha(num_trans);
+        std::vector<Fp> bound_coef(bounds.size());
+        {
+            Fp alpha_pow = Fp::one();
+            for (Fp &a : trans_alpha) {
+                a = alpha_pow;
+                alpha_pow *= alpha;
+            }
+            for (size_t b = 0; b < bounds.size(); ++b) {
+                bound_coef[b] =
+                    (bounds[b].lastRow ? w_last : Fp::one()) * alpha_pow;
+                alpha_pow *= alpha;
+            }
+        }
         // Each quotient-domain point is independent; scratch buffers
         // live per chunk so worker threads never share state.
         parallelFor(0, big, /*grain=*/128, [&](size_t lo, size_t hi) {
-            std::vector<Fp> local(cols), next(cols),
-                t_vals(air.numConstraints());
+            std::vector<Fp> local(cols), next(cols), t_vals(num_trans);
             for (size_t i = lo; i < hi; ++i) {
                 for (size_t c = 0; c < cols; ++c) {
                     local[c] = lde[c][i];
                     next[c] = lde[c][(i + rot) % big];
                 }
                 air.evalTransition(local, next, t_vals);
-                Fp acc;
-                Fp alpha_pow = Fp::one();
                 const Fp trans_factor =
                     (xs[i] - w_last) * z_h_inv[i % rot];
-                for (const Fp &t : t_vals) {
-                    acc += t * trans_factor * alpha_pow;
-                    alpha_pow *= alpha;
-                }
-                for (const BoundaryConstraint &bc : bounds) {
-                    const Fp point = bc.lastRow ? w_last : Fp::one();
+                Fp acc = trans_factor *
+                         fpDot(trans_alpha.data(), t_vals.data(), num_trans);
+                for (size_t b = 0; b < bounds.size(); ++b) {
+                    const BoundaryConstraint &bc = bounds[b];
                     const Fp inv =
                         bc.lastRow ? inv_last[i] : inv_first[i];
-                    acc += (local[bc.column] - bc.value) * inv * point *
-                           alpha_pow;
-                    alpha_pow *= alpha;
+                    acc += (local[bc.column] - bc.value) * inv *
+                           bound_coef[b];
                 }
                 combined[i] = acc;
             }

@@ -492,5 +492,67 @@ TEST(LaneOps, ButterflyRunsMatchFpAtEveryLength)
     }
 }
 
+// ---- fpDot: the scalar lazily reduced dot product. Its callers pass
+// rows from one term to 2^16 terms, so the 2^128-wrap fix-up runs on
+// long rows; each case is checked against a canonical Fp loop.
+
+/** sum_j a[j] * b[j], reducing every product and sum. */
+Fp
+canonicalDot(const std::vector<Fp> &a, const std::vector<Fp> &b, size_t n)
+{
+    Fp acc;
+    for (size_t j = 0; j < n; ++j)
+        acc += a[j] * b[j];
+    return acc;
+}
+
+TEST(FpDot, MatchesCanonicalLoopOnLongRows)
+{
+    const Fp max(Fp::modulus - 1);
+    SplitMix64 rng(31);
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
+                           size_t{17}, size_t{192}, size_t{1} << 16}) {
+        std::vector<Fp> all_max(n, max), rand_a(n), rand_b(n), mixed(n);
+        for (size_t j = 0; j < n; ++j) {
+            rand_a[j] = randomFp(rng);
+            rand_b[j] = randomFp(rng);
+            // Runs of p - 1 (wrapping every other add) between random
+            // terms and zeros.
+            mixed[j] = j % 5 < 3 ? max : (j % 5 == 3 ? Fp() : rand_b[j]);
+        }
+        const std::vector<std::pair<const std::vector<Fp> *,
+                                    const std::vector<Fp> *>>
+            cases{{&all_max, &all_max}, {&rand_a, &rand_b},
+                  {&mixed, &all_max},   {&all_max, &mixed},
+                  {&rand_a, &mixed},    {&mixed, &mixed}};
+        for (size_t c = 0; c < cases.size(); ++c) {
+            const auto &a = *cases[c].first;
+            const auto &b = *cases[c].second;
+            EXPECT_EQ(fpDot(a.data(), b.data(), n), canonicalDot(a, b, n))
+                << "n=" << n << " case=" << c;
+        }
+    }
+}
+
+TEST(FpDot, WrapCountNearItsLargestRows)
+{
+    // (p - 1)^2 = 2^128 - 2^97 + 2^64, so nearly every add of an
+    // all-(p - 1) row wraps a 128-bit accumulator, and (p - 1)^2 = 1
+    // mod p gives the closed form sum = n: every length up to 300 and
+    // long rows around 2^16, without the O(n) oracle.
+    const Fp max(Fp::modulus - 1);
+    std::vector<Fp> row(size_t{1} << 17, max);
+    for (size_t n = 0; n <= 300; ++n)
+        ASSERT_EQ(fpDot(row.data(), row.data(), n),
+                  Fp(static_cast<uint64_t>(n)))
+            << n;
+    for (const size_t n : {size_t{1} << 15, (size_t{1} << 16) - 1,
+                           size_t{1} << 16, (size_t{1} << 16) + 1,
+                           size_t{1} << 17})
+        EXPECT_EQ(fpDot(row.data(), row.data(), n),
+                  Fp(static_cast<uint64_t>(n)))
+            << n;
+}
+
 } // namespace
 } // namespace unizk

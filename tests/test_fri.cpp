@@ -154,6 +154,79 @@ TEST(PolynomialBatch, EvalExtMatchesBaseFieldEval)
     EXPECT_EQ(batch.evalExt(1, Fp2(x)), Fp2(poly.eval(x)));
 }
 
+/** Restore auto thread count when a test forces a pool size. */
+struct ThreadCountGuard
+{
+    explicit ThreadCountGuard(unsigned threads)
+    {
+        setGlobalThreadCount(threads);
+    }
+    ~ThreadCountGuard() { setGlobalThreadCount(0); }
+};
+
+TEST(PolynomialBatch, EvalAllExtMatchesHornerAtEveryThreadCount)
+{
+    // 2^13 coefficients: the power table spans two 4096-term chunks.
+    ProverContext ctx;
+    const FriConfig cfg = FriConfig::testing();
+    PolynomialBatch batch = PolynomialBatch::fromValues(
+        randomValues(5, size_t{1} << 13, 11), cfg, ctx, "t");
+    SplitMix64 rng(12);
+    for (const Fp2 z : {randomFp2(rng), Fp2(Fp(Fp::modulus - 1),
+                                            Fp(Fp::modulus - 1)),
+                        Fp2::zero(), Fp2::one()}) {
+        std::vector<Fp2> horner(batch.polyCount());
+        for (size_t i = 0; i < horner.size(); ++i)
+            horner[i] = batch.evalExt(i, z);
+        for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+            const ThreadCountGuard guard(threads);
+            EXPECT_EQ(batch.evalAllExt(z), horner)
+                << "threads=" << threads;
+        }
+    }
+}
+
+TEST(DeepCombination, MatchesPerTermForm)
+{
+    // Rows of different widths, empty ones included, one row of all
+    // p - 1; powers from a random alpha and powers whose limbs are all
+    // p - 1. The oracle is the per-term sum of alpha^k * Fp2(v_k).
+    SplitMix64 rng(13);
+    std::vector<std::vector<Fp>> rows;
+    for (const size_t width : {135u, 0u, 3u, 1u, 17u, 192u})
+        rows.push_back(randomValues(1, width, 14 + width)[0]);
+    rows.emplace_back(64, Fp(Fp::modulus - 1));
+    size_t total = 0;
+    for (const auto &row : rows)
+        total += row.size();
+    auto row_at = [&](size_t r) -> const std::vector<Fp> & {
+        return rows[r];
+    };
+
+    std::vector<Fp2> alpha_pows(total + 2);
+    const Fp2 alpha = randomFp2(rng);
+    Fp2 cur = Fp2::one();
+    for (Fp2 &p : alpha_pows) {
+        p = cur;
+        cur *= alpha;
+    }
+    std::vector<Fp2> max_pows(
+        total, Fp2(Fp(Fp::modulus - 1), Fp(Fp::modulus - 1)));
+
+    for (const auto *pows : {&alpha_pows, &max_pows}) {
+        const DeepCombination combination(*pows);
+        for (size_t count = 0; count <= rows.size(); ++count) {
+            Fp2 expect;
+            size_t k = 0;
+            for (size_t r = 0; r < count; ++r)
+                for (const Fp v : rows[r])
+                    expect += (*pows)[k++] * Fp2(v);
+            EXPECT_EQ(combination.combine(row_at, count), expect)
+                << "rows=" << count;
+        }
+    }
+}
+
 TEST(PolynomialBatch, RecordsKernels)
 {
     TraceRecorder recorder;

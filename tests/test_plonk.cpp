@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "field/goldilocks_simd.h"
 #include "plonk/plonk.h"
+#include "plonk/quotient_kernel.h"
 
 namespace unizk {
 namespace {
@@ -356,6 +359,156 @@ TEST(PlonkPublicInputs, UnsatisfiedPublicBindingCaughtAtProver)
     // y != x^2: the equality gate fails during witness filling.
     EXPECT_DEATH(plonkProve(c, key, {{Fp(3), Fp(10)}}, cfg, ctx),
                  "constraint");
+}
+
+// ---- The quotient's lane kernel against the scalar constraint loop.
+
+/** Owns the columns and constants a PlonkQuotientInputs points into. */
+struct QuotientCase
+{
+    std::vector<std::vector<Fp>> cols;
+    std::vector<const Fp *> lagrange, wires, z;
+    std::vector<Fp> neg_public, alphas;
+    PlonkQuotientInputs in;
+
+    QuotientCase(size_t points, size_t reps, size_t pubs, uint64_t seed)
+    {
+        SplitMix64 rng(seed);
+        // Random values, with p - 1 and 0 sprinkled in at fixed strides.
+        auto column = [&]() {
+            std::vector<Fp> c(points);
+            for (size_t i = 0; i < points; ++i)
+                c[i] = i % 7 == 3   ? Fp(Fp::modulus - 1)
+                       : i % 11 == 5 ? Fp()
+                                     : randomFp(rng);
+            return c;
+        };
+        // 5 selectors, 3 sigmas, xs, l1, pubs Lagrange columns, 3 reps
+        // wires, reps Z columns.
+        const size_t num_cols = 10 + pubs + 4 * reps;
+        for (size_t t = 0; t < num_cols; ++t)
+            cols.push_back(column());
+        in.points = points;
+        in.rotation = kSimdBatchWidth;
+        in.reps = reps;
+        in.numPublic = pubs;
+        for (size_t t = 0; t < 5; ++t)
+            in.selectors[t] = cols[t].data();
+        for (size_t j = 0; j < 3; ++j)
+            in.sigmas[j] = cols[5 + j].data();
+        in.xs = cols[8].data();
+        in.l1 = cols[9].data();
+        for (size_t k = 0; k < pubs; ++k)
+            lagrange.push_back(cols[10 + k].data());
+        for (size_t t = 0; t < 3 * reps; ++t)
+            wires.push_back(cols[10 + pubs + t].data());
+        for (size_t r = 0; r < reps; ++r)
+            z.push_back(cols[10 + pubs + 3 * reps + r].data());
+        in.lagrangePublic = lagrange.data();
+        in.wires = wires.data();
+        in.z = z.data();
+        for (size_t t = 0; t < reps * pubs; ++t)
+            neg_public.push_back(-randomFp(rng));
+        in.negPublic = neg_public.data();
+        for (size_t t = 0; t < 3 * reps; ++t)
+            alphas.push_back(t == 1 ? Fp(Fp::modulus - 1) : randomFp(rng));
+        in.alphas = alphas.data();
+        in.beta = randomFp(rng);
+        in.gamma = randomFp(rng);
+        for (size_t j = 0; j < 3; ++j)
+            in.betaShift[j] = in.beta * plonkCosetShift(j);
+        for (Fp &v : in.zhInverse)
+            v = randomFp(rng);
+    }
+};
+
+/** The prover's scalar constraint loop, reducing every operation. */
+std::vector<Fp>
+scalarQuotient(const PlonkQuotientInputs &in)
+{
+    std::vector<Fp> out(in.points);
+    for (size_t i = 0; i < in.points; ++i) {
+        Fp acc;
+        for (size_t r = 0; r < in.reps; ++r) {
+            const Fp a = in.wires[3 * r][i];
+            const Fp b = in.wires[3 * r + 1][i];
+            const Fp c = in.wires[3 * r + 2][i];
+            const Fp z = in.z[r][i];
+            const Fp z_w = in.z[r][(i + in.rotation) % in.points];
+            Fp gate = in.selectors[0][i] * a + in.selectors[1][i] * b +
+                      in.selectors[2][i] * c + in.selectors[3][i] * a * b +
+                      in.selectors[4][i];
+            for (size_t k = 0; k < in.numPublic; ++k)
+                gate -= in.lagrangePublic[k][i] *
+                        -in.negPublic[r * in.numPublic + k];
+            Fp f = Fp::one(), g = Fp::one();
+            const Fp wv[3] = {a, b, c};
+            for (size_t j = 0; j < 3; ++j) {
+                f *= wv[j] + in.beta * plonkCosetShift(j) * in.xs[i] +
+                     in.gamma;
+                g *= wv[j] + in.beta * in.sigmas[j][i] + in.gamma;
+            }
+            const Fp perm = z_w * g - z * f;
+            const Fp l1_term = in.l1[i] * (z - Fp::one());
+            acc += gate * in.alphas[3 * r] + perm * in.alphas[3 * r + 1] +
+                   l1_term * in.alphas[3 * r + 2];
+        }
+        out[i] = acc * in.zhInverse[i % kSimdBatchWidth];
+    }
+    return out;
+}
+
+struct QuotientThreadGuard
+{
+    SimdLevel saved = activeSimdLevel();
+    QuotientThreadGuard(SimdLevel level, unsigned threads)
+    {
+        unizk_assert(setSimdLevel(level), "SIMD level unavailable");
+        setGlobalThreadCount(threads);
+    }
+    ~QuotientThreadGuard()
+    {
+        setGlobalThreadCount(0);
+        setSimdLevel(saved);
+    }
+};
+
+TEST(PlonkQuotientKernel, MatchesScalarLoopAtEveryLevelAndThreadCount)
+{
+    std::vector<SimdLevel> levels{SimdLevel::Scalar};
+    if (simdLevelAvailable(SimdLevel::Avx2))
+        levels.push_back(SimdLevel::Avx2);
+    uint64_t seed = 40;
+    for (const size_t points : {size_t{4}, size_t{8}, size_t{1024}}) {
+        for (const size_t reps : {size_t{1}, size_t{2}, size_t{3}}) {
+            for (const size_t pubs : {size_t{0}, size_t{1}, size_t{2}}) {
+                const QuotientCase qc(points, reps, pubs, ++seed);
+                const auto expect = scalarQuotient(qc.in);
+                for (const SimdLevel level : levels) {
+                    for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+                        const QuotientThreadGuard guard(level, threads);
+                        std::vector<Fp> got(points);
+                        plonkQuotient(qc.in, got.data());
+                        ASSERT_EQ(got, expect)
+                            << simdLevelName(level) << " threads="
+                            << threads << " points=" << points
+                            << " reps=" << reps << " pubs=" << pubs;
+                    }
+                    // A sub-range writes exactly its own points.
+                    if (points >= 16) {
+                        std::vector<Fp> part(points, Fp(12345));
+                        plonkQuotientRange(level, qc.in, part.data(), 4,
+                                           points - 8);
+                        for (size_t i = 0; i < points; ++i)
+                            ASSERT_EQ(part[i], i >= 4 && i < points - 8
+                                                   ? expect[i]
+                                                   : Fp(12345))
+                                << simdLevelName(level) << " i=" << i;
+                    }
+                }
+            }
+        }
+    }
 }
 
 } // namespace

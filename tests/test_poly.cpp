@@ -238,5 +238,30 @@ TEST(Vanishing, NonzeroEverywhereOnCoset)
         EXPECT_FALSE(v.isZero());
 }
 
+TEST(EvalEachExt, RaggedLengthsMatchHorner)
+{
+    // Lengths 0 and 1, lane-ragged lengths, and lengths on both sides
+    // of the power chain's 4096-term chunks, in one call.
+    SplitMix64 rng(21);
+    std::vector<std::vector<Fp>> coeffs;
+    for (const size_t len :
+         {0u, 1u, 2u, 3u, 17u, 4095u, 4096u, 4097u, 9000u, 1u, 0u})
+        coeffs.push_back(randomVector(len, 22 + len));
+    coeffs.emplace_back(300, Fp(Fp::modulus - 1));
+    for (const Fp2 z : {randomFp2(rng), Fp2(Fp(Fp::modulus - 1),
+                                            Fp(Fp::modulus - 1)),
+                        Fp2::zero()}) {
+        const auto got = evalEachExt(coeffs, z);
+        ASSERT_EQ(got.size(), coeffs.size());
+        for (size_t i = 0; i < coeffs.size(); ++i) {
+            Fp2 horner;
+            for (size_t k = coeffs[i].size(); k-- > 0;)
+                horner = horner * z + Fp2(coeffs[i][k]);
+            EXPECT_EQ(got[i], horner) << "poly " << i;
+        }
+    }
+    EXPECT_TRUE(evalEachExt({}, Fp2::one()).empty());
+}
+
 } // namespace
 } // namespace unizk

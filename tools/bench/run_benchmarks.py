@@ -2,11 +2,13 @@
 """Perf-regression harness: run the pinned benchmark set and compare
 against a committed baseline.
 
-Runs three suites from an existing build tree:
+Runs four suites from an existing build tree:
 
   * ``bench_ntt`` (engine vs seed scalar path, and the engine's lane
     kernels vs its scalar SIMD level) over a small sweep,
-  * ``bench_poseidon`` (SIMD batch hashing vs the scalar sponge), and
+  * ``bench_poseidon`` (SIMD batch hashing vs the scalar sponge),
+  * ``bench_poly`` (the Plonk quotient's lane kernel vs its scalar SIMD
+    level), and
   * a pinned subset of the google-benchmark ``micro_kernels``,
 
 each N times, taking the per-metric median, and emits a
@@ -65,6 +67,12 @@ GATES = {
     # butterflies back to the scalar core fails it. Waived, like the
     # Poseidon ratio, where the dispatched level is not avx2.
     "ntt.lanes_over_scalar": ("higher", 0.30),
+    # The Plonk quotient's constraint kernel at the dispatched SIMD level
+    # vs the scalar lanes (bench_poly, 2^15 points x 16 repetitions, one
+    # thread). The floor stays above 1.0, so running the kernel on the
+    # scalar lanes fails it. Waived where the dispatched level is not
+    # avx2, like ntt.lanes_over_scalar.
+    "poly.quotient_lanes_over_scalar": ("higher", 0.30),
 }
 
 
@@ -181,6 +189,42 @@ def run_poseidon_bench(build_dir, runs, tmp_dir):
     return metrics, waivers
 
 
+def run_poly_bench(build_dir, runs, tmp_dir):
+    """Median metrics from `runs` executions of bench_poly.
+
+    Returns (metrics, waivers); the lanes-vs-scalar gate is waived
+    unless the dispatched SIMD level is avx2 (see run_poseidon_bench).
+    """
+    exe = os.path.join(build_dir, "bench", "bench_poly")
+    samples = {}
+    simd = None
+    for i in range(runs):
+        out = os.path.join(tmp_dir, f"poly_{i}.json")
+        run([exe, "--stats-json", out])
+        with open(out) as f:
+            doc = json.load(f)
+        simd = doc["simd"]
+        for row in doc["lanes"]:
+            key = f"poly.{row['kernel']}.2pow{row['log_size']}"
+            for field in ("scalar_level_seconds", "lanes_seconds",
+                          "lanes_over_scalar"):
+                samples.setdefault(f"{key}.{field}", []).append(row[field])
+    metrics = {}
+    for name, values in samples.items():
+        unit = "seconds" if name.endswith("seconds") else "ratio"
+        metrics[name] = {"value": statistics.median(values),
+                         "unit": unit}
+    waivers = {}
+    src = "poly.plonk-quotient.2pow15.lanes_over_scalar"
+    if simd == "avx2" and src in metrics:
+        metrics["poly.quotient_lanes_over_scalar"] = dict(metrics[src])
+    else:
+        waivers["poly.quotient_lanes_over_scalar"] = (
+            f"dispatched SIMD level is '{simd}', not avx2: "
+            "lanes-vs-scalar gate only applies to AVX2 hosts")
+    return metrics, waivers
+
+
 def run_micro(build_dir, runs, tmp_dir):
     """Median real_time per pinned micro benchmark."""
     exe = os.path.join(build_dir, "bench", "micro_kernels")
@@ -285,6 +329,10 @@ def main(argv=None):
         args.build_dir, args.runs, tmp_dir)
     metrics.update(poseidon_metrics)
     waivers.update(poseidon_waivers)
+    poly_metrics, poly_waivers = run_poly_bench(
+        args.build_dir, args.runs, tmp_dir)
+    metrics.update(poly_metrics)
+    waivers.update(poly_waivers)
     if not args.skip_micro:
         metrics.update(run_micro(args.build_dir, args.runs, tmp_dir))
     doc = build_document(metrics, waivers)
