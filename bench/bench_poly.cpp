@@ -51,7 +51,7 @@ struct QuotientColumns
             for (Fp &v : col)
                 v = randomFp(rng);
         in.points = points;
-        in.rotation = kSimdBatchWidth;
+        in.rotation = 4; // the Plonk quotient blowup
         in.reps = reps;
         in.numPublic = 1;
         for (size_t t = 0; t < 5; ++t)

@@ -57,6 +57,15 @@ reverseBits(uint64_t x, uint32_t bits)
     return r;
 }
 
+/** rev(rev(s) + rotation mod 2^bits): in a bit-reversed domain, where
+ *  the point @p rotation natural steps past the one stored at s is. */
+inline uint64_t
+rotateBitReversed(uint64_t s, uint64_t rotation, uint32_t bits)
+{
+    const uint64_t mask = (uint64_t{1} << bits) - 1; // bits < 64 here
+    return reverseBits((reverseBits(s, bits) + rotation) & mask, bits);
+}
+
 /** Permute a vector into bit-reversed index order in place. */
 template <typename T>
 void

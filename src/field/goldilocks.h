@@ -269,6 +269,17 @@ class Fp
 
 std::ostream &operator<<(std::ostream &os, const Fp &f);
 
+/** acc + wraps * 2^128 mod p, for a 128-bit sum that wrapped @p wraps
+ *  times (2^128 === p - 2^32 mod p). */
+inline Fp
+fpReduceWide(unsigned __int128 acc, uint64_t wraps)
+{
+    Fp result = Fp(Fp::reduce128(acc));
+    if (wraps)
+        result += Fp(wraps) * Fp(Fp::modulus - (uint64_t{1} << 32));
+    return result;
+}
+
 /**
  * Dot product with lazy reduction: accumulates the 128-bit products and
  * performs a single modular reduction at the end, counting 2^128
@@ -306,12 +317,7 @@ fpDot(const Fp *a, const Fp *b, size_t n)
     }
     const unsigned __int128 acc = acc0 + acc1;
     wraps += acc < acc0;
-    Fp result = Fp(Fp::reduce128(acc));
-    if (wraps) {
-        // Each wrap contributes 2^128 === p - 2^32 (mod p).
-        result += Fp(wraps) * Fp(Fp::modulus - (uint64_t{1} << 32));
-    }
-    return result;
+    return fpReduceWide(acc, wraps);
 }
 
 /**

@@ -8,6 +8,7 @@
 #include "field/goldilocks_simd.h"
 #include "ntt/ntt.h"
 #include "obs/obs.h"
+#include "poly/polynomial.h"
 
 namespace unizk {
 
@@ -36,24 +37,6 @@ powDigestValid(const PoseidonState &permuted, uint32_t bits)
 
 /** Nonces per parallelFor chunk: a 64-nonce block splits four ways. */
 constexpr size_t kPowGrain = 16;
-
-/**
- * Points of the (bit-reversed-stored) evaluation domain: out[i] is the
- * point at storage index i, i.e. shift * w^bitrev(i).
- */
-std::vector<Fp>
-domainPoints(size_t size, Fp shift)
-{
-    const uint32_t log_size = log2Exact(size);
-    const Fp w = Fp::primitiveRootOfUnity(log_size);
-    std::vector<Fp> out(size);
-    Fp cur = shift;
-    for (size_t j = 0; j < size; ++j) {
-        out[reverseBits(j, log_size)] = cur;
-        cur *= w;
-    }
-    return out;
-}
 
 /** Fold a bit-reversed evaluation vector in half with challenge beta. */
 std::vector<Fp2>
@@ -249,22 +232,21 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
         ScopedKernelTimer timer(ctx.breakdown, KernelClass::Polynomial);
         UNIZK_SPAN("fri/deep-quotient");
 
-        // Per-index combination: every i writes its own slot, and the
-        // field arithmetic is exact, so the result is thread-count
-        // independent.
+        // B(x) block by block: blocks write disjoint slots with exact
+        // arithmetic, so the result is thread-count independent.
         const DeepCombination combination(alpha_pows);
         std::vector<Fp2> b_values(domain);
-        parallelFor(0, domain, /*grain=*/256, [&](size_t lo, size_t hi) {
-            for (size_t i = lo; i < hi; ++i)
-                b_values[i] = combination.combine(
-                    [&](size_t b) -> const std::vector<Fp> & {
-                        return batches[b]->tree().leaf(i);
-                    },
-                    batches.size());
+        constexpr size_t kBlock = DeepCombination::kBlock;
+        parallelFor(0, domain, kBlock, [&](size_t lo, size_t hi) {
+            for (size_t i = lo; i < hi; i += kBlock)
+                combination.combine(
+                    [&](size_t b) { return batches[b]->leafView(); },
+                    batches.size(), i, std::min(kBlock, hi - i),
+                    &b_values[i]);
         });
 
         const auto b_z = combinedOpenings(openings, alpha_pows, num_polys);
-        const auto xs = domainPoints(domain, cfg.shift());
+        const auto xs = bitReversedCosetPoints(domain, cfg.shift());
         for (size_t j = 0; j < points.size(); ++j) {
             std::vector<Fp2> denom(domain);
             parallelFor(0, domain, /*grain=*/1024,
@@ -293,32 +275,35 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
     // ---- Commit phase: fold until the residual is short. ----
     std::vector<std::vector<Fp2>> layer_values;
     std::vector<MerkleTree> layer_trees;
-    std::vector<Fp2> cur = g_values;
+    std::vector<Fp2> cur = std::move(g_values);
     size_t poly_len = n;
     Fp layer_shift = cfg.shift();
     while (poly_len > cfg.finalPolyLen) {
         // Commit the current layer as (pair) leaves.
-        std::vector<std::vector<Fp>> leaves(cur.size() / 2);
-        for (size_t i = 0; i < leaves.size(); ++i)
-            leaves[i] = packPair(cur[2 * i], cur[2 * i + 1]);
-        const uint32_t cap_h = std::min<uint32_t>(
-            cfg.capHeight, log2Exact(leaves.size()));
+        const size_t pairs = cur.size() / 2;
+        const uint32_t cap_h =
+            std::min<uint32_t>(cfg.capHeight, log2Exact(pairs));
         {
             ScopedKernelTimer timer(ctx.breakdown, KernelClass::MerkleTree);
             UNIZK_SPAN("fri/layer-commit");
-            layer_trees.emplace_back(std::move(leaves), cap_h);
+            // Pair i's packPair leaf is limbs [4i, 4i + 4).
+            std::vector<Fp> limbs;
+            limbs.reserve(2 * cur.size());
+            for (const Fp2 &v : cur)
+                limbs.insert(limbs.end(), {v.limb(0), v.limb(1)});
+            layer_trees.emplace_back(
+                LeafView::rowMajor(limbs.data(), 4, pairs), cap_h);
         }
-        ctx.record(MerkleKernel{cur.size() / 2, 4, cap_h},
-                   "FRI: layer commit");
+        ctx.record(MerkleKernel{pairs, 4, cap_h}, "FRI: layer commit");
         for (const auto &digest : layer_trees.back().cap())
             challenger.observe(digest);
 
         const Fp2 beta = challenger.challengeExt();
-        layer_values.push_back(cur);
+        layer_values.push_back(std::move(cur));
         {
             ScopedKernelTimer timer(ctx.breakdown, KernelClass::Polynomial);
             UNIZK_SPAN("fri/fold");
-            cur = foldLayer(cur, beta, layer_shift);
+            cur = foldLayer(layer_values.back(), beta, layer_shift);
         }
         ctx.record(VecOpKernel{cur.size(), 2, 1, 12, 0}, "FRI: fold");
         layer_shift = layer_shift.squared();
@@ -373,7 +358,7 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
         FriQueryRound round;
         for (const auto *batch : batches) {
             FriInitialOpening open;
-            open.values = batch->tree().leaf(idx);
+            open.values = batch->leafView().leaf(idx);
             open.proof = batch->tree().prove(idx);
             round.initial.push_back(std::move(open));
         }
@@ -477,11 +462,13 @@ friVerify(const std::vector<FriBatchInfo> &batches, size_t degree_bound,
     auto query_holds = [&](size_t q) {
         const FriQueryRound &round = proof.queries[q];
         const size_t idx = indices[q];
-        const Fp2 b_x = combination.combine(
-            [&](size_t b) -> const std::vector<Fp> & {
-                return round.initial[b].values;
+        Fp2 b_x;
+        combination.combine(
+            [&](size_t b) {
+                const std::vector<Fp> &row = round.initial[b].values;
+                return LeafView::rowMajor(row.data(), row.size(), 1);
             },
-            round.initial.size());
+            round.initial.size(), 0, 1, &b_x);
 
         // DEEP quotient at the query point. A point on the domain has no
         // quotient (the prover could not have built one): reject.

@@ -99,42 +99,73 @@ PowGrindResult powGrind(Fp challenge, uint32_t bits);
 
 /**
  * The batch combination B = sum_k alpha^k * v_k of base-field values v,
- * the concatenation of one row per committed batch (a leaf of each
- * batch tree, or each batch's opened values at a query). The alpha
- * powers are split into their two Fp limbs once, at construction, so
- * each row costs one fpDot per limb instead of an Fp2 x Fp product per
- * term. friProve's B(x) at every LDE point and friVerify's B(x) at
- * every query both go through combine(), so prover and verifier share
- * one formula.
+ * every committed batch's values at one point in order. The alpha
+ * powers are split into their two Fp limbs once, so each term costs one
+ * 128-bit product per limb. friProve's B(x) over the LDE domain and
+ * friVerify's B(x) at each query (the one-point case) share combine().
  */
 class DeepCombination
 {
   public:
-    /** Powers alpha^0 .. alpha^(m-1); rows may cover at most m terms. */
+    /** Points one combine() call covers at most. */
+    static constexpr size_t kBlock = 256;
+
+    /** Powers alpha^0 .. alpha^(m-1); batches may hold at most m terms. */
     explicit DeepCombination(const std::vector<Fp2> &alpha_pows);
 
     /**
-     * B over the rows row_at(0) .. row_at(count - 1), concatenated in
-     * order; row_at(r) returns a const std::vector<Fp> &. Allocates
-     * nothing, so pool workers can call it per point.
+     * out[i] = B at point lo + i for i < count <= kBlock, where view_at(b)
+     * is batch b's LeafView (leaf = point). Sweeps column by column with
+     * the points as lanes, and allocates nothing.
      */
-    template <typename RowAt>
-    Fp2
-    combine(RowAt row_at, size_t count) const
+    template <typename ViewAt>
+    void
+    combine(ViewAt view_at, size_t batches, size_t lo, size_t count,
+            Fp2 *out) const
     {
-        // (sum_k alpha^k * v_k).limb(l) = sum_k alpha^k.limb(l) * v_k
-        // for base-field v_k: one lazily reduced dot per limb and row.
-        Fp c0, c1;
-        size_t k = 0;
-        for (size_t r = 0; r < count; ++r) {
-            const std::vector<Fp> &row = row_at(r);
-            unizk_assert(k + row.size() <= limb0_.size(),
-                         "DEEP combination rows exceed the alpha powers");
-            c0 += fpDot(limb0_.data() + k, row.data(), row.size());
-            c1 += fpDot(limb1_.data() + k, row.data(), row.size());
-            k += row.size();
+        unizk_assert(count <= kBlock, "DEEP combination block too long");
+        // (sum_k alpha^k * v_k).limb(l) = sum_k alpha^k.limb(l) * v_k for
+        // base-field v_k: one wrapping 128-bit sum per limb and point.
+        unsigned __int128 acc0[kBlock], acc1[kBlock];
+        uint64_t wraps0[kBlock], wraps1[kBlock];
+        for (size_t i = 0; i < count; ++i) {
+            acc0[i] = acc1[i] = 0;
+            wraps0[i] = wraps1[i] = 0;
         }
-        return Fp2(c0, c1);
+        auto add = [](unsigned __int128 &acc, uint64_t &wraps, uint64_t a,
+                      uint64_t v) {
+            const unsigned __int128 prod = static_cast<unsigned __int128>(a) * v;
+            acc += prod;
+            wraps += acc < prod;
+        };
+        size_t k = 0;
+        for (size_t b = 0; b < batches; ++b) {
+            const LeafView view = view_at(b);
+            unizk_assert(k + view.width <= limb0_.size(),
+                         "DEEP combination terms exceed the alpha powers");
+            // Two columns per pass halve the accumulator traffic; an odd
+            // last column pairs with itself at weight zero.
+            for (size_t p = 0; p < view.width; p += 2) {
+                const bool pair = p + 1 < view.width;
+                const Fp *c = view.base + p * view.elemStride;
+                const Fp *d = pair ? c + view.elemStride : c;
+                const uint64_t a0 = limb0_[k].value(), a1 = limb1_[k].value();
+                const uint64_t b0 = pair ? limb0_[k + 1].value() : 0;
+                const uint64_t b1 = pair ? limb1_[k + 1].value() : 0;
+                k += pair ? 2 : 1;
+                for (size_t i = 0; i < count; ++i) {
+                    const size_t at = (lo + i) * view.leafStride;
+                    const uint64_t v = c[at].value(), u = d[at].value();
+                    add(acc0[i], wraps0[i], a0, v);
+                    add(acc0[i], wraps0[i], b0, u);
+                    add(acc1[i], wraps1[i], a1, v);
+                    add(acc1[i], wraps1[i], b1, u);
+                }
+            }
+        }
+        for (size_t i = 0; i < count; ++i)
+            out[i] = Fp2(fpReduceWide(acc0[i], wraps0[i]),
+                         fpReduceWide(acc1[i], wraps1[i]));
     }
 
   private:

@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "common/thread_pool.h"
 #include "ntt/ntt.h"
 #include "obs/obs.h"
 
@@ -28,12 +27,17 @@ PolynomialBatch::fromValues(std::vector<std::vector<Fp>> values,
 }
 
 PolynomialBatch
-PolynomialBatch::fromCoefficients(std::vector<std::vector<Fp>> coeffs,
-                                  const FriConfig &cfg,
+PolynomialBatch::fromCoefficients(const std::vector<Fp> &coeffs, size_t n,
+                                  size_t count, const FriConfig &cfg,
                                   const ProverContext &ctx,
                                   const std::string &label)
 {
-    return PolynomialBatch(std::move(coeffs), cfg, ctx, label);
+    std::vector<std::vector<Fp>> chunks(count);
+    for (size_t k = 0; k < count; ++k)
+        chunks[k].assign(
+            coeffs.begin() + static_cast<std::ptrdiff_t>(k * n),
+            coeffs.begin() + static_cast<std::ptrdiff_t>((k + 1) * n));
+    return PolynomialBatch(std::move(chunks), cfg, ctx, label);
 }
 
 PolynomialBatch::PolynomialBatch(std::vector<std::vector<Fp>> coeffs,
@@ -46,41 +50,21 @@ PolynomialBatch::PolynomialBatch(std::vector<std::vector<Fp>> coeffs,
     const size_t lde_size = ldeSize();
     const size_t num_polys = coeffs_.size();
 
-    // Coset LDE per polynomial (NTT^NR), building the index-major
-    // leaves on the fly: leaf i = values of all polynomials at LDE
-    // point i (bit-reversed order).
-    std::vector<std::vector<Fp>> leaves(lde_size);
-    parallelFor(0, lde_size, /*grain=*/512, [&](size_t lo, size_t hi) {
-        for (size_t i = lo; i < hi; ++i)
-            leaves[i].resize(num_polys);
-    });
+    // Coset LDE per polynomial (NTT^NR) into the flat buffer, which
+    // ldeBatch fills completely: it starts uninitialized.
+    lde_.reset(static_cast<Fp *>(
+        ::operator new(num_polys * lde_size * sizeof(Fp))));
     {
-        std::vector<std::vector<Fp>> ldes;
-        {
-            ScopedKernelTimer timer(ctx.breakdown, KernelClass::Ntt);
-            UNIZK_SPAN("commit/lde");
-            ldes = ldeBatch(coeffs_, cfg_.blowup(), cfg_.shift());
-        }
-        // Poly-major -> index-major transpose while forming leaves; on
-        // the CPU this is real work (Table 1's Layout Transform), on
-        // UniZK the transpose buffer hides it. Parallel over leaf rows:
-        // each destination row is written by exactly one chunk.
-        ScopedKernelTimer timer(ctx.breakdown,
-                                KernelClass::LayoutTransform);
-        UNIZK_SPAN("commit/leaf-transpose");
-        parallelFor(0, lde_size, /*grain=*/256,
-                    [&](size_t lo, size_t hi) {
-                        for (size_t i = lo; i < hi; ++i)
-                            for (size_t p = 0; p < num_polys; ++p)
-                                leaves[i][p] = ldes[p][i];
-                    });
+        ScopedKernelTimer timer(ctx.breakdown, KernelClass::Ntt);
+        UNIZK_SPAN("commit/lde");
+        ldeBatch(coeffs_, cfg_.blowup(), cfg_.shift(), lde_.get());
     }
     ctx.record(NttKernel{log2Exact(lde_size), num_polys, /*inverse=*/false,
                          /*coset=*/true, /*bitrevOutput=*/true,
                          PolyLayout::PolyMajor},
                label + ": LDE coset-NTT^NR");
-    // Forming index-major leaves from poly-major LDE output is the
-    // layout transform the global transpose buffer hides on UniZK.
+    // The CPU hashes leaves from the columns in place; the trace keeps
+    // the layout transform UniZK's transpose buffer performs.
     ctx.record(TransposeKernel{num_polys, lde_size},
                label + ": leaf transpose");
 
@@ -89,21 +73,20 @@ PolynomialBatch::PolynomialBatch(std::vector<std::vector<Fp>> coeffs,
     {
         ScopedKernelTimer timer(ctx.breakdown, KernelClass::MerkleTree);
         UNIZK_SPAN("commit/merkle-tree");
-        tree_ = std::make_unique<MerkleTree>(std::move(leaves), cap_height);
+        tree_ = std::make_unique<MerkleTree>(leafView(), cap_height);
     }
     ctx.record(MerkleKernel{lde_size, static_cast<uint32_t>(num_polys),
                             cap_height},
                label + ": Merkle tree");
 }
 
-Fp2
-PolynomialBatch::evalExt(size_t i, Fp2 z) const
+size_t
+PolynomialBatch::byteSize() const
 {
-    const auto &c = coeffs_.at(i);
-    Fp2 acc;
-    for (size_t k = c.size(); k-- > 0;)
-        acc = acc * z + Fp2(c[k]);
-    return acc;
+    // The tree keeps every level from the leaves up to the cap.
+    const size_t digests = 2 * ldeSize() - (size_t{1} << tree_->capHeight());
+    return polyCount() * (n_ + ldeSize()) * sizeof(Fp) +
+           digests * sizeof(HashOut);
 }
 
 std::vector<Fp2>

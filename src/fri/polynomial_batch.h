@@ -2,11 +2,13 @@
  * @file
  * A committed batch of polynomials: coefficient form plus a Merkle tree
  * over the low-degree extension, with leaves holding the values of all
- * polynomials at one LDE point (index-major), exactly the leaf layout
- * of Figure 1 step 3 in the paper.
+ * polynomials at one LDE point, the leaf of Figure 1 step 3 in the
+ * paper.
  *
- * LDE values are stored in bit-reversed index order so that FRI folding
- * pairs (x, -x) sit in adjacent leaves.
+ * The LDE is the batch's only copy of its evaluations: one flat
+ * column-major buffer, each column in bit-reversed order so that FRI
+ * folding pairs (x, -x) sit in adjacent leaves, read in place by the
+ * Merkle tree, the queries and the quotients (DESIGN.md §6.11).
  */
 
 #ifndef UNIZK_FRI_POLYNOMIAL_BATCH_H
@@ -14,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -38,9 +41,12 @@ class PolynomialBatch
                                       const ProverContext &ctx,
                                       const std::string &label);
 
-    /** Commit to polynomials already in coefficient form (length n). */
+    /**
+     * Commit to @p count polynomials in coefficient form: polynomial k
+     * has the coefficients coeffs[k n, (k + 1) n) (a quotient's chunks).
+     */
     static PolynomialBatch
-    fromCoefficients(std::vector<std::vector<Fp>> coeffs,
+    fromCoefficients(const std::vector<Fp> &coeffs, size_t n, size_t count,
                      const FriConfig &cfg, const ProverContext &ctx,
                      const std::string &label);
 
@@ -62,18 +68,29 @@ class PolynomialBatch
         return coeffs_[i];
     }
 
-    /**
-     * Value of polynomial @p poly at bit-reversed LDE index @p index
-     * (i.e. the contents of leaf @p index).
-     */
+    /** Polynomial @p poly's LDE, ldeSize() values, bit-reversed order. */
+    const Fp *
+    ldeColumn(size_t poly) const
+    {
+        return lde_.get() + poly * ldeSize();
+    }
+
+    /** Value of polynomial @p poly at bit-reversed LDE index @p index. */
     Fp
     ldeValue(size_t poly, size_t index) const
     {
-        return tree_->leaf(index)[poly];
+        return ldeColumn(poly)[index];
     }
 
-    /** Evaluate polynomial @p i at an extension point (Horner). */
-    Fp2 evalExt(size_t i, Fp2 z) const;
+    /** The LDE as Merkle leaves: leaf i is every polynomial at i. */
+    LeafView
+    leafView() const
+    {
+        return LeafView::columnMajor(lde_.get(), polyCount(), ldeSize());
+    }
+
+    /** Bytes held: coefficients, the flat LDE and the tree's digests. */
+    size_t byteSize() const;
 
     /**
      * Evaluate all polynomials at @p z through evalEachExt (one shared
@@ -86,9 +103,15 @@ class PolynomialBatch
                     const FriConfig &cfg, const ProverContext &ctx,
                     const std::string &label);
 
+    struct RawDelete // the LDE's uninitialized storage
+    {
+        void operator()(Fp *p) const { ::operator delete(p); }
+    };
+
     std::vector<std::vector<Fp>> coeffs_;
     size_t n_;
     FriConfig cfg_;
+    std::unique_ptr<Fp, RawDelete> lde_;
     std::unique_ptr<MerkleTree> tree_;
 };
 

@@ -19,59 +19,36 @@ extractDigests(const PoseidonState *states, size_t n, HashOut *out)
 }
 
 /**
- * hashNoPad over @p n inputs, feeding runs of up to kSimdBatchWidth
- * equal-length inputs through Poseidon::permuteBatch.
+ * hashNoPad of @p run <= kSimdBatchWidth inputs of @p len elements
+ * each (element j of input k is at(k, j)) through one shared
+ * permuteBatch absorption schedule.
  */
+template <typename At>
 void
-hashNoPadRuns(const std::vector<Fp> *const *inputs, size_t n, HashOut *out)
+hashNoPadGroup(size_t run, size_t len, const At &at, HashOut *out)
 {
     const Poseidon &poseidon = Poseidon::instance();
-    size_t i = 0;
-    while (i < n) {
-        // The absorption schedule (how many chunks, chunk sizes) is a
-        // function of the input length, so only equal-length inputs can
-        // share one batched permutation sequence.
-        const size_t len = inputs[i]->size();
-        size_t run = 1;
-        while (run < kSimdBatchWidth && i + run < n &&
-               inputs[i + run]->size() == len)
-            ++run;
-        PoseidonState states[kSimdBatchWidth] = {};
-        size_t pos = 0;
-        while (pos < len) {
-            const size_t chunk =
-                std::min<size_t>(PoseidonConfig::rate, len - pos);
+    PoseidonState states[kSimdBatchWidth] = {};
+    size_t pos = 0;
+    while (pos < len) {
+        const size_t chunk =
+            std::min<size_t>(PoseidonConfig::rate, len - pos);
+        for (size_t j = 0; j < chunk; ++j)
             for (size_t k = 0; k < run; ++k)
-                for (size_t j = 0; j < chunk; ++j)
-                    states[k][j] = (*inputs[i + k])[pos + j];
-            poseidon.permuteBatch(states, run);
-            pos += chunk;
-        }
-        if (len == 0)
-            poseidon.permuteBatch(states, run);
-        extractDigests(states, run, &out[i]);
-        i += run;
+                states[k][j] = at(k, pos + j);
+        poseidon.permuteBatch(states, run);
+        pos += chunk;
     }
+    if (len == 0)
+        poseidon.permuteBatch(states, run);
+    extractDigests(states, run, out);
 }
 
-/**
- * Hand @p n contiguous inputs to a pointer-array entry point, a stack
- * block of pointers at a time. The block is a multiple of
- * kSimdBatchWidth, so equal-length inputs still fill whole batches.
- */
-template <typename PointerFn>
-void
-forwardAsPointers(const std::vector<Fp> *inputs, size_t n, HashOut *out,
-                  PointerFn fn)
+/** True for the lengths hashOrNoop packs instead of hashing. */
+bool
+isNoopLength(size_t len)
 {
-    constexpr size_t kBlock = 16 * kSimdBatchWidth;
-    const std::vector<Fp> *ptrs[kBlock];
-    for (size_t i = 0; i < n; i += kBlock) {
-        const size_t m = std::min(kBlock, n - i);
-        for (size_t k = 0; k < m; ++k)
-            ptrs[k] = &inputs[i + k];
-        fn(ptrs, m, &out[i]);
-    }
+    return len >= 1 && len <= 4;
 }
 
 } // namespace
@@ -98,12 +75,6 @@ hashNoPad(const std::vector<Fp> &inputs)
     for (size_t i = 0; i < 4; ++i)
         out.elems[i] = state[i];
     return out;
-}
-
-void
-hashNoPadBatch(const std::vector<Fp> *inputs, size_t n, HashOut *out)
-{
-    forwardAsPointers(inputs, n, out, hashNoPadRuns);
 }
 
 HashOut
@@ -153,7 +124,7 @@ hashOrNoop(const std::vector<Fp> &inputs)
     // hashOrNoopPermutationCount charges the empty input one
     // permutation (matching hashNoPad), and packing it would make the
     // empty leaf collide with the all-zero length-4 leaf.
-    if (!inputs.empty() && inputs.size() <= 4) {
+    if (isNoopLength(inputs.size())) {
         HashOut out;
         for (size_t i = 0; i < inputs.size(); ++i)
             out.elems[i] = inputs[i];
@@ -163,38 +134,49 @@ hashOrNoop(const std::vector<Fp> &inputs)
 }
 
 void
+hashLeaves(const LeafView &view, size_t lo, size_t hi, HashOut *out)
+{
+    if (isNoopLength(view.width)) {
+        for (size_t i = lo; i < hi; ++i) {
+            HashOut &digest = out[i - lo];
+            digest = HashOut{};
+            for (size_t j = 0; j < view.width; ++j)
+                digest.elems[j] = view.at(i, j);
+        }
+        return;
+    }
+    for (size_t i = lo; i < hi; i += kSimdBatchWidth) {
+        const size_t run = std::min(kSimdBatchWidth, hi - i);
+        hashNoPadGroup(
+            run, view.width,
+            [&](size_t k, size_t j) { return view.at(i + k, j); },
+            &out[i - lo]);
+    }
+}
+
+void
 hashOrNoopBatch(const std::vector<Fp> *const *leaves, size_t n,
                 HashOut *out)
 {
     size_t i = 0;
     while (i < n) {
         const size_t len = leaves[i]->size();
-        if (len >= 1 && len <= 4) {
+        if (isNoopLength(len)) {
             // Noop path: no permutation, nothing to batch.
             out[i] = hashOrNoop(*leaves[i]);
             ++i;
             continue;
         }
-        // Hashing path: hand the maximal run of hashing leaves to
-        // hashNoPadRuns, which groups equal lengths internally.
         size_t run = 1;
-        while (i + run < n) {
-            const size_t l = leaves[i + run]->size();
-            if (l >= 1 && l <= 4)
-                break;
+        while (run < kSimdBatchWidth && i + run < n &&
+               leaves[i + run]->size() == len)
             ++run;
-        }
-        hashNoPadRuns(&leaves[i], run, &out[i]);
+        hashNoPadGroup(
+            run, len,
+            [&](size_t k, size_t j) { return (*leaves[i + k])[j]; },
+            &out[i]);
         i += run;
     }
-}
-
-void
-hashOrNoopBatch(const std::vector<Fp> *leaves, size_t n, HashOut *out)
-{
-    forwardAsPointers(leaves, n, out,
-                      [](const std::vector<Fp> *const *ptrs, size_t m,
-                         HashOut *o) { hashOrNoopBatch(ptrs, m, o); });
 }
 
 size_t
@@ -208,7 +190,7 @@ permutationCountForLength(size_t len)
 size_t
 hashOrNoopPermutationCount(size_t len)
 {
-    if (len >= 1 && len <= 4)
+    if (isNoopLength(len))
         return 0;
     return permutationCountForLength(len);
 }

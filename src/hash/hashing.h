@@ -49,14 +49,55 @@ struct HashOut
 HashOut hashNoPad(const std::vector<Fp> &inputs);
 
 /**
- * Hash @p n inputs into @p out, feeding runs of up to kSimdBatchWidth
- * equal-length inputs through Poseidon::permuteBatch (shared
- * absorption schedule, lane-parallel permutations). Digests are
- * byte-identical to n hashNoPad calls at every SIMD dispatch level;
- * shorter runs (mixed lengths, tails) take permuteBatch's tail path.
+ * Equal-width Merkle leaves read in place: element j of leaf i sits at
+ * base[i * leafStride + j * elemStride], column-major for a committed
+ * LDE, row-major for packed leaves such as FRI layer pairs.
  */
-void hashNoPadBatch(const std::vector<Fp> *inputs, size_t n,
-                    HashOut *out);
+struct LeafView
+{
+    const Fp *base = nullptr;
+    size_t count = 0;      ///< number of leaves
+    size_t width = 0;      ///< elements per leaf
+    size_t leafStride = 0; ///< elements from leaf i to leaf i + 1
+    size_t elemStride = 0; ///< elements from element j to element j + 1
+
+    /** @p width columns of @p count values each, back to back. */
+    static LeafView
+    columnMajor(const Fp *columns, size_t width, size_t count)
+    {
+        return {columns, count, width, 1, count};
+    }
+
+    /** @p count leaves of @p width values each, back to back. */
+    static LeafView
+    rowMajor(const Fp *rows, size_t width, size_t count)
+    {
+        return {rows, count, width, width, 1};
+    }
+
+    Fp
+    at(size_t leaf, size_t j) const
+    {
+        return base[leaf * leafStride + j * elemStride];
+    }
+
+    /** Leaf @p i gathered into a vector. */
+    std::vector<Fp>
+    leaf(size_t i) const
+    {
+        std::vector<Fp> out(width);
+        for (size_t j = 0; j < width; ++j)
+            out[j] = at(i, j);
+        return out;
+    }
+};
+
+/**
+ * Hash leaves [lo, hi) of @p view into out[0 .. hi - lo) as hashOrNoop
+ * would, kSimdBatchWidth leaves per Poseidon::permuteBatch, byte-
+ * identical at every SIMD level. The Merkle leaf-level entry point.
+ */
+void hashLeaves(const LeafView &view, size_t lo, size_t hi, HashOut *out);
 
 /** Compress two digests into one (interior Merkle node). */
 HashOut hashTwoToOne(const HashOut &left, const HashOut &right);
@@ -81,19 +122,12 @@ void hashTwoToOneBatch(const HashOut *children, size_t pair_count,
 HashOut hashOrNoop(const std::vector<Fp> &inputs);
 
 /**
- * Hash @p n leaves into @p out as hashOrNoop would, batching runs of
- * hashing-path leaves as hashNoPadBatch does; noop-path leaves (length
- * 1..4) are packed directly. The Merkle leaf-level entry point. The
- * pointer-array form hashes leaves that are not contiguous in memory
- * (a verifier's opened values) without copying them; the contiguous
- * form forwards to it.
- * @{
+ * Hash @p n leaves of any lengths into @p out as hashOrNoop would,
+ * batching runs of equal-length hashing-path leaves: the verifier's
+ * entry point, for opened values that are not contiguous in memory.
  */
 void hashOrNoopBatch(const std::vector<Fp> *const *leaves, size_t n,
                      HashOut *out);
-void hashOrNoopBatch(const std::vector<Fp> *leaves, size_t n,
-                     HashOut *out);
-/** @} */
 
 /**
  * Number of Poseidon permutations hashNoPad performs on an input of

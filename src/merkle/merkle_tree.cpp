@@ -6,34 +6,30 @@
 
 namespace unizk {
 
-MerkleTree::MerkleTree(std::vector<std::vector<Fp>> leaves,
-                       uint32_t cap_height)
-    : leaves_(std::move(leaves)), cap_height_(cap_height)
+MerkleTree::MerkleTree(const LeafView &leaves, uint32_t cap_height)
+    : cap_height_(cap_height)
 {
-    unizk_assert(isPowerOfTwo(leaves_.size()),
-                 "leaf count must be a power of two");
-    const uint32_t height = log2Exact(leaves_.size());
+    const size_t count = leaves.count;
+    unizk_assert(isPowerOfTwo(count), "leaf count must be a power of two");
+    const uint32_t height = log2Exact(count);
     unizk_assert(cap_height_ <= height, "cap higher than the tree");
 
     // Leaf digests in parallel: independent Poseidon sponges writing
     // disjoint slots ("Gotta Hash 'Em All": leaf hashing dominates
     // hash-based commitment, so it parallelizes first).
     UNIZK_COUNTER_ADD("merkle.trees", 1);
-    UNIZK_COUNTER_ADD("merkle.leaves", leaves_.size());
+    UNIZK_COUNTER_ADD("merkle.leaves", count);
     const uint32_t top = height - cap_height_;
     levels_.resize(top + 1);
-    levels_[0].resize(leaves_.size());
+    levels_[0].resize(count);
     {
         UNIZK_SPAN("merkle/leaf-hashes");
-        // Each grain hands its whole range to the batch entry point,
-        // which feeds kSimdBatchWidth sponges per permutation. Every
-        // digest depends only on its own leaf, so grain boundaries
-        // (thread count) cannot change a single output byte.
-        parallelFor(0, leaves_.size(), /*grain=*/16,
-                    [&](size_t lo, size_t hi) {
-                        hashOrNoopBatch(&leaves_[lo], hi - lo,
-                                        &levels_[0][lo]);
-                    });
+        // One row range of the view per grain. Every digest depends
+        // only on its own leaf, so grain boundaries (thread count)
+        // cannot change a single output byte.
+        parallelFor(0, count, /*grain=*/16, [&](size_t lo, size_t hi) {
+            hashLeaves(leaves, lo, hi, &levels_[0][lo]);
+        });
     }
 
     // Interior levels, scheduled by subtree (the paper's §5 mapping).
@@ -47,7 +43,7 @@ MerkleTree::MerkleTree(std::vector<std::vector<Fp>> leaves,
     // children, so the split cannot change a digest.
     UNIZK_SPAN("merkle/interior-levels");
     for (uint32_t l = 1; l <= top; ++l)
-        levels_[l].resize(leaves_.size() >> l);
+        levels_[l].resize(count >> l);
     const size_t min_roots = size_t{4} * globalThreadCount();
     uint32_t split = 0;
     while (split < top && levels_[split + 1].size() >= min_roots)
@@ -72,17 +68,10 @@ MerkleTree::MerkleTree(std::vector<std::vector<Fp>> leaves,
     cap_ = levels_.back();
 }
 
-const std::vector<Fp> &
-MerkleTree::leaf(size_t index) const
-{
-    unizk_assert(index < leaves_.size(), "leaf index out of range");
-    return leaves_[index];
-}
-
 MerkleProof
 MerkleTree::prove(size_t leaf_index) const
 {
-    unizk_assert(leaf_index < leaves_.size(), "leaf index out of range");
+    unizk_assert(leaf_index < leafCount(), "leaf index out of range");
     MerkleProof proof;
     size_t idx = leaf_index;
     // Walk up until the cap level.

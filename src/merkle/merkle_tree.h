@@ -3,9 +3,9 @@
  * Poseidon Merkle trees with a configurable cap, as used by Plonky2's
  * FRI commitments and described in Section 5.3 of the paper.
  *
- * Leaves are vectors of field elements (one column-slice of all
- * committed polynomials at a given evaluation point); leaf values are
- * absorbed with the rate-8 sponge, interior nodes use the two-to-one
+ * Leaves (all committed polynomials at one evaluation point) are read
+ * through a LeafView, and only digests are kept; leaves are absorbed
+ * with the rate-8 sponge, interior nodes use the two-to-one
  * compression (4 elements per child + 4 zero pad). Instead of a single
  * root, the top `2^cap_height` nodes (the "cap") form the commitment,
  * shortening authentication paths.
@@ -44,18 +44,15 @@ class MerkleTree
   public:
     /**
      * Build a tree over @p leaves (count must be a power of two and at
-     * least 2^cap_height).
+     * least 2^cap_height). The view is read during construction only.
      */
-    MerkleTree(std::vector<std::vector<Fp>> leaves, uint32_t cap_height);
+    MerkleTree(const LeafView &leaves, uint32_t cap_height);
 
-    size_t leafCount() const { return leaves_.size(); }
+    size_t leafCount() const { return levels_[0].size(); }
     uint32_t capHeight() const { return cap_height_; }
 
     /** The commitment: 2^cap_height digests. */
     const MerkleCap &cap() const { return cap_; }
-
-    /** Leaf data (needed when answering queries). */
-    const std::vector<Fp> &leaf(size_t index) const;
 
     /** Authentication path for @p leaf_index. */
     MerkleProof prove(size_t leaf_index) const;
@@ -90,7 +87,6 @@ class MerkleTree
                                    uint32_t cap_height);
 
   private:
-    std::vector<std::vector<Fp>> leaves_;
     uint32_t cap_height_;
     // levels_[0] = leaf digests; levels_[k] halves each step, stopping
     // at the cap level.

@@ -658,38 +658,16 @@ nttBatchNR(std::vector<std::vector<Fp>> &polys)
     });
 }
 
-std::vector<std::vector<Fp>>
+void
 ldeBatch(const std::vector<std::vector<Fp>> &coeffs, uint32_t blowup,
-         Fp shift)
+         Fp shift, Fp *out)
 {
     checkBatchSizes(coeffs);
     unizk_assert(isPowerOfTwo(blowup), "blowup must be a power of two");
-    const size_t n = coeffs[0].size();
-    const size_t m = n * blowup;
-    std::vector<std::vector<Fp>> out(coeffs.size());
+    const size_t m = coeffs[0].size() * blowup;
     forEachPoly(coeffs.size(), m, [&](size_t p, bool par) {
-        out[p].resize(m);
-        ldeNRInto(coeffs[p], blowup, shift, out[p].data(), par);
+        ldeNRInto(coeffs[p], blowup, shift, out + p * m, par);
     });
-    return out;
-}
-
-std::vector<std::vector<Fp>>
-ldeBatchNN(std::vector<std::vector<Fp>> coeffs, uint32_t blowup, Fp shift)
-{
-    checkBatchSizes(coeffs);
-    unizk_assert(isPowerOfTwo(blowup), "blowup must be a power of two");
-    const size_t n = coeffs[0].size();
-    const size_t m = n * blowup;
-    forEachPoly(coeffs.size(), m, [&](size_t p, bool par) {
-        // The coset split needs the coefficients intact while every
-        // slice is written, so evaluate into a fresh buffer and swap.
-        std::vector<Fp> nr(m);
-        ldeNRInto(coeffs[p], blowup, shift, nr.data(), par);
-        bitrevPermute(nr, par);
-        coeffs[p] = std::move(nr);
-    });
-    return coeffs;
 }
 
 // ---- Reference paths -----------------------------------------------------

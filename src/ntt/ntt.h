@@ -31,12 +31,11 @@
  * regardless of thread count, SIMD level or cache setting, so proofs
  * stay byte-identical.
  *
- * The batch entry points (inttBatchNN / nttBatchNR / ldeBatch /
- * ldeBatchNN) commit a whole set of polynomials with one twiddle
- * acquisition and pick the parallel axis automatically: many small
- * polynomials spread across the pool one-per-worker; the few huge ones
- * recursion produces run sequentially, each transform itself
- * pool-parallel.
+ * The batch entry points (inttBatchNN / nttBatchNR / ldeBatch) commit
+ * a whole set of polynomials with one twiddle acquisition and pick the
+ * parallel axis automatically: many small polynomials spread across the
+ * pool one-per-worker; the few huge ones recursion produces run
+ * sequentially, each transform itself pool-parallel.
  */
 
 #ifndef UNIZK_NTT_NTT_H
@@ -119,17 +118,12 @@ void nttBatchNR(std::vector<std::vector<Fp>> &polys);
 
 /**
  * Coset LDE of every coefficient vector, bit-reversed output (the
- * commit step of FRI): out[p] = lowDegreeExtension(coeffs[p], ...).
+ * commit step of FRI), written column-major: lowDegreeExtension of
+ * coeffs[p] fills out[p * m, (p + 1) * m), m = n * blowup, and nothing
+ * else is read or written.
  */
-std::vector<std::vector<Fp>> ldeBatch(
-    const std::vector<std::vector<Fp>> &coeffs, uint32_t blowup, Fp shift);
-
-/**
- * Coset LDE with natural-order output (the quotient-evaluation domain
- * used by the Plonk/Stark constraint paths). Consumes @p coeffs.
- */
-std::vector<std::vector<Fp>> ldeBatchNN(std::vector<std::vector<Fp>> coeffs,
-                                        uint32_t blowup, Fp shift);
+void ldeBatch(const std::vector<std::vector<Fp>> &coeffs, uint32_t blowup,
+              Fp shift, Fp *out);
 
 /** @} */
 

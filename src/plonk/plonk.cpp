@@ -261,6 +261,8 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
 
     PolynomialBatch z_batch = PolynomialBatch::fromValues(
         std::move(z_values), cfg, ctx, "Z");
+    // Only the public values and the Z products read the witness.
+    per_rep_wires = {};
     proof.zCap = z_batch.cap();
     for (const auto &digest : z_batch.cap())
         challenger.observe(digest);
@@ -269,27 +271,16 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
     record_challenger("alpha");
 
     // ---- Quotient polynomial on the 4n coset domain. ----
+    // Stored bit-reversed, the 4n-point coset is the first 4n values of
+    // every committed LDE column (DESIGN.md §6.11).
+    unizk_assert(quotient_blowup_bits <= cfg.blowupBits,
+                 "the Plonk quotient needs a commitment blowup >= 4");
     const size_t big = n << quotient_blowup_bits;
-    std::vector<Fp> combined(big, Fp::zero());
+    std::vector<Fp> combined(big);
     {
         UNIZK_SPAN("plonk/quotient");
-        ScopedKernelTimer ntt_timer(ctx.breakdown, KernelClass::Ntt);
-        // LDEs of everything we need, natural order. All 8 + 4*reps
-        // source polynomials are independent: gather them into one
-        // batch so the engine picks the parallel axis and builds the
-        // twiddle table once.
-        const size_t num_ldes = 8 + 4 * reps;
-        std::vector<std::vector<Fp>> batch(num_ldes);
-        for (size_t t = 0; t < 5; ++t)
-            batch[t] = key.constants->coefficients(t);
-        for (size_t t = 5; t < 8; ++t)
-            batch[t] = key.constants->coefficients(t);
-        for (size_t t = 0; t < 3 * reps; ++t)
-            batch[8 + t] = wires.coefficients(t);
-        for (size_t t = 0; t < reps; ++t)
-            batch[8 + 3 * reps + t] = z_batch.coefficients(t);
-        const auto ldes = ldeBatchNN(
-            std::move(batch), uint32_t{1} << quotient_blowup_bits, shift);
+        // UniZK computes these coset LDEs, so the trace keeps them; the
+        // CPU reads the committed prefix instead.
         ctx.record(NttKernel{log2Exact(big),
                              8 + 4 * reps, false, true, false,
                              PolyLayout::PolyMajor},
@@ -297,56 +288,36 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
 
         ScopedKernelTimer poly_timer(ctx.breakdown,
                                      KernelClass::Polynomial);
-        // Domain points and L_1 values.
-        const Fp w_big = Fp::primitiveRootOfUnity(log2Exact(big));
-        std::vector<Fp> xs(big);
-        {
-            Fp cur = shift;
-            for (size_t i = 0; i < big; ++i) {
-                xs[i] = cur;
-                cur *= w_big;
-            }
-        }
+        // In the columns' order: domain points, Z_H per stored quarter,
+        // L_row(x) = Z_H(x) * w^row / (n * (x - w^row)) of row 0 (L_1)
+        // and of the public-input rows.
+        const std::vector<Fp> xs = bitReversedCosetPoints(big, shift);
         const std::vector<Fp> z_h =
             vanishingOnCoset(n, uint32_t{1} << quotient_blowup_bits, shift);
-        std::vector<Fp> l1(big);
-        for (size_t i = 0; i < big; ++i)
-            l1[i] = (xs[i] - Fp::one()) * Fp(static_cast<uint64_t>(n));
-        batchInverse(l1);
-        for (size_t i = 0; i < big; ++i)
-            l1[i] *= z_h[i];
-
-        // Lagrange values for the public-input rows over the coset:
-        // L_row(x) = Z_H(x) * w^row / (n * (x - w^row)).
+        auto lagrange_at = [&](Fp point) {
+            std::vector<Fp> l(big);
+            for (size_t i = 0; i < big; ++i)
+                l[i] = (xs[i] - point) * Fp(static_cast<uint64_t>(n));
+            batchInverse(l);
+            for (size_t i = 0; i < big; ++i)
+                l[i] *= z_h[i / n] * point;
+            return l;
+        };
+        const std::vector<Fp> l1 = lagrange_at(Fp::one());
         const auto &pub_rows = circuit.publicRows();
-        std::vector<std::vector<Fp>> l_rows(pub_rows.size());
-        for (size_t k = 0; k < pub_rows.size(); ++k) {
-            const Fp point = w.pow(pub_rows[k]);
-            std::vector<Fp> denom(big);
-            for (size_t i = 0; i < big; ++i)
-                denom[i] =
-                    (xs[i] - point) * Fp(static_cast<uint64_t>(n));
-            batchInverse(denom);
-            l_rows[k].resize(big);
-            for (size_t i = 0; i < big; ++i)
-                l_rows[k][i] = z_h[i] * point * denom[i];
-        }
+        std::vector<std::vector<Fp>> l_rows;
+        for (const size_t row : pub_rows)
+            l_rows.push_back(lagrange_at(w.pow(row)));
 
-        // The constraint combination runs four consecutive points per
-        // lane op (plonk/quotient_kernel.h), dividing by Z_H on the way
-        // out: Z_H has period 4 on the coset, one lane group.
-        static_assert((size_t{1} << quotient_blowup_bits) ==
-                          kSimdBatchWidth,
-                      "Z_H's period on the coset must be one lane group");
         PlonkQuotientInputs in;
         in.points = big;
         in.rotation = size_t{1} << quotient_blowup_bits;
         in.reps = reps;
         in.numPublic = pub_rows.size();
         for (size_t t = 0; t < 5; ++t)
-            in.selectors[t] = ldes[t].data();
+            in.selectors[t] = key.constants->ldeColumn(t);
         for (size_t j = 0; j < 3; ++j) {
-            in.sigmas[j] = ldes[5 + j].data();
+            in.sigmas[j] = key.constants->ldeColumn(5 + j);
             in.betaShift[j] = beta * plonkCosetShift(j);
         }
         in.xs = xs.data();
@@ -357,9 +328,9 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
         in.lagrangePublic = lagrange.data();
         std::vector<const Fp *> wire_cols(3 * reps), z_cols(reps);
         for (size_t t = 0; t < 3 * reps; ++t)
-            wire_cols[t] = ldes[8 + t].data();
+            wire_cols[t] = wires.ldeColumn(t);
         for (size_t r = 0; r < reps; ++r)
-            z_cols[r] = ldes[8 + 3 * reps + r].data();
+            z_cols[r] = z_batch.ldeColumn(r);
         in.wires = wire_cols.data();
         in.z = z_cols.data();
         std::vector<Fp> neg_public(reps * pub_rows.size());
@@ -379,8 +350,8 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
         in.alphas = alphas.data();
         in.beta = beta;
         in.gamma = gamma;
-        for (size_t k = 0; k < kSimdBatchWidth; ++k)
-            in.zhInverse[k] = z_h[k].inverse();
+        for (size_t q = 0; q < 4; ++q)
+            in.zhInverse[q] = z_h[q].inverse();
         plonkQuotient(in, combined.data());
     }
     ctx.record(VecOpKernel{big, static_cast<uint32_t>(8 + 4 * reps), 1,
@@ -392,20 +363,14 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
     {
         ScopedKernelTimer timer(ctx.breakdown, KernelClass::Ntt);
         UNIZK_SPAN("plonk/quotient-intt");
-        cosetInttNN(combined, shift);
+        cosetInttRN(combined, shift); // bit-reversed values in
     }
     ctx.record(NttKernel{log2Exact(big), 1, true, true, false,
                          PolyLayout::PolyMajor},
                "quotient: iNTT");
     // Degree must be below 4n by construction.
-    std::vector<std::vector<Fp>> chunks(plonkQuotientChunks);
-    for (size_t k = 0; k < plonkQuotientChunks; ++k) {
-        chunks[k].assign(
-            combined.begin() + static_cast<std::ptrdiff_t>(k * n),
-            combined.begin() + static_cast<std::ptrdiff_t>((k + 1) * n));
-    }
     PolynomialBatch quotient = PolynomialBatch::fromCoefficients(
-        std::move(chunks), cfg, ctx, "quotient");
+        combined, n, plonkQuotientChunks, cfg, ctx, "quotient");
     proof.quotientCap = quotient.cap();
     for (const auto &digest : quotient.cap())
         challenger.observe(digest);

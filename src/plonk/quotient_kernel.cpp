@@ -8,9 +8,12 @@ void
 plonkQuotientRange(SimdLevel level, const PlonkQuotientInputs &in, Fp *out,
                    size_t lo, size_t hi)
 {
+    unizk_assert(isPowerOfTwo(in.points) && in.points >= 4 &&
+                     in.points >= kSimdBatchWidth,
+                 "quotient domain must be a power of two of >= 4 points "
+                 "and >= one lane group");
     unizk_assert(lo % kSimdBatchWidth == 0 && hi % kSimdBatchWidth == 0 &&
-                     hi <= in.points &&
-                     in.rotation % kSimdBatchWidth == 0,
+                     hi <= in.points,
                  "quotient range must cover whole lane groups");
     unizk_assert(simdLevelAvailable(level),
                  "quotient kernel requested for an unavailable SIMD level");

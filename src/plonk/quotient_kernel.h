@@ -5,15 +5,20 @@
  * quotient domain per lane op, the vector-mode mapping the paper gives
  * element-wise polynomial work (§5).
  *
- * At point i of the 4n coset, with repetition r's wires a, b, c and
+ * At point x of the 4n coset, with repetition r's wires a, b, c and
  * permutation polynomial Z:
  *
  *   gate_r = q_l a + q_r b + q_o c + q_m a b + q_c - sum_k pub_rk L_k
  *   perm_r = Z(w x) prod_j (w_j + beta s_j + gamma)
  *          - Z(x)   prod_j (w_j + beta k_j x + gamma)
  *   l1_r   = L_1 (Z(x) - 1)
- *   out[i] = sum_r (alpha^3r gate_r + alpha^(3r+1) perm_r
+ *   out    = sum_r (alpha^3r gate_r + alpha^(3r+1) perm_r
  *                   + alpha^(3r+2) l1_r) / Z_H(x)
+ *
+ * Columns are the first 4n values of the committed LDE columns, in
+ * bit-reversed order (DESIGN.md §6.11): Z(w x) is read through a
+ * per-block table of rotateBitReversed, and Z_H is constant on each
+ * stored quarter.
  *
  * The kernel is one template over the lane type, instantiated per
  * backend (quotient_kernel.cpp for the scalar lanes, the -mavx2
@@ -30,19 +35,20 @@
 #include <algorithm>
 #include <cstddef>
 
+#include "common/bits.h"
 #include "field/goldilocks_simd.h"
 
 namespace unizk {
 
 /**
- * Columns and constants of the combination, all canonical. Columns are
- * indexed by quotient-domain point and hold `points` values.
+ * Columns and constants of the combination, all canonical. Columns hold
+ * `points` values in bit-reversed order.
  */
 struct PlonkQuotientInputs
 {
-    size_t points = 0;   ///< domain size, a multiple of kSimdBatchWidth
-    size_t rotation = 0; ///< Z(w x_i) = z[(i + rotation) % points];
-                         ///< a multiple of kSimdBatchWidth
+    size_t points = 0;   ///< domain size: a power of two, at least
+                         ///< 4 and kSimdBatchWidth
+    size_t rotation = 0; ///< natural-order steps from x to w x
     size_t reps = 0;
     size_t numPublic = 0;
     const Fp *selectors[5] = {}; ///< q_l, q_r, q_o, q_m, q_c
@@ -61,12 +67,13 @@ struct PlonkQuotientInputs
     Fp betaShift[3];  ///< beta * k_j (plonkCosetShift)
     Fp beta;
     Fp gamma;
-    Fp zhInverse[kSimdBatchWidth]; ///< 1 / Z_H(x_i) at i mod 4
+    /** 1 / Z_H on quarter q of the stored points, [q/4, (q+1)/4). */
+    Fp zhInverse[4];
 };
 
 /**
- * out[i] for i in [lo, hi), both multiples of kSimdBatchWidth, on the
- * lanes of @p level (which must be available).
+ * out[s] for stored points s in [lo, hi), both multiples of
+ * kSimdBatchWidth, on the lanes of @p level (which must be available).
  */
 void plonkQuotientRange(SimdLevel level, const PlonkQuotientInputs &in,
                         Fp *out, size_t lo, size_t hi);
@@ -100,18 +107,21 @@ plonkQuotientGroups(const PlonkQuotientInputs &in, Fp *out, size_t lo,
     V beta_shift[3];
     for (size_t j = 0; j < 3; ++j)
         beta_shift[j] = V::broadcast(in.betaShift[j]);
-    const V zh_inv = V::load(in.zhInverse);
+    const uint32_t log_points = log2Exact(in.points);
 
-    // Per block: the per-point halves of the permutation factors,
-    // beta k_j x + gamma and beta s_j + gamma, shared by every
-    // repetition and canonical so that add() may take them, and one
-    // accumulator per lane group.
+    // Per block, shared by every repetition: the stored index of w x,
+    // the canonical halves beta k_j x + gamma and beta s_j + gamma of
+    // the permutation factors, and one accumulator per lane group.
+    size_t next[kPlonkQuotientBlock];
     V f_pt[3][kGroups], g_pt[3][kGroups], acc[kGroups];
     for (size_t block = lo; block < hi; block += kPlonkQuotientBlock) {
         const size_t groups =
             std::min(hi - block, kPlonkQuotientBlock) / W;
         for (size_t g = 0; g < groups; ++g) {
             const size_t i = block + g * W;
+            for (size_t k = 0; k < W; ++k)
+                next[g * W + k] =
+                    rotateBitReversed(i + k, in.rotation, log_points);
             const V x = V::load(in.xs + i);
             for (size_t j = 0; j < 3; ++j) {
                 f_pt[j][g] =
@@ -132,12 +142,15 @@ plonkQuotientGroups(const PlonkQuotientInputs &in, Fp *out, size_t lo,
             const V alpha2 = V::broadcast(alpha[2]);
             for (size_t g = 0; g < groups; ++g) {
                 const size_t i = block + g * W;
-                const size_t iw = (i + in.rotation) % in.points;
+                const size_t *nx = next + g * W;
                 const V a = V::load(wa + i);
                 const V b = V::load(wb + i);
                 const V c = V::load(wc + i);
                 const V z = V::load(zr + i);
-                const V z_w = V::load(zr + iw);
+                Fp lanes[W];
+                for (size_t k = 0; k < W; ++k)
+                    lanes[k] = zr[nx[k]];
+                const V z_w = V::load(lanes);
 
                 V gate = V::mulAdd(
                     V::mulAdd(
@@ -175,8 +188,15 @@ plonkQuotientGroups(const PlonkQuotientInputs &in, Fp *out, size_t lo,
                 acc[g] = V::add(acc[g], V::canonical(term));
             }
         }
-        for (size_t g = 0; g < groups; ++g)
-            V::mul(acc[g], zh_inv).store(out + block + g * W);
+        // 1 / Z_H per lane, constant per group unless a quarter of the
+        // domain is narrower than one.
+        for (size_t g = 0; g < groups; ++g) {
+            const size_t i = block + g * W;
+            Fp zh_inv[W];
+            for (size_t k = 0; k < W; ++k)
+                zh_inv[k] = in.zhInverse[(i + k) >> (log_points - 2)];
+            V::mul(acc[g], V::load(zh_inv)).store(out + i);
+        }
     }
 }
 

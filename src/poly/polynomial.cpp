@@ -291,21 +291,30 @@ partialProductsGrouped(const std::vector<Fp> &h, size_t group_size)
 }
 
 std::vector<Fp>
+bitReversedCosetPoints(size_t size, Fp shift)
+{
+    const uint32_t log_size = log2Exact(size);
+    const Fp w = Fp::primitiveRootOfUnity(log_size);
+    std::vector<Fp> out(size);
+    Fp cur = shift;
+    for (size_t j = 0; j < size; ++j) {
+        out[reverseBits(j, log_size)] = cur;
+        cur *= w;
+    }
+    return out;
+}
+
+std::vector<Fp>
 vanishingOnCoset(size_t n, uint32_t blowup, Fp shift)
 {
-    // Z_H(shift * w^j) = shift^N * (w^N)^j - 1, periodic with period
-    // `blowup` because w^N has order `blowup` in the big domain.
-    const size_t big = n * blowup;
-    const Fp w_n = Fp::primitiveRootOfUnity(log2Exact(big)).pow(n);
+    // Z_H(shift * w^i) = shift^N * (w^N)^i - 1, w^N of order blowup;
+    // block k of the stored points holds i mod blowup = rev(k).
+    const uint32_t log_blowup = log2Exact(blowup);
+    const Fp w_n = Fp::primitiveRootOfUnity(log2Exact(n * blowup)).pow(n);
     const Fp shift_n = shift.pow(n);
-    std::vector<Fp> out(big);
-    Fp cur = shift_n;
-    for (uint32_t j = 0; j < blowup; ++j) {
-        const Fp val = cur - Fp::one();
-        for (size_t i = j; i < big; i += blowup)
-            out[i] = val;
-        cur *= w_n;
-    }
+    std::vector<Fp> out(blowup);
+    for (uint32_t k = 0; k < blowup; ++k)
+        out[k] = shift_n * w_n.pow(reverseBits(k, log_blowup)) - Fp::one();
     return out;
 }
 

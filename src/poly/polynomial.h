@@ -143,10 +143,16 @@ std::vector<Fp> partialProductsGrouped(const std::vector<Fp> &h,
                                        size_t group_size);
 
 /**
- * Evaluations of the vanishing polynomial Z_H(X) = X^N - 1 of the size-N
- * subgroup H, over the coset shift*K where |K| = N * blowup, in natural
- * order. Z_H is constant on cosets of H inside K, so only `blowup`
- * distinct values exist; this returns the full expanded vector.
+ * The points of the coset shift * K, |K| = @p size, in a committed
+ * LDE's bit-reversed order: out[s] = shift * w^rev(s), w generating K.
+ */
+std::vector<Fp> bitReversedCosetPoints(size_t size, Fp shift);
+
+/**
+ * Z_H(X) = X^N - 1 of the size-N subgroup H over the coset shift*K,
+ * |K| = N * blowup, stored bit-reversed. Z_H depends only on natural
+ * i mod blowup, fixed on each aligned block of N stored points, so
+ * entry k is its value on stored points [k N, (k + 1) N).
  */
 std::vector<Fp> vanishingOnCoset(size_t n, uint32_t blowup, Fp shift);
 

@@ -140,97 +140,22 @@ starkProve(const StarkAir &air,
         std::max<size_t>(1, air.constraintDegree() - 1);
     proof.quotientChunks = num_chunks;
 
-    std::vector<Fp> combined(big, Fp::zero());
+    // Stored bit-reversed, the quotient domain is the first `big` values
+    // of every committed trace LDE column (DESIGN.md §6.11).
+    unizk_assert(q_blowup_bits <= cfg.blowupBits,
+                 "the AIR's quotient blowup exceeds the commitment's");
+    std::vector<Fp> combined(big);
     {
         UNIZK_SPAN("stark/quotient");
-        ScopedKernelTimer ntt_timer(ctx.breakdown, KernelClass::Ntt);
-        std::vector<std::vector<Fp>> trace_coeffs(cols);
-        for (size_t c = 0; c < cols; ++c)
-            trace_coeffs[c] = trace.coefficients(c);
-        const auto lde =
-            ldeBatchNN(std::move(trace_coeffs),
-                       uint32_t{1} << q_blowup_bits, shift);
+        // UniZK computes these coset LDEs, so the trace keeps them; the
+        // CPU reads the committed prefix instead.
         ctx.record(NttKernel{log2Exact(big), cols, false, true, false,
                              PolyLayout::PolyMajor},
                    "quotient: trace coset LDEs");
-
         ScopedKernelTimer poly_timer(ctx.breakdown,
                                      KernelClass::Polynomial);
-        const Fp w_big = Fp::primitiveRootOfUnity(log2Exact(big));
-        const Fp w_last = w.pow(n - 1);
-        const Fp n_fp(static_cast<uint64_t>(n));
-        const size_t rot = size_t{1} << q_blowup_bits;
-
-        // Z_H values on the coset (periodic with period `rot`),
-        // inverted once.
-        const auto z_h_all =
-            vanishingOnCoset(n, uint32_t{1} << q_blowup_bits, shift);
-        std::vector<Fp> z_h_inv(
-            z_h_all.begin(),
-            z_h_all.begin() + static_cast<std::ptrdiff_t>(rot));
-        batchInverse(z_h_inv);
-
-        // (x - 1) and (x - w_last) inverses for boundary terms.
-        std::vector<Fp> xs(big);
-        {
-            Fp cur = shift;
-            for (size_t i = 0; i < big; ++i) {
-                xs[i] = cur;
-                cur *= w_big;
-            }
-        }
-        std::vector<Fp> inv_first(big), inv_last(big);
-        for (size_t i = 0; i < big; ++i) {
-            inv_first[i] = (xs[i] - Fp::one()) * n_fp;
-            inv_last[i] = (xs[i] - w_last) * n_fp;
-        }
-        batchInverse(inv_first);
-        batchInverse(inv_last);
-
-        // The combination's alpha powers are the same at every point:
-        // alpha^t for transition t, then alpha^(T + b) * w^row(b) for
-        // boundary b, computed once. Per point the transitions are one
-        // lazily reduced dot, scaled once by their divisor factor.
-        const auto bounds = air.boundaries();
-        const size_t num_trans = air.numConstraints();
-        std::vector<Fp> trans_alpha(num_trans);
-        std::vector<Fp> bound_coef(bounds.size());
-        {
-            Fp alpha_pow = Fp::one();
-            for (Fp &a : trans_alpha) {
-                a = alpha_pow;
-                alpha_pow *= alpha;
-            }
-            for (size_t b = 0; b < bounds.size(); ++b) {
-                bound_coef[b] =
-                    (bounds[b].lastRow ? w_last : Fp::one()) * alpha_pow;
-                alpha_pow *= alpha;
-            }
-        }
-        // Each quotient-domain point is independent; scratch buffers
-        // live per chunk so worker threads never share state.
-        parallelFor(0, big, /*grain=*/128, [&](size_t lo, size_t hi) {
-            std::vector<Fp> local(cols), next(cols), t_vals(num_trans);
-            for (size_t i = lo; i < hi; ++i) {
-                for (size_t c = 0; c < cols; ++c) {
-                    local[c] = lde[c][i];
-                    next[c] = lde[c][(i + rot) % big];
-                }
-                air.evalTransition(local, next, t_vals);
-                const Fp trans_factor =
-                    (xs[i] - w_last) * z_h_inv[i % rot];
-                Fp acc = trans_factor *
-                         fpDot(trans_alpha.data(), t_vals.data(), num_trans);
-                for (size_t b = 0; b < bounds.size(); ++b) {
-                    const BoundaryConstraint &bc = bounds[b];
-                    const Fp inv =
-                        bc.lastRow ? inv_last[i] : inv_first[i];
-                    acc += (local[bc.column] - bc.value) * inv *
-                           bound_coef[b];
-                }
-                combined[i] = acc;
-            }
-        });
+        starkQuotientValues(air, trace.leafView(), n, q_blowup_bits,
+                            shift, alpha, combined.data());
     }
     ctx.record(VecOpKernel{big, static_cast<uint32_t>(2 * cols), 1,
                            static_cast<uint32_t>(
@@ -241,7 +166,7 @@ starkProve(const StarkAir &air,
     {
         ScopedKernelTimer timer(ctx.breakdown, KernelClass::Ntt);
         UNIZK_SPAN("stark/quotient-intt");
-        cosetInttNN(combined, shift);
+        cosetInttRN(combined, shift); // bit-reversed values in
     }
     ctx.record(NttKernel{log2Exact(big), 1, true, true, false,
                          PolyLayout::PolyMajor},
@@ -250,14 +175,8 @@ starkProve(const StarkAir &air,
         unizk_assert(combined[i].isZero(),
                      "quotient degree exceeds chunk budget");
     }
-    std::vector<std::vector<Fp>> chunks(num_chunks);
-    for (size_t k = 0; k < num_chunks; ++k) {
-        chunks[k].assign(
-            combined.begin() + static_cast<std::ptrdiff_t>(k * n),
-            combined.begin() + static_cast<std::ptrdiff_t>((k + 1) * n));
-    }
     PolynomialBatch quotient = PolynomialBatch::fromCoefficients(
-        std::move(chunks), cfg, ctx, "quotient");
+        combined, n, num_chunks, cfg, ctx, "quotient");
     proof.quotientCap = quotient.cap();
     for (const auto &digest : quotient.cap())
         challenger.observe(digest);
@@ -308,6 +227,76 @@ starkProve(const StarkAir &air,
                          ctx);
     record_challenger("fri");
     return proof;
+}
+
+void
+starkQuotientValues(const StarkAir &air, const LeafView &trace, size_t n,
+                    uint32_t q_bits, Fp shift, Fp alpha, Fp *out)
+{
+    const size_t cols = air.numColumns();
+    const size_t big = n << q_bits;
+    const uint32_t log_big = log2Exact(big);
+    const size_t rot = size_t{1} << q_bits;
+    const Fp w_last = Fp::primitiveRootOfUnity(log2Exact(n)).pow(n - 1);
+    const Fp n_fp(static_cast<uint64_t>(n));
+
+    // Z_H per aligned block of n stored points, inverted once.
+    std::vector<Fp> z_h_inv = vanishingOnCoset(n, uint32_t{1} << q_bits,
+                                               shift);
+    batchInverse(z_h_inv);
+
+    // (x - 1) and (x - w_last) inverses for boundary terms.
+    const std::vector<Fp> xs = bitReversedCosetPoints(big, shift);
+    std::vector<Fp> inv_first(big), inv_last(big);
+    for (size_t i = 0; i < big; ++i) {
+        inv_first[i] = (xs[i] - Fp::one()) * n_fp;
+        inv_last[i] = (xs[i] - w_last) * n_fp;
+    }
+    batchInverse(inv_first);
+    batchInverse(inv_last);
+
+    // The combination's alpha powers are the same at every point:
+    // alpha^t for transition t, then alpha^(T + b) * w^row(b) for
+    // boundary b, computed once. Per point the transitions are one
+    // lazily reduced dot, scaled once by their divisor factor.
+    const auto bounds = air.boundaries();
+    const size_t num_trans = air.numConstraints();
+    std::vector<Fp> trans_alpha(num_trans);
+    std::vector<Fp> bound_coef(bounds.size());
+    {
+        Fp alpha_pow = Fp::one();
+        for (Fp &a : trans_alpha) {
+            a = alpha_pow;
+            alpha_pow *= alpha;
+        }
+        for (size_t b = 0; b < bounds.size(); ++b) {
+            bound_coef[b] =
+                (bounds[b].lastRow ? w_last : Fp::one()) * alpha_pow;
+            alpha_pow *= alpha;
+        }
+    }
+    // Each quotient-domain point is independent; scratch buffers live
+    // per chunk so worker threads never share state.
+    parallelFor(0, big, /*grain=*/128, [&](size_t lo, size_t hi) {
+        std::vector<Fp> local(cols), next(cols), t_vals(num_trans);
+        for (size_t i = lo; i < hi; ++i) {
+            const size_t i_next = rotateBitReversed(i, rot, log_big);
+            for (size_t c = 0; c < cols; ++c) {
+                local[c] = trace.at(i, c);
+                next[c] = trace.at(i_next, c);
+            }
+            air.evalTransition(local, next, t_vals);
+            const Fp trans_factor = (xs[i] - w_last) * z_h_inv[i / n];
+            Fp acc = trans_factor *
+                     fpDot(trans_alpha.data(), t_vals.data(), num_trans);
+            for (size_t b = 0; b < bounds.size(); ++b) {
+                const BoundaryConstraint &bc = bounds[b];
+                const Fp inv = bc.lastRow ? inv_last[i] : inv_first[i];
+                acc += (local[bc.column] - bc.value) * inv * bound_coef[b];
+            }
+            out[i] = acc;
+        }
+    });
 }
 
 bool

@@ -98,6 +98,16 @@ StarkProof starkProve(const StarkAir &air,
 bool starkVerify(const StarkAir &air, const StarkProof &proof,
                  const FriConfig &cfg);
 
+/**
+ * The combined constraint quotient of @p air with challenge @p alpha on
+ * the coset shift * K of n << q_bits points, stored bit-reversed: out[s]
+ * at the point whose trace row is trace.leaf(s), such as the committed
+ * LDE's prefix (DESIGN.md §6.11).
+ */
+void starkQuotientValues(const StarkAir &air, const LeafView &trace,
+                         size_t n, uint32_t q_bits, Fp shift, Fp alpha,
+                         Fp *out);
+
 } // namespace unizk
 
 #endif // UNIZK_STARK_STARK_H

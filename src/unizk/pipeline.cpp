@@ -5,21 +5,6 @@
 
 namespace unizk {
 
-namespace {
-
-/** Bytes of a committed batch: coefficients, LDE leaves, digests. */
-size_t
-batchBytes(const PolynomialBatch &batch)
-{
-    const size_t polys = batch.polyCount();
-    const size_t lde = batch.ldeSize();
-    return polys * batch.degreeBound() * sizeof(Fp) +
-           lde * (polys * sizeof(Fp) + sizeof(std::vector<Fp>)) +
-           2 * lde * sizeof(HashOut);
-}
-
-} // namespace
-
 size_t
 PreparedApp::estimatedBytes() const
 {
@@ -31,7 +16,7 @@ PreparedApp::estimatedBytes() const
     }
     // Five selector and one permutation column in the circuit, three
     // sigma value columns in the key, plus the witness inputs.
-    size_t bytes = batchBytes(*key.constants) + 9 * rows * sizeof(Fp);
+    size_t bytes = key.constants->byteSize() + 9 * rows * sizeof(Fp);
     for (const std::vector<Fp> &inputs : plonk->witnesses)
         bytes += inputs.size() * sizeof(Fp);
     return bytes;

@@ -143,6 +143,44 @@ TEST(PolynomialBatch, LeavesMatchNaiveEvaluation)
     }
 }
 
+TEST(PolynomialBatch, RowGatherMatchesLdeValues)
+{
+    // A query opening gathers one row of the column-major LDE; every
+    // row must hold each polynomial's value at that LDE point, and the
+    // leaf view must read the same buffer.
+    ProverContext ctx;
+    const FriConfig cfg = FriConfig::testing();
+    const PolynomialBatch batch =
+        PolynomialBatch::fromValues(randomValues(5, 32, 17), cfg, ctx, "t");
+    const LeafView view = batch.leafView();
+    ASSERT_EQ(view.count, batch.ldeSize());
+    ASSERT_EQ(view.width, batch.polyCount());
+    for (size_t i = 0; i < batch.ldeSize(); ++i) {
+        const std::vector<Fp> row = view.leaf(i);
+        ASSERT_EQ(row.size(), batch.polyCount());
+        for (size_t p = 0; p < batch.polyCount(); ++p) {
+            ASSERT_EQ(row[p], batch.ldeValue(p, i)) << "row " << i;
+            ASSERT_EQ(view.at(i, p), batch.ldeColumn(p)[i]) << "row " << i;
+        }
+    }
+}
+
+TEST(PolynomialBatch, ByteSizeIsCoefficientsLdeAndDigests)
+{
+    // 3 polynomials of degree bound 8 at blowup 8 (64 LDE points), cap
+    // height 1: 3 * 8 coefficients, 3 * 64 LDE values, and the digests
+    // of levels 64, 32, ..., 2.
+    ProverContext ctx;
+    const FriConfig cfg = FriConfig::testing();
+    ASSERT_EQ(cfg.blowupBits, 3u);
+    ASSERT_EQ(cfg.capHeight, 1u);
+    const PolynomialBatch batch =
+        PolynomialBatch::fromValues(randomValues(3, 8, 18), cfg, ctx, "t");
+    const size_t digests = 64 + 32 + 16 + 8 + 4 + 2;
+    EXPECT_EQ(batch.byteSize(),
+              3 * 8 * sizeof(Fp) + 3 * 64 * sizeof(Fp) + digests * 32);
+}
+
 TEST(PolynomialBatch, EvalExtMatchesBaseFieldEval)
 {
     ProverContext ctx;
@@ -151,7 +189,7 @@ TEST(PolynomialBatch, EvalExtMatchesBaseFieldEval)
         randomValues(2, 8, 9), cfg, ctx, "t");
     const Fp x(12345);
     const Polynomial poly(batch.coefficients(1));
-    EXPECT_EQ(batch.evalExt(1, Fp2(x)), Fp2(poly.eval(x)));
+    EXPECT_EQ(batch.evalAllExt(Fp2(x))[1], Fp2(poly.eval(x)));
 }
 
 /** Restore auto thread count when a test forces a pool size. */
@@ -177,7 +215,7 @@ TEST(PolynomialBatch, EvalAllExtMatchesHornerAtEveryThreadCount)
                         Fp2::zero(), Fp2::one()}) {
         std::vector<Fp2> horner(batch.polyCount());
         for (size_t i = 0; i < horner.size(); ++i)
-            horner[i] = batch.evalExt(i, z);
+            horner[i] = Polynomial(batch.coefficients(i)).evalExt(z);
         for (const unsigned threads : {1u, 2u, 3u, 8u}) {
             const ThreadCountGuard guard(threads);
             EXPECT_EQ(batch.evalAllExt(z), horner)
@@ -199,8 +237,9 @@ TEST(DeepCombination, MatchesPerTermForm)
     size_t total = 0;
     for (const auto &row : rows)
         total += row.size();
-    auto row_at = [&](size_t r) -> const std::vector<Fp> & {
-        return rows[r];
+    // The verifier's one-point form: each row is a one-leaf view.
+    auto view_at = [&](size_t r) {
+        return LeafView::rowMajor(rows[r].data(), rows[r].size(), 1);
     };
 
     std::vector<Fp2> alpha_pows(total + 2);
@@ -221,9 +260,56 @@ TEST(DeepCombination, MatchesPerTermForm)
             for (size_t r = 0; r < count; ++r)
                 for (const Fp v : rows[r])
                     expect += (*pows)[k++] * Fp2(v);
-            EXPECT_EQ(combination.combine(row_at, count), expect)
-                << "rows=" << count;
+            Fp2 got;
+            combination.combine(view_at, count, 0, 1, &got);
+            EXPECT_EQ(got, expect) << "rows=" << count;
         }
+    }
+}
+
+TEST(DeepCombination, ColumnSweepMatchesPerTermFormAtEveryPoint)
+{
+    // The prover's form: column-major batches over a ragged number of
+    // points, combined one block at a time at several block offsets,
+    // against the per-term sum at each point.
+    constexpr size_t kBlock = DeepCombination::kBlock;
+    const size_t points = 2 * kBlock + 37;
+    const std::vector<size_t> widths{135, 0, 3, 17};
+    std::vector<std::vector<Fp>> columns;
+    size_t total = 0;
+    for (const size_t width : widths) {
+        columns.push_back(randomValues(1, width * points, 30 + width)[0]);
+        total += width;
+    }
+    // Sprinkle p - 1 in so that the 128-bit sums wrap.
+    for (size_t i = 0; i < columns[0].size(); i += 3)
+        columns[0][i] = Fp(Fp::modulus - 1);
+    auto view_at = [&](size_t b) {
+        return LeafView::columnMajor(columns[b].data(), widths[b], points);
+    };
+    SplitMix64 rng(31);
+    std::vector<Fp2> pows(total);
+    for (Fp2 &p : pows)
+        p = randomFp2(rng);
+    const DeepCombination combination(pows);
+
+    std::vector<Fp2> expect(points);
+    for (size_t i = 0; i < points; ++i) {
+        size_t k = 0;
+        for (size_t b = 0; b < widths.size(); ++b)
+            for (size_t p = 0; p < widths[b]; ++p)
+                expect[i] += pows[k++] * Fp2(view_at(b).at(i, p));
+    }
+    for (const size_t first : {size_t{0}, size_t{5}, kBlock - 1}) {
+        std::vector<Fp2> got(points);
+        for (size_t lo = 0; lo < points;) {
+            const size_t count =
+                std::min(lo == 0 ? first + 1 : kBlock, points - lo);
+            combination.combine(view_at, widths.size(), lo, count,
+                                &got[lo]);
+            lo += count;
+        }
+        EXPECT_EQ(got, expect) << "first block " << first + 1;
     }
 }
 
@@ -337,7 +423,8 @@ TEST(Fri, ForgedLeafInAnyOneQueryRejected)
     const MerkleTree &tree = f.batch_a->tree();
     std::vector<std::vector<Fp>> leaves;
     for (size_t i = 0; i < tree.leafCount(); ++i)
-        leaves.push_back(tree.leaf(i));
+        leaves.push_back(f.batch_a->leafView().leaf(i));
+    const size_t width = leaves[0].size();
     // The query indices, recovered from the opened (random) leaves.
     std::vector<size_t> indices;
     for (const auto &round : f.proof.queries)
@@ -351,11 +438,17 @@ TEST(Fri, ForgedLeafInAnyOneQueryRejected)
         for (size_t k = 0; k < cfg.numQueries; ++k) {
             auto forged_leaves = leaves;
             forged_leaves[indices[k]][0] += Fp::one();
-            const MerkleTree forged(forged_leaves, tree.capHeight());
+            std::vector<Fp> packed;
+            for (const auto &leaf : forged_leaves)
+                packed.insert(packed.end(), leaf.begin(), leaf.end());
+            const MerkleTree forged(
+                LeafView::rowMajor(packed.data(), width,
+                                   forged_leaves.size()),
+                tree.capHeight());
             auto bad = f.proof;
             for (size_t q = 0; q < cfg.numQueries; ++q) {
                 bad.queries[q].initial[0].values =
-                    forged.leaf(indices[q]);
+                    forged_leaves[indices[q]];
                 bad.queries[q].initial[0].proof = forged.prove(indices[q]);
             }
             auto infos = f.batchInfos();

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "common/bits.h"
 #include "common/rng.h"
@@ -32,6 +33,35 @@ randomLeaves(size_t count, size_t len, uint64_t seed)
     return leaves;
 }
 
+/** How a test packs its leaves into the flat buffer a LeafView reads. */
+enum class Layout
+{
+    RowMajor,
+    ColumnMajor,
+};
+
+/**
+ * A tree over @p leaves, packed into a flat buffer in @p layout
+ * (column-major by default, the layout of a committed LDE). The buffer
+ * dies with the call: the tree keeps digests only.
+ */
+MerkleTree
+treeOver(const std::vector<std::vector<Fp>> &leaves, uint32_t cap_h,
+         Layout layout = Layout::ColumnMajor)
+{
+    const size_t count = leaves.size();
+    const size_t width = leaves.at(0).size();
+    const bool rows = layout == Layout::RowMajor;
+    std::vector<Fp> flat(count * width);
+    for (size_t i = 0; i < count; ++i)
+        for (size_t j = 0; j < width; ++j)
+            flat[rows ? i * width + j : j * count + i] = leaves[i][j];
+    return MerkleTree(rows ? LeafView::rowMajor(flat.data(), width, count)
+                           : LeafView::columnMajor(flat.data(), width,
+                                                   count),
+                      cap_h);
+}
+
 class MerkleShapes
     : public ::testing::TestWithParam<std::tuple<size_t, size_t, uint32_t>>
 {};
@@ -41,7 +71,7 @@ TEST_P(MerkleShapes, AllLeavesVerify)
     const auto [count, len, cap_h] = GetParam();
     const auto leaves = randomLeaves(count, len, count + len);
     const uint32_t height = log2Exact(count);
-    MerkleTree tree(leaves, cap_h);
+    const MerkleTree tree = treeOver(leaves, cap_h);
     EXPECT_EQ(tree.cap().size(), size_t{1} << cap_h);
     for (size_t i = 0; i < count; ++i) {
         const auto proof = tree.prove(i);
@@ -63,7 +93,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Merkle, TamperedLeafFails)
 {
     const auto leaves = randomLeaves(16, 7, 1);
-    MerkleTree tree(leaves, 1);
+    const MerkleTree tree = treeOver(leaves, 1);
     const auto proof = tree.prove(5);
     auto bad = leaves[5];
     bad[3] += Fp::one();
@@ -73,38 +103,38 @@ TEST(Merkle, TamperedLeafFails)
 TEST(Merkle, WrongIndexFails)
 {
     const auto leaves = randomLeaves(16, 7, 2);
-    MerkleTree tree(leaves, 0);
+    const MerkleTree tree = treeOver(leaves, 0);
     const auto proof = tree.prove(5);
     EXPECT_FALSE(
-        MerkleTree::verify(tree.leaf(5), 6, proof, tree.cap(), 4));
+        MerkleTree::verify(leaves[5], 6, proof, tree.cap(), 4));
 }
 
 TEST(Merkle, TamperedSiblingFails)
 {
     const auto leaves = randomLeaves(16, 7, 3);
-    MerkleTree tree(leaves, 0);
+    const MerkleTree tree = treeOver(leaves, 0);
     auto proof = tree.prove(9);
     proof.siblings[1].elems[0] += Fp::one();
     EXPECT_FALSE(
-        MerkleTree::verify(tree.leaf(9), 9, proof, tree.cap(), 4));
+        MerkleTree::verify(leaves[9], 9, proof, tree.cap(), 4));
 }
 
 TEST(Merkle, WrongCapFails)
 {
     const auto leaves = randomLeaves(8, 7, 4);
-    MerkleTree tree(leaves, 1);
+    const MerkleTree tree = treeOver(leaves, 1);
     const auto proof = tree.prove(2);
     auto cap = tree.cap();
     cap[0].elems[0] += Fp::one();
     // Index 2 maps to cap entry 0; corrupting it must break
     // verification.
-    EXPECT_FALSE(MerkleTree::verify(tree.leaf(2), 2, proof, cap, 3));
+    EXPECT_FALSE(MerkleTree::verify(leaves[2], 2, proof, cap, 3));
 }
 
 TEST(Merkle, ProofLengthMatchesHeightMinusCap)
 {
     const auto leaves = randomLeaves(64, 3, 5);
-    MerkleTree tree(leaves, 2);
+    const MerkleTree tree = treeOver(leaves, 2);
     EXPECT_EQ(tree.prove(0).siblings.size(), 4u); // log2(64) - 2
 }
 
@@ -113,7 +143,7 @@ TEST(Merkle, CapAtLeafLevel)
     // cap_height == tree height: the cap IS the leaf hashes, proofs are
     // empty.
     const auto leaves = randomLeaves(8, 6, 6);
-    MerkleTree tree(leaves, 3);
+    const MerkleTree tree = treeOver(leaves, 3);
     const auto proof = tree.prove(4);
     EXPECT_TRUE(proof.siblings.empty());
     EXPECT_TRUE(MerkleTree::verify(leaves[4], 4, proof, tree.cap(), 3));
@@ -122,8 +152,8 @@ TEST(Merkle, CapAtLeafLevel)
 TEST(Merkle, DeterministicCap)
 {
     const auto leaves = randomLeaves(16, 5, 7);
-    MerkleTree t1(leaves, 1);
-    MerkleTree t2(leaves, 1);
+    const MerkleTree t1 = treeOver(leaves, 1);
+    const MerkleTree t2 = treeOver(leaves, 1);
     EXPECT_EQ(t1.cap()[0], t2.cap()[0]);
     EXPECT_EQ(t1.cap()[1], t2.cap()[1]);
 }
@@ -131,9 +161,9 @@ TEST(Merkle, DeterministicCap)
 TEST(Merkle, DifferentLeavesDifferentCap)
 {
     auto leaves = randomLeaves(16, 5, 8);
-    MerkleTree t1(leaves, 0);
+    const MerkleTree t1 = treeOver(leaves, 0);
     leaves[11][0] += Fp::one();
-    MerkleTree t2(leaves, 0);
+    const MerkleTree t2 = treeOver(leaves, 0);
     EXPECT_NE(t1.cap()[0], t2.cap()[0]);
 }
 
@@ -177,7 +207,7 @@ TEST(Merkle, TruncatedProofInteriorNodeForgeryFails)
     // not check the proof length against the tree height accepts a
     // statement about a leaf that was never committed.
     const auto leaves = randomLeaves(8, 4, 10);
-    MerkleTree tree(leaves, 0);
+    const MerkleTree tree = treeOver(leaves, 0);
 
     // Recompute the two children of the root by hand.
     std::array<HashOut, 8> d;
@@ -210,32 +240,32 @@ TEST(Merkle, TruncatedProofInteriorNodeForgeryFails)
 TEST(Merkle, WrongProofLengthFails)
 {
     const auto leaves = randomLeaves(16, 7, 11);
-    MerkleTree tree(leaves, 1);
+    const MerkleTree tree = treeOver(leaves, 1);
     auto proof = tree.prove(3);
     ASSERT_EQ(proof.siblings.size(), 3u);
 
     auto short_proof = proof;
     short_proof.siblings.pop_back();
-    EXPECT_FALSE(MerkleTree::verify(tree.leaf(3), 3, short_proof,
+    EXPECT_FALSE(MerkleTree::verify(leaves[3], 3, short_proof,
                                     tree.cap(), 4));
 
     auto long_proof = proof;
     long_proof.siblings.push_back(HashOut{});
-    EXPECT_FALSE(MerkleTree::verify(tree.leaf(3), 3, long_proof,
+    EXPECT_FALSE(MerkleTree::verify(leaves[3], 3, long_proof,
                                     tree.cap(), 4));
 
     // Out-of-range leaf index for the claimed height is also rejected.
-    EXPECT_FALSE(MerkleTree::verify(tree.leaf(3), 16 + 3, proof,
+    EXPECT_FALSE(MerkleTree::verify(leaves[3], 16 + 3, proof,
                                     tree.cap(), 4));
 
     EXPECT_TRUE(
-        MerkleTree::verify(tree.leaf(3), 3, proof, tree.cap(), 4));
+        MerkleTree::verify(leaves[3], 3, proof, tree.cap(), 4));
 }
 
 TEST(Merkle, ProofByteSize)
 {
     const auto leaves = randomLeaves(16, 5, 9);
-    MerkleTree tree(leaves, 0);
+    const MerkleTree tree = treeOver(leaves, 0);
     EXPECT_EQ(tree.prove(0).byteSize(), 4 * HashOut::byteSize());
 }
 
@@ -269,8 +299,9 @@ class MerkleDifferential : public ::testing::TestWithParam<size_t>
 TEST_P(MerkleDifferential, MatchesLevelByLevelOracle)
 {
     // The subtree-scheduled build against the oracle for every height,
-    // cap and thread count: the split level and the chunk boundaries
-    // move with the height and the thread count, the digests must not.
+    // cap, thread count and leaf layout: the split level and the chunk
+    // boundaries move with the height and the thread count, and the
+    // view's strides with the layout; the digests must not.
     const size_t width = GetParam();
     for (uint32_t height = 0; height <= 12; ++height) {
         const auto leaves =
@@ -280,19 +311,25 @@ TEST_P(MerkleDifferential, MatchesLevelByLevelOracle)
             setGlobalThreadCount(threads);
             for (uint32_t cap_h = 0; cap_h <= std::min(height, 4u);
                  ++cap_h) {
-                const MerkleTree tree(leaves, cap_h);
-                ASSERT_EQ(tree.cap(), oracle[height - cap_h])
-                    << "height=" << height << " cap=" << cap_h
-                    << " threads=" << threads;
-                for (size_t i = 0; i < leaves.size(); ++i) {
-                    const auto proof = tree.prove(i);
-                    ASSERT_EQ(proof.siblings.size(), height - cap_h);
-                    for (uint32_t l = 0; l < height - cap_h; ++l)
-                        ASSERT_EQ(proof.siblings[l],
-                                  oracle[l][(i >> l) ^ 1])
-                            << "height=" << height << " cap=" << cap_h
-                            << " threads=" << threads << " leaf=" << i
-                            << " level=" << l;
+                for (const Layout layout :
+                     {Layout::RowMajor, Layout::ColumnMajor}) {
+                    const std::string where =
+                        "height=" + std::to_string(height) +
+                        " cap=" + std::to_string(cap_h) +
+                        " threads=" + std::to_string(threads) +
+                        " layout=" +
+                        std::to_string(static_cast<int>(layout));
+                    const MerkleTree tree = treeOver(leaves, cap_h, layout);
+                    ASSERT_EQ(tree.cap(), oracle[height - cap_h]) << where;
+                    for (size_t i = 0; i < leaves.size(); ++i) {
+                        const auto proof = tree.prove(i);
+                        ASSERT_EQ(proof.siblings.size(), height - cap_h);
+                        for (uint32_t l = 0; l < height - cap_h; ++l)
+                            ASSERT_EQ(proof.siblings[l],
+                                      oracle[l][(i >> l) ^ 1])
+                                << where << " leaf=" << i
+                                << " level=" << l;
+                    }
                 }
             }
         }
@@ -394,7 +431,7 @@ openingBatches(size_t width)
         const auto leaves =
             randomLeaves(size_t{1} << height, width, 31 * height + width);
         for (uint32_t cap_h = 0; cap_h <= std::min(height, 4u); ++cap_h) {
-            const MerkleTree tree(leaves, cap_h);
+            const MerkleTree tree = treeOver(leaves, cap_h);
             const uint32_t path = height - cap_h;
             for (size_t n = 1; n <= 9; ++n) {
                 OpeningBatch base;

@@ -29,6 +29,22 @@ randomVector(size_t n, uint64_t seed)
     return v;
 }
 
+/** ldeBatch's column-major output, split into one vector per polynomial. */
+std::vector<std::vector<Fp>>
+ldeColumns(const std::vector<std::vector<Fp>> &coeffs, uint32_t blowup,
+           Fp shift)
+{
+    const size_t m = coeffs[0].size() * blowup;
+    std::vector<Fp> flat(coeffs.size() * m);
+    ldeBatch(coeffs, blowup, shift, flat.data());
+    std::vector<std::vector<Fp>> out;
+    for (size_t p = 0; p < coeffs.size(); ++p)
+        out.emplace_back(flat.begin() + static_cast<std::ptrdiff_t>(p * m),
+                         flat.begin() +
+                             static_cast<std::ptrdiff_t>((p + 1) * m));
+    return out;
+}
+
 Fp
 randomShift(uint64_t seed)
 {
@@ -210,15 +226,9 @@ TEST(Ntt, LdeCosetSplitMatchesPaddedTransform)
                     << "n=" << n << " blowup=" << blowup;
 
                 const std::vector<std::vector<Fp>> batch{coeffs, coeffs};
-                const auto nr = ldeBatch(batch, blowup, shift);
+                const auto nr = ldeColumns(batch, blowup, shift);
                 EXPECT_EQ(nr[0], padded);
                 EXPECT_EQ(nr[1], padded);
-
-                auto nn_expect = padded;
-                bitReversePermute(nn_expect);
-                const auto nn = ldeBatchNN(batch, blowup, shift);
-                EXPECT_EQ(nn[0], nn_expect);
-                EXPECT_EQ(nn[1], nn_expect);
             }
         }
     }
@@ -522,15 +532,46 @@ TEST(NttBatch, MatchesPerPolyEntryPoints)
         EXPECT_EQ(batch[p], one) << "nttBatchNR poly " << p;
     }
 
-    const auto ldes = ldeBatch(polys, blowup, shift);
-    const auto ldes_nn = ldeBatchNN(polys, blowup, shift);
+    const auto ldes = ldeColumns(polys, blowup, shift);
     for (size_t p = 0; p < polys.size(); ++p) {
         EXPECT_EQ(ldes[p], lowDegreeExtension(polys[p], blowup, shift))
             << "ldeBatch poly " << p;
-        auto nn = polys[p];
-        nn.resize(n * blowup, Fp::zero());
-        cosetNttNN(nn, shift);
-        EXPECT_EQ(ldes_nn[p], nn) << "ldeBatchNN poly " << p;
+    }
+}
+
+TEST(NttBatch, CommittedLdePrefixIsTheSmallerBlowupLde)
+{
+    // The quotient evaluators read the first n * 2^q values of a column
+    // committed at blowup 2^b >= 2^q as the blowup-2^q LDE: in
+    // bit-reversed order, stored index s < n * 2^q has its top b - q
+    // bits clear, so rev_b(s) = 2^(b-q) * rev_q(s), and
+    // shift * w_{n 2^b}^(2^(b-q) rev_q(s)) = shift * w_{n 2^q}^rev_q(s).
+    const Fp shift = defaultCosetShift();
+    for (const size_t n : {size_t{4}, size_t{32}, size_t{8192}}) {
+        std::vector<std::vector<Fp>> polys(3);
+        for (size_t p = 0; p < polys.size(); ++p)
+            polys[p] = randomVector(n, 8000 + n + p);
+        for (const uint32_t b : {1u, 3u}) {
+            const auto committed = ldeColumns(polys, uint32_t{1} << b, shift);
+            for (const uint32_t q : {1u, 3u}) {
+                if (q > b)
+                    continue;
+                const auto smaller = ldeColumns(polys, uint32_t{1} << q, shift);
+                for (size_t p = 0; p < polys.size(); ++p) {
+                    auto natural = smaller[p];
+                    bitReversePermute(natural);
+                    auto coset = polys[p];
+                    coset.resize(n << q, Fp::zero());
+                    cosetNttNN(coset, shift);
+                    ASSERT_EQ(natural, coset) << "n=" << n << " q=" << q;
+                    ASSERT_TRUE(std::equal(smaller[p].begin(),
+                                           smaller[p].end(),
+                                           committed[p].begin()))
+                        << "n=" << n << " q=" << q << " b=" << b
+                        << " poly " << p;
+                }
+            }
+        }
     }
 }
 
@@ -621,9 +662,9 @@ allVariants(const std::vector<Fp> &orig, Fp shift)
     }
     std::vector<std::vector<Fp>> polys{orig, orig};
     std::reverse(polys[1].begin(), polys[1].end());
-    for (auto &v : ldeBatch(polys, 2, g))
+    for (auto &v : ldeColumns(polys, 2, g))
         out.push_back(std::move(v));
-    for (auto &v : ldeBatchNN(polys, 2, shift))
+    for (auto &v : ldeColumns(polys, 2, shift))
         out.push_back(std::move(v));
     auto batch = polys;
     inttBatchNN(batch);

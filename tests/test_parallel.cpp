@@ -74,12 +74,11 @@ TEST(ParallelDeterminism, MerkleCapIdenticalAcrossThreadCounts)
 {
     ThreadCountGuard guard;
     SplitMix64 rng(13);
-    std::vector<std::vector<Fp>> leaves(256);
-    for (auto &leaf : leaves) {
-        leaf.resize(135); // the paper's wide-leaf shape
-        for (auto &x : leaf)
-            x = randomFp(rng);
-    }
+    // 256 leaves of the paper's wide-leaf shape, column-major.
+    std::vector<Fp> columns(135 * 256);
+    for (auto &x : columns)
+        x = randomFp(rng);
+    const LeafView leaves = LeafView::columnMajor(columns.data(), 135, 256);
 
     std::vector<MerkleCap> caps;
     for (const unsigned threads : kThreadCounts) {

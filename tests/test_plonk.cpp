@@ -363,12 +363,18 @@ TEST(PlonkPublicInputs, UnsatisfiedPublicBindingCaughtAtProver)
 
 // ---- The quotient's lane kernel against the scalar constraint loop.
 
-/** Owns the columns and constants a PlonkQuotientInputs points into. */
+/**
+ * Owns the columns and constants of one quotient case: `natural` points
+ * into natural-order columns for the scalar loop, `in` into bit-reversed
+ * copies for the kernel, the order of a committed LDE's prefix.
+ */
 struct QuotientCase
 {
-    std::vector<std::vector<Fp>> cols;
+    std::vector<std::vector<Fp>> cols, rev_cols;
     std::vector<const Fp *> lagrange, wires, z;
+    std::vector<const Fp *> rev_lagrange, rev_wires, rev_z;
     std::vector<Fp> neg_public, alphas;
+    PlonkQuotientInputs natural; ///< zhInverse[i mod 4] at point i
     PlonkQuotientInputs in;
 
     QuotientCase(size_t points, size_t reps, size_t pubs, uint64_t seed)
@@ -386,43 +392,67 @@ struct QuotientCase
         // 5 selectors, 3 sigmas, xs, l1, pubs Lagrange columns, 3 reps
         // wires, reps Z columns.
         const size_t num_cols = 10 + pubs + 4 * reps;
-        for (size_t t = 0; t < num_cols; ++t)
+        for (size_t t = 0; t < num_cols; ++t) {
             cols.push_back(column());
-        in.points = points;
-        in.rotation = kSimdBatchWidth;
-        in.reps = reps;
-        in.numPublic = pubs;
-        for (size_t t = 0; t < 5; ++t)
-            in.selectors[t] = cols[t].data();
-        for (size_t j = 0; j < 3; ++j)
-            in.sigmas[j] = cols[5 + j].data();
-        in.xs = cols[8].data();
-        in.l1 = cols[9].data();
-        for (size_t k = 0; k < pubs; ++k)
-            lagrange.push_back(cols[10 + k].data());
-        for (size_t t = 0; t < 3 * reps; ++t)
-            wires.push_back(cols[10 + pubs + t].data());
-        for (size_t r = 0; r < reps; ++r)
-            z.push_back(cols[10 + pubs + 3 * reps + r].data());
-        in.lagrangePublic = lagrange.data();
-        in.wires = wires.data();
-        in.z = z.data();
+            rev_cols.push_back(cols.back());
+            bitReversePermute(rev_cols.back());
+        }
         for (size_t t = 0; t < reps * pubs; ++t)
             neg_public.push_back(-randomFp(rng));
-        in.negPublic = neg_public.data();
         for (size_t t = 0; t < 3 * reps; ++t)
             alphas.push_back(t == 1 ? Fp(Fp::modulus - 1) : randomFp(rng));
-        in.alphas = alphas.data();
-        in.beta = randomFp(rng);
-        in.gamma = randomFp(rng);
-        for (size_t j = 0; j < 3; ++j)
-            in.betaShift[j] = in.beta * plonkCosetShift(j);
-        for (Fp &v : in.zhInverse)
+        natural.beta = randomFp(rng);
+        natural.gamma = randomFp(rng);
+        for (Fp &v : natural.zhInverse)
             v = randomFp(rng);
+        bindColumns(natural, cols, lagrange, wires, z, points, reps, pubs);
+        in = natural;
+        bindColumns(in, rev_cols, rev_lagrange, rev_wires, rev_z, points,
+                    reps, pubs);
+        // Stored quarter q holds the natural points i with
+        // i mod 4 = rev_2(q).
+        for (size_t q = 0; q < 4; ++q)
+            in.zhInverse[q] = natural.zhInverse[reverseBits(q, 2)];
+    }
+
+    /** Point @p x at columns @p c and the shared constants. */
+    void
+    bindColumns(PlonkQuotientInputs &x,
+                const std::vector<std::vector<Fp>> &c,
+                std::vector<const Fp *> &lag, std::vector<const Fp *> &w,
+                std::vector<const Fp *> &zs, size_t points, size_t reps,
+                size_t pubs)
+    {
+        x.points = points;
+        x.rotation = 4;
+        x.reps = reps;
+        x.numPublic = pubs;
+        for (size_t t = 0; t < 5; ++t)
+            x.selectors[t] = c[t].data();
+        for (size_t j = 0; j < 3; ++j)
+            x.sigmas[j] = c[5 + j].data();
+        x.xs = c[8].data();
+        x.l1 = c[9].data();
+        for (size_t k = 0; k < pubs; ++k)
+            lag.push_back(c[10 + k].data());
+        for (size_t t = 0; t < 3 * reps; ++t)
+            w.push_back(c[10 + pubs + t].data());
+        for (size_t r = 0; r < reps; ++r)
+            zs.push_back(c[10 + pubs + 3 * reps + r].data());
+        x.lagrangePublic = lag.data();
+        x.wires = w.data();
+        x.z = zs.data();
+        x.negPublic = neg_public.data();
+        x.alphas = alphas.data();
+        for (size_t j = 0; j < 3; ++j)
+            x.betaShift[j] = x.beta * plonkCosetShift(j);
     }
 };
 
-/** The prover's scalar constraint loop, reducing every operation. */
+/**
+ * The prover's former scalar constraint loop over natural-order
+ * columns, reducing every operation.
+ */
 std::vector<Fp>
 scalarQuotient(const PlonkQuotientInputs &in)
 {
@@ -453,7 +483,7 @@ scalarQuotient(const PlonkQuotientInputs &in)
             acc += gate * in.alphas[3 * r] + perm * in.alphas[3 * r + 1] +
                    l1_term * in.alphas[3 * r + 2];
         }
-        out[i] = acc * in.zhInverse[i % kSimdBatchWidth];
+        out[i] = acc * in.zhInverse[i % 4];
     }
     return out;
 }
@@ -475,15 +505,21 @@ struct QuotientThreadGuard
 
 TEST(PlonkQuotientKernel, MatchesScalarLoopAtEveryLevelAndThreadCount)
 {
+    // The kernel reads bit-reversed columns and writes bit-reversed
+    // values; bit-reversed back, they must be the natural-order loop's.
+    // Domains of 4 to 64 points put several Z_H quarters (4 of them
+    // narrower than one lane group) inside one 256-point block.
     std::vector<SimdLevel> levels{SimdLevel::Scalar};
     if (simdLevelAvailable(SimdLevel::Avx2))
         levels.push_back(SimdLevel::Avx2);
     uint64_t seed = 40;
-    for (const size_t points : {size_t{4}, size_t{8}, size_t{1024}}) {
+    for (const size_t points :
+         {size_t{4}, size_t{8}, size_t{16}, size_t{64}, size_t{1024}}) {
         for (const size_t reps : {size_t{1}, size_t{2}, size_t{3}}) {
             for (const size_t pubs : {size_t{0}, size_t{1}, size_t{2}}) {
                 const QuotientCase qc(points, reps, pubs, ++seed);
-                const auto expect = scalarQuotient(qc.in);
+                auto expect = scalarQuotient(qc.natural);
+                bitReversePermute(expect);
                 for (const SimdLevel level : levels) {
                     for (const unsigned threads : {1u, 2u, 3u, 8u}) {
                         const QuotientThreadGuard guard(level, threads);

@@ -217,16 +217,24 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Vanishing, MatchesDirectEvaluation)
 {
+    // One value per block of n stored points of the bit-reversed coset.
     const size_t n = 16;
     const uint32_t blowup = 4;
     const Fp shift = defaultCosetShift();
     const auto z = vanishingOnCoset(n, blowup, shift);
-    ASSERT_EQ(z.size(), n * blowup);
-    const Fp w = Fp::primitiveRootOfUnity(log2Exact(n * blowup));
-    for (size_t i = 0; i < z.size(); ++i) {
-        const Fp x = shift * w.pow(i);
-        EXPECT_EQ(z[i], x.pow(n) - Fp::one());
-    }
+    ASSERT_EQ(z.size(), blowup);
+    const auto xs = bitReversedCosetPoints(n * blowup, shift);
+    for (size_t s = 0; s < xs.size(); ++s)
+        EXPECT_EQ(z[s / n], xs[s].pow(n) - Fp::one()) << "stored " << s;
+}
+
+TEST(BitReversedCosetPoints, StoresPointRevS)
+{
+    const Fp shift = defaultCosetShift();
+    const auto xs = bitReversedCosetPoints(64, shift);
+    const Fp w = Fp::primitiveRootOfUnity(6);
+    for (size_t s = 0; s < xs.size(); ++s)
+        EXPECT_EQ(xs[s], shift * w.pow(reverseBits(s, 6))) << s;
 }
 
 TEST(Vanishing, NonzeroEverywhereOnCoset)

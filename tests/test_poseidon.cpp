@@ -503,7 +503,7 @@ TEST(SimdDispatch, BatchHashingMatchesScalarHashing)
     // The hashing.h batch entry points against their scalar
     // counterparts, covering equal-length runs, mixed lengths (which
     // force the scalar fallback inside the batcher), noop-path leaves,
-    // empty inputs, and ragged tails.
+    // empty inputs, ragged tails, and leaf views of every path.
     SplitMix64 rng(42);
     std::vector<std::vector<Fp>> inputs;
     for (const size_t len : {135u, 135u, 135u, 135u, 135u, 8u, 9u, 0u,
@@ -520,16 +520,30 @@ TEST(SimdDispatch, BatchHashingMatchesScalarHashing)
 
     for (const SimdLevel level : levels) {
         withSimdLevel(level, [&] {
+            std::vector<const std::vector<Fp> *> ptrs;
+            for (const auto &in : inputs)
+                ptrs.push_back(&in);
             std::vector<HashOut> batch(inputs.size());
-            hashNoPadBatch(inputs.data(), inputs.size(), batch.data());
-            for (size_t i = 0; i < inputs.size(); ++i)
-                EXPECT_EQ(batch[i], hashNoPad(inputs[i]))
-                    << simdLevelName(level) << " input " << i;
-
-            hashOrNoopBatch(inputs.data(), inputs.size(), batch.data());
+            hashOrNoopBatch(ptrs.data(), inputs.size(), batch.data());
             for (size_t i = 0; i < inputs.size(); ++i)
                 EXPECT_EQ(batch[i], hashOrNoop(inputs[i]))
                     << simdLevelName(level) << " input " << i;
+
+            // The leaf view over 7 leaves per width (a full batch and a
+            // ragged tail), from a column-major matrix, at an offset.
+            for (const size_t width : {0u, 3u, 4u, 5u, 8u, 9u, 135u}) {
+                std::vector<Fp> columns(width * 9);
+                for (Fp &x : columns)
+                    x = randomFp(rng);
+                const LeafView view =
+                    LeafView::columnMajor(columns.data(), width, 9);
+                std::vector<HashOut> digests(7);
+                hashLeaves(view, 2, 9, digests.data());
+                for (size_t i = 0; i < 7; ++i)
+                    EXPECT_EQ(digests[i], hashOrNoop(view.leaf(2 + i)))
+                        << simdLevelName(level) << " width " << width
+                        << " leaf " << 2 + i;
+            }
 
             // Two-to-one over 9 pairs: two full batches + ragged tail.
             std::vector<HashOut> children(18);

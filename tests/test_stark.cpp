@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/bits.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "stark/stark.h"
 
 namespace unizk {
@@ -266,6 +269,100 @@ TEST(Stark, RecordsTraceKernels)
     for (const auto &op : recorder.trace().ops)
         merkles += std::string(kernelPayloadName(op.payload)) == "merkle";
     EXPECT_GE(merkles, 2u); // trace + quotient + FRI layers
+}
+
+/**
+ * The prover's former quotient loop: trace columns on the quotient
+ * domain in natural order, value i at the point shift * w^i.
+ */
+std::vector<Fp>
+naturalOrderQuotient(const StarkAir &air,
+                     const std::vector<std::vector<Fp>> &lde, size_t n,
+                     uint32_t q_bits, Fp shift, Fp alpha)
+{
+    const size_t cols = air.numColumns();
+    const size_t big = n << q_bits;
+    const size_t rot = size_t{1} << q_bits;
+    const Fp w_big = Fp::primitiveRootOfUnity(log2Exact(big));
+    const Fp w_last = Fp::primitiveRootOfUnity(log2Exact(n)).pow(n - 1);
+    const Fp n_fp(static_cast<uint64_t>(n));
+    const auto bounds = air.boundaries();
+    std::vector<Fp> out(big);
+    std::vector<Fp> local(cols), next(cols),
+        t_vals(air.numConstraints());
+    Fp x = shift;
+    for (size_t i = 0; i < big; ++i, x *= w_big) {
+        for (size_t c = 0; c < cols; ++c) {
+            local[c] = lde[c][i];
+            next[c] = lde[c][(i + rot) % big];
+        }
+        air.evalTransition(local, next, t_vals);
+        const Fp trans_factor =
+            (x - w_last) * (x.pow(n) - Fp::one()).inverse();
+        Fp acc;
+        Fp alpha_pow = Fp::one();
+        for (const Fp &t : t_vals) {
+            acc += t * trans_factor * alpha_pow;
+            alpha_pow *= alpha;
+        }
+        for (const BoundaryConstraint &bc : bounds) {
+            const Fp point = bc.lastRow ? w_last : Fp::one();
+            acc += (local[bc.column] - bc.value) *
+                   ((x - point) * n_fp).inverse() * point * alpha_pow;
+            alpha_pow *= alpha;
+        }
+        out[i] = acc;
+    }
+    return out;
+}
+
+TEST(StarkQuotient, MatchesNaturalOrderLoopAtEveryThreadCount)
+{
+    // starkQuotientValues reads bit-reversed columns (the committed
+    // LDE's prefix) and writes bit-reversed values; bit-reversed back,
+    // they must be the natural-order loop's. Degree 2 (q = 1) and
+    // degree 3 (q = 2) AIRs, domains down to one Z_H block per lane.
+    SplitMix64 rng(77);
+    const FibonacciAir fib(randomFp(rng));
+    const CubeAir cube(randomFp(rng), randomFp(rng));
+    for (const StarkAir *air : {static_cast<const StarkAir *>(&fib),
+                                static_cast<const StarkAir *>(&cube)}) {
+        const uint32_t q_bits =
+            std::max<uint32_t>(1, ceilLog2(air->constraintDegree()));
+        for (const size_t n : {size_t{2}, size_t{4}, size_t{64},
+                               size_t{1024}}) {
+            const size_t big = n << q_bits;
+            // Natural columns, and the same columns bit-reversed in one
+            // column-major matrix.
+            std::vector<std::vector<Fp>> natural(air->numColumns());
+            std::vector<Fp> stored;
+            for (auto &col : natural) {
+                col.resize(big);
+                for (Fp &v : col)
+                    v = randomFp(rng);
+                auto rev = col;
+                bitReversePermute(rev);
+                stored.insert(stored.end(), rev.begin(), rev.end());
+            }
+            const LeafView trace = LeafView::columnMajor(
+                stored.data(), air->numColumns(), big);
+            const Fp shift = FriConfig::testing().shift();
+            const Fp alpha = randomFp(rng);
+            auto expect =
+                naturalOrderQuotient(*air, natural, n, q_bits, shift, alpha);
+            bitReversePermute(expect);
+            for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+                setGlobalThreadCount(threads);
+                std::vector<Fp> got(big);
+                starkQuotientValues(*air, trace, n, q_bits, shift, alpha,
+                                    got.data());
+                EXPECT_EQ(got, expect)
+                    << "degree " << air->constraintDegree() << " n=" << n
+                    << " threads=" << threads;
+            }
+            setGlobalThreadCount(0);
+        }
+    }
 }
 
 } // namespace
