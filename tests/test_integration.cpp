@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+#include <variant>
+
 #include "model/area_power.h"
 #include "model/gpu_model.h"
 #include "serialize/proof_io.h"
@@ -15,6 +19,11 @@
 
 namespace unizk {
 namespace {
+
+/** Op count and traceDigest() of the Mvm Plonky2 + Fibonacci Starky
+ *  trace in Integration.TracesAreDeterministic. */
+constexpr size_t kPinnedTraceOps = 63;
+constexpr uint64_t kPinnedTraceDigest = 0x4db747fd7dad9bd2;
 
 TEST(Integration, ProofsAreDeterministic)
 {
@@ -27,6 +36,65 @@ TEST(Integration, ProofsAreDeterministic)
     EXPECT_EQ(serializePlonkProof(p1), serializePlonkProof(p2));
 }
 
+/**
+ * FNV-1a digest of a kernel trace: every op's payload type, every
+ * payload field and the label, in issue order. The trace is the
+ * simulator's input, so an unchanged digest means unchanged sim cycles.
+ */
+uint64_t
+traceDigest(const KernelTrace &trace)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const KernelOp &op : trace.ops) {
+        mix(op.payload.index());
+        std::visit(
+            [&](const auto &k) {
+                using K = std::decay_t<decltype(k)>;
+                if constexpr (std::is_same_v<K, NttKernel>) {
+                    for (uint64_t v :
+                         {uint64_t{k.logSize}, k.batch, uint64_t{k.inverse},
+                          uint64_t{k.coset}, uint64_t{k.bitrevOutput},
+                          static_cast<uint64_t>(k.layout)})
+                        mix(v);
+                } else if constexpr (std::is_same_v<K, MerkleKernel>) {
+                    for (uint64_t v : {k.leafCount, uint64_t{k.leafLength},
+                                       uint64_t{k.capHeight}})
+                        mix(v);
+                } else if constexpr (std::is_same_v<K, HashKernel>) {
+                    mix(k.permutations);
+                } else if constexpr (std::is_same_v<K, VecOpKernel>) {
+                    for (uint64_t v :
+                         {k.length, uint64_t{k.inputVectors},
+                          uint64_t{k.outputVectors},
+                          uint64_t{k.opsPerElement},
+                          uint64_t{k.randomAccessGranularity}})
+                        mix(v);
+                } else if constexpr (std::is_same_v<K,
+                                                    PartialProductKernel>) {
+                    for (uint64_t v : {k.length, uint64_t{k.chunkSize}})
+                        mix(v);
+                } else if constexpr (std::is_same_v<K, TransposeKernel>) {
+                    for (uint64_t v : {k.rows, k.cols})
+                        mix(v);
+                } else {
+                    static_assert(std::is_same_v<K, SumCheckKernel>);
+                    mix(k.logSize);
+                }
+            },
+            op.payload);
+        mix(op.label.size());
+        for (const char c : op.label)
+            mix(static_cast<unsigned char>(c));
+    }
+    return h;
+}
+
 TEST(Integration, TracesAreDeterministic)
 {
     const FriConfig cfg = FriConfig::testing();
@@ -36,6 +104,8 @@ TEST(Integration, TracesAreDeterministic)
         const PlonkApp app = buildPlonkApp(AppId::Mvm, 128, 3);
         const auto key = plonkSetup(app.circuit, cfg, ctx);
         plonkProve(app.circuit, key, app.witnesses, cfg, ctx);
+        const StarkApp stark = buildStarkApp(AppId::Fibonacci, 128);
+        starkProve(*stark.air, stark.trace, cfg, ctx);
     };
     TraceRecorder r1, r2;
     run(r1);
@@ -46,6 +116,11 @@ TEST(Integration, TracesAreDeterministic)
                      kernelPayloadName(r2.trace().ops[i].payload));
         EXPECT_EQ(r1.trace().ops[i].label, r2.trace().ops[i].label);
     }
+    // Pinned: a change to what the provers record (and so to the
+    // simulated cycles) must update this digest on purpose.
+    EXPECT_EQ(r1.trace().size(), kPinnedTraceOps);
+    EXPECT_EQ(traceDigest(r1.trace()), kPinnedTraceDigest)
+        << std::hex << "0x" << traceDigest(r1.trace());
 }
 
 TEST(Integration, DifferentWitnessesSameTraceShape)
