@@ -1,142 +1,15 @@
 /**
  * @file
- * Lightweight named-counter / timer registry used for the CPU-baseline
- * kernel-time breakdown (Table 1) and for simulator statistics.
+ * Wall-clock stopwatch: the sanctioned timer for code outside src/obs
+ * (kernel-class time goes through trace/kernel_class.h's KernelScope).
  */
 
 #ifndef UNIZK_COMMON_STATS_H
 #define UNIZK_COMMON_STATS_H
 
-#include <atomic>
 #include <chrono>
-#include <cstdint>
-#include <map>
-#include <string>
 
 namespace unizk {
-
-/**
- * Categories of work in hash-based ZKP proof generation, matching the
- * columns of Table 1 in the paper.
- */
-enum class KernelClass
-{
-    Polynomial,      ///< element-wise / misc polynomial computations
-    Ntt,             ///< all (i)NTT and LDE work
-    MerkleTree,      ///< Merkle tree hashing
-    OtherHash,       ///< Fiat-Shamir / proof-of-work hashing
-    LayoutTransform, ///< transposes and other data reshuffling
-    NumClasses,
-};
-
-/** Printable name of a kernel class. */
-const char *kernelClassName(KernelClass c);
-
-/**
- * Accumulates wall-clock time per kernel class. The CPU prover brackets
- * each kernel with ScopedKernelTimer; the resulting breakdown reproduces
- * Table 1.
- *
- * ScopedKernelTimer fires inside thread-pool workers, so accumulation
- * must be race-free: time is stored as integer nanoseconds and added
- * with relaxed atomic fetch_add. Relaxed is sufficient (audited with
- * the src/obs atomics, DESIGN §6.7): readers only observe totals after
- * the parallel region has joined, and the pool's completion handshake
- * -- a mutex acquire/release pair -- is the synchronization edge that
- * makes every worker's relaxed adds visible to the reader. This class
- * deliberately has no mutex, so the thread-safety annotations of
- * common/sync.h do not apply; the TSAN-leg test
- * KernelTimeBreakdown.ConcurrentAddIsExact pins the contract.
- */
-class KernelTimeBreakdown
-{
-  public:
-    KernelTimeBreakdown() = default;
-
-    // std::atomic members delete the implicit copies, but the breakdown
-    // is copied into AppRunResult and returned from scaledBy(); copies
-    // are only taken at quiescent points, so relaxed loads suffice.
-    KernelTimeBreakdown(const KernelTimeBreakdown &other) { *this = other; }
-
-    KernelTimeBreakdown &
-    operator=(const KernelTimeBreakdown &other)
-    {
-        for (size_t i = 0; i < kNumClasses; ++i) {
-            nanos_[i].store(
-                other.nanos_[i].load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-        }
-        return *this;
-    }
-
-    void
-    add(KernelClass c, double seconds)
-    {
-        nanos_[static_cast<size_t>(c)].fetch_add(
-            static_cast<uint64_t>(seconds * 1e9),
-            std::memory_order_relaxed);
-    }
-
-    double
-    seconds(KernelClass c) const
-    {
-        return static_cast<double>(nanos_[static_cast<size_t>(c)].load(
-                   std::memory_order_relaxed)) *
-               1e-9;
-    }
-
-    /** Total across all classes. */
-    double total() const;
-
-    /** Fraction of total time in class @p c (0 if total is 0). */
-    double fraction(KernelClass c) const;
-
-    void
-    reset()
-    {
-        for (auto &n : nanos_)
-            n.store(0, std::memory_order_relaxed);
-    }
-
-    KernelTimeBreakdown &operator+=(const KernelTimeBreakdown &other);
-
-    /** Copy with every class scaled by @p factor (e.g. 1/threads). */
-    KernelTimeBreakdown scaledBy(double factor) const;
-
-  private:
-    static constexpr size_t kNumClasses =
-        static_cast<size_t>(KernelClass::NumClasses);
-
-    std::atomic<uint64_t> nanos_[kNumClasses] = {};
-};
-
-/** RAII timer attributing the enclosed scope to a kernel class. */
-class ScopedKernelTimer
-{
-  public:
-    ScopedKernelTimer(KernelTimeBreakdown *breakdown_, KernelClass c)
-        : breakdown(breakdown_), cls(c),
-          start(std::chrono::steady_clock::now())
-    {}
-
-    ~ScopedKernelTimer()
-    {
-        if (breakdown) {
-            const auto end = std::chrono::steady_clock::now();
-            breakdown->add(cls,
-                           std::chrono::duration<double>(end - start)
-                               .count());
-        }
-    }
-
-    ScopedKernelTimer(const ScopedKernelTimer &) = delete;
-    ScopedKernelTimer &operator=(const ScopedKernelTimer &) = delete;
-
-  private:
-    KernelTimeBreakdown *breakdown;
-    KernelClass cls;
-    std::chrono::steady_clock::time_point start;
-};
 
 /** Simple wall-clock stopwatch. */
 class Stopwatch

@@ -35,6 +35,12 @@ ThreadPool *global_pool UNIZK_GUARDED_BY(global_mutex) = nullptr;
 
 } // namespace
 
+bool
+onPoolWorker()
+{
+    return in_pool_worker;
+}
+
 /**
  * One parallelFor() call: lives on the submitter's stack until every
  * one of its chunks has completed. The fields above the cursor are

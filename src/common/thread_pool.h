@@ -118,6 +118,9 @@ void setGlobalThreadCount(unsigned threads);
 /** Thread count the global pool uses (without forcing creation). */
 unsigned globalThreadCount();
 
+/** True while the calling thread runs a parallelFor chunk of any pool. */
+bool onPoolWorker();
+
 /** parallelFor on the global pool. */
 inline void
 parallelFor(size_t begin, size_t end, size_t grain,

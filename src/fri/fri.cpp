@@ -229,8 +229,8 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
     // ---- DEEP quotient G over the LDE domain (bit-reversed order). ----
     std::vector<Fp2> g_values(domain);
     {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::Polynomial);
-        UNIZK_SPAN("fri/deep-quotient");
+        const KernelScope scope(ctx, KernelClass::Polynomial,
+                                "fri/deep-quotient");
 
         // B(x) block by block: blocks write disjoint slots with exact
         // arithmetic, so the result is thread-count independent.
@@ -284,8 +284,8 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
         const uint32_t cap_h =
             std::min<uint32_t>(cfg.capHeight, log2Exact(pairs));
         {
-            ScopedKernelTimer timer(ctx.breakdown, KernelClass::MerkleTree);
-            UNIZK_SPAN("fri/layer-commit");
+            const KernelScope scope(ctx, KernelClass::MerkleTree,
+                                    "fri/layer-commit");
             // Pair i's packPair leaf is limbs [4i, 4i + 4).
             std::vector<Fp> limbs;
             limbs.reserve(2 * cur.size());
@@ -301,8 +301,7 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
         const Fp2 beta = challenger.challengeExt();
         layer_values.push_back(std::move(cur));
         {
-            ScopedKernelTimer timer(ctx.breakdown, KernelClass::Polynomial);
-            UNIZK_SPAN("fri/fold");
+            const KernelScope scope(ctx, KernelClass::Polynomial, "fri/fold");
             cur = foldLayer(layer_values.back(), beta, layer_shift);
         }
         ctx.record(VecOpKernel{cur.size(), 2, 1, 12, 0}, "FRI: fold");
@@ -312,8 +311,7 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
 
     // ---- Final polynomial: coset-iNTT of the residual layer. ----
     {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::Ntt);
-        UNIZK_SPAN("fri/final-poly-intt");
+        const KernelScope scope(ctx, KernelClass::Ntt, "fri/final-poly-intt");
         bitReversePermute(cur); // back to natural order for the iNTT
         cosetInttNNExt(cur, layer_shift);
     }
@@ -334,8 +332,7 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
 
     // ---- Proof-of-work grinding. ----
     {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::OtherHash);
-        UNIZK_SPAN("fri/pow");
+        const KernelScope scope(ctx, KernelClass::OtherHash, "fri/pow");
         const PowGrindResult pow =
             powGrind(challenger.challenge(), cfg.powBits);
         proof.powNonce = pow.nonce;

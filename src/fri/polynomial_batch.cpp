@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "ntt/ntt.h"
-#include "obs/obs.h"
 
 namespace unizk {
 
@@ -15,8 +14,7 @@ PolynomialBatch::fromValues(std::vector<std::vector<Fp>> values,
     unizk_assert(!values.empty(), "empty polynomial batch");
     const size_t n = values[0].size();
     {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::Ntt);
-        UNIZK_SPAN("commit/values-intt");
+        const KernelScope scope(ctx, KernelClass::Ntt, "commit/values-intt");
         inttBatchNN(values);
     }
     ctx.record(NttKernel{log2Exact(n), values.size(), /*inverse=*/true,
@@ -55,8 +53,7 @@ PolynomialBatch::PolynomialBatch(std::vector<std::vector<Fp>> coeffs,
     lde_.reset(static_cast<Fp *>(
         ::operator new(num_polys * lde_size * sizeof(Fp))));
     {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::Ntt);
-        UNIZK_SPAN("commit/lde");
+        const KernelScope scope(ctx, KernelClass::Ntt, "commit/lde");
         ldeBatch(coeffs_, cfg_.blowup(), cfg_.shift(), lde_.get());
     }
     ctx.record(NttKernel{log2Exact(lde_size), num_polys, /*inverse=*/false,
@@ -71,8 +68,8 @@ PolynomialBatch::PolynomialBatch(std::vector<std::vector<Fp>> coeffs,
     const uint32_t cap_height =
         std::min<uint32_t>(cfg_.capHeight, log2Exact(lde_size));
     {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::MerkleTree);
-        UNIZK_SPAN("commit/merkle-tree");
+        const KernelScope scope(ctx, KernelClass::MerkleTree,
+                                "commit/merkle-tree");
         tree_ = std::make_unique<MerkleTree>(leafView(), cap_height);
     }
     ctx.record(MerkleKernel{lde_size, static_cast<uint32_t>(num_polys),

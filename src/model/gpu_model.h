@@ -18,7 +18,7 @@
 #ifndef UNIZK_MODEL_GPU_MODEL_H
 #define UNIZK_MODEL_GPU_MODEL_H
 
-#include "common/stats.h"
+#include "trace/kernel_class.h"
 #include "trace/kernel_trace.h"
 
 namespace unizk {

@@ -6,9 +6,9 @@
  * duration / size distributions.
  *
  * Design goals (see DESIGN.md section 6.4):
- *  - Zero overhead when disabled: one relaxed atomic load per span /
- *    counter hit at runtime, or compiled out entirely with
- *    UNIZK_OBS_DISABLE (CMake option UNIZK_DISABLE_OBS).
+ *  - Near-zero overhead when disabled: the runtime switch
+ *    (setEnabled) is the only off switch, and while it is off every
+ *    span / counter hit is one relaxed atomic load and an early return.
  *  - No effect on proof bytes: instrumentation only reads the clock
  *    and appends to thread-local buffers; determinism tests cover
  *    byte-identical proofs with tracing on and off.
@@ -301,20 +301,6 @@ class Histogram
 } // namespace obs
 } // namespace unizk
 
-#if defined(UNIZK_OBS_DISABLE)
-
-#define UNIZK_SPAN(name)                                                  \
-    do {                                                                  \
-    } while (false)
-#define UNIZK_COUNTER_ADD(name, delta)                                    \
-    do {                                                                  \
-    } while (false)
-#define UNIZK_OBS_HISTO(name, value)                                      \
-    do {                                                                  \
-    } while (false)
-
-#else
-
 #define UNIZK_OBS_CONCAT2(a, b) a##b
 #define UNIZK_OBS_CONCAT(a, b) UNIZK_OBS_CONCAT2(a, b)
 
@@ -340,7 +326,5 @@ class Histogram
         UNIZK_OBS_CONCAT(unizk_obs_histo_, __LINE__)                      \
             .record(static_cast<uint64_t>(value));                        \
     } while (false)
-
-#endif // UNIZK_OBS_DISABLE
 
 #endif // UNIZK_OBS_OBS_H

@@ -18,9 +18,9 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.h"
 #include "obs/obs.h"
 #include "sim/simulator.h"
+#include "trace/kernel_class.h"
 
 namespace unizk {
 namespace obs {

@@ -220,10 +220,8 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
     }
     std::vector<std::vector<Fp>> z_values(reps);
     {
-        // Timed once around the region: worker threads must not touch
-        // the shared breakdown.
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::Polynomial);
-        UNIZK_SPAN("plonk/permutation-z");
+        const KernelScope scope(ctx, KernelClass::Polynomial,
+                                "plonk/permutation-z");
         parallelFor(0, reps, /*grain=*/1, [&](size_t r_lo, size_t r_hi) {
             for (size_t r = r_lo; r < r_hi; ++r) {
                 std::vector<Fp> f(n, Fp::one()), g(n, Fp::one());
@@ -278,7 +276,8 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
     const size_t big = n << quotient_blowup_bits;
     std::vector<Fp> combined(big);
     {
-        UNIZK_SPAN("plonk/quotient");
+        const KernelScope scope(ctx, KernelClass::Polynomial,
+                                "plonk/quotient");
         // UniZK computes these coset LDEs, so the trace keeps them; the
         // CPU reads the committed prefix instead.
         ctx.record(NttKernel{log2Exact(big),
@@ -286,8 +285,6 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
                              PolyLayout::PolyMajor},
                    "quotient: coset LDEs");
 
-        ScopedKernelTimer poly_timer(ctx.breakdown,
-                                     KernelClass::Polynomial);
         // In the columns' order: domain points, Z_H per stored quarter,
         // L_row(x) = Z_H(x) * w^row / (n * (x - w^row)) of row 0 (L_1)
         // and of the public-input rows.
@@ -361,8 +358,7 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
                "quotient: gate + permutation constraints");
 
     {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::Ntt);
-        UNIZK_SPAN("plonk/quotient-intt");
+        const KernelScope scope(ctx, KernelClass::Ntt, "plonk/quotient-intt");
         cosetInttRN(combined, shift); // bit-reversed values in
     }
     ctx.record(NttKernel{log2Exact(big), 1, true, true, false,
@@ -384,8 +380,8 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
         key.constants.get(), &wires, &z_batch, &quotient};
     proof.openings.resize(points.size());
     {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::Polynomial);
-        UNIZK_SPAN("plonk/openings");
+        const KernelScope scope(ctx, KernelClass::Polynomial,
+                                "plonk/openings");
         for (size_t j = 0; j < points.size(); ++j) {
             for (const auto *batch : batches) {
                 for (const Fp2 &v : batch->evalAllExt(points[j]))

@@ -21,9 +21,9 @@
 
 #include <vector>
 
-#include "common/stats.h"
 #include "sim/dram.h"
 #include "sim/hw_config.h"
+#include "trace/kernel_class.h"
 #include "trace/kernel_trace.h"
 
 namespace unizk {

@@ -146,14 +146,13 @@ starkProve(const StarkAir &air,
                  "the AIR's quotient blowup exceeds the commitment's");
     std::vector<Fp> combined(big);
     {
-        UNIZK_SPAN("stark/quotient");
+        const KernelScope scope(ctx, KernelClass::Polynomial,
+                                "stark/quotient");
         // UniZK computes these coset LDEs, so the trace keeps them; the
         // CPU reads the committed prefix instead.
         ctx.record(NttKernel{log2Exact(big), cols, false, true, false,
                              PolyLayout::PolyMajor},
                    "quotient: trace coset LDEs");
-        ScopedKernelTimer poly_timer(ctx.breakdown,
-                                     KernelClass::Polynomial);
         starkQuotientValues(air, trace.leafView(), n, q_blowup_bits,
                             shift, alpha, combined.data());
     }
@@ -164,8 +163,7 @@ starkProve(const StarkAir &air,
                "quotient: transition + boundary constraints");
 
     {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::Ntt);
-        UNIZK_SPAN("stark/quotient-intt");
+        const KernelScope scope(ctx, KernelClass::Ntt, "stark/quotient-intt");
         cosetInttRN(combined, shift); // bit-reversed values in
     }
     ctx.record(NttKernel{log2Exact(big), 1, true, true, false,
@@ -189,8 +187,8 @@ starkProve(const StarkAir &air,
     const std::vector<const PolynomialBatch *> batches{&trace, &quotient};
     proof.openings.resize(points.size());
     {
-        ScopedKernelTimer timer(ctx.breakdown, KernelClass::Polynomial);
-        UNIZK_SPAN("stark/openings");
+        const KernelScope scope(ctx, KernelClass::Polynomial,
+                                "stark/openings");
         for (size_t j = 0; j < points.size(); ++j) {
             for (const auto *batch : batches)
                 for (const Fp2 &v : batch->evalAllExt(points[j]))

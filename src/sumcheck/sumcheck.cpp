@@ -27,7 +27,7 @@ sumcheckProve(std::vector<Fp> values, Challenger &challenger,
     challenger.observe(proof.claimedSum);
 
     ctx.record(SumCheckKernel{n}, "sum-check");
-    ScopedKernelTimer timer(ctx.breakdown, KernelClass::Polynomial);
+    const KernelScope scope(ctx, KernelClass::Polynomial, "sumcheck/rounds");
     for (uint32_t i = 0; i < n; ++i) {
         const size_t half = values.size() / 2;
         // g_i(0) = sum of even entries, g_i(1) = sum of odd entries

@@ -1,15 +1,18 @@
 /**
  * @file
  * Shared instrumentation context threaded through the provers: a
- * wall-clock kernel-time breakdown for the CPU baseline (Table 1) and a
- * TraceRecorder for the simulator frontend. Both are optional; null
- * members disable the corresponding instrumentation.
+ * wall-clock kernel-time breakdown for the CPU baseline (Table 1),
+ * filled by KernelScope (trace/kernel_class.h), and a TraceRecorder for
+ * the simulator frontend. The two are separate on purpose: the trace
+ * also records UniZK kernels the CPU does not run, and its op order
+ * fixes the simulated cycles. Both are optional; null members disable
+ * the corresponding instrumentation.
  */
 
 #ifndef UNIZK_TRACE_PROVER_CONTEXT_H
 #define UNIZK_TRACE_PROVER_CONTEXT_H
 
-#include "common/stats.h"
+#include "trace/kernel_class.h"
 #include "trace/kernel_trace.h"
 
 namespace unizk {

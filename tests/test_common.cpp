@@ -16,9 +16,9 @@
 #include "common/cli.h"
 #include "common/env.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "obs/obs.h"
+#include "trace/kernel_class.h"
 
 namespace unizk {
 namespace {
@@ -118,17 +118,6 @@ TEST(Stats, BreakdownFractionsSumToOne)
     EXPECT_DOUBLE_EQ(sum, 1.0);
 }
 
-TEST(Stats, Accumulate)
-{
-    KernelTimeBreakdown a, b;
-    a.add(KernelClass::Ntt, 1.0);
-    b.add(KernelClass::Ntt, 2.0);
-    b.add(KernelClass::OtherHash, 3.0);
-    a += b;
-    EXPECT_DOUBLE_EQ(a.seconds(KernelClass::Ntt), 3.0);
-    EXPECT_DOUBLE_EQ(a.seconds(KernelClass::OtherHash), 3.0);
-}
-
 TEST(Stats, EmptyBreakdownFractionIsZero)
 {
     KernelTimeBreakdown b;
@@ -189,6 +178,10 @@ TEST(Stats, ScaledBy)
     // Fractions are scale-invariant.
     EXPECT_DOUBLE_EQ(s.fraction(KernelClass::MerkleTree),
                      b.fraction(KernelClass::MerkleTree));
+    // Scaling leaves the source alone; copies carry every class.
+    EXPECT_DOUBLE_EQ(b.total(), 10.0);
+    const KernelTimeBreakdown copy = s;
+    EXPECT_DOUBLE_EQ(copy.seconds(KernelClass::MerkleTree), 3.0);
 }
 
 class ThreadPoolCounts : public ::testing::TestWithParam<unsigned>

@@ -15,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "field/goldilocks_simd.h"
 #include "ntt/ntt.h"
+#include "trace/prover_context.h"
 
 namespace unizk {
 namespace {
@@ -380,6 +381,36 @@ TEST(NttDeathTest, NonPowerOfTwoPanics)
 {
     std::vector<Fp> a{Fp(1), Fp(2), Fp(3)};
     EXPECT_DEATH(nttNN(a), "power of two");
+}
+
+// KernelScope writes the breakdown without synchronisation and charges
+// each region once, so it refuses to nest or to open on a pool worker.
+TEST(KernelScopeDeathTest, NestedScopePanics)
+{
+    KernelTimeBreakdown breakdown;
+    ProverContext ctx;
+    ctx.breakdown = &breakdown;
+    EXPECT_DEATH(
+        {
+            const KernelScope outer(ctx, KernelClass::Ntt, "test/outer");
+            const KernelScope inner(ctx, KernelClass::Polynomial,
+                                    "test/inner");
+        },
+        "nested in another KernelScope");
+}
+
+TEST(KernelScopeDeathTest, ScopeOnPoolWorkerPanics)
+{
+    const ProverContext ctx;
+    EXPECT_DEATH(
+        {
+            ThreadPool pool(2);
+            pool.parallelFor(0, 8, /*grain=*/1, [&](size_t, size_t) {
+                const KernelScope scope(ctx, KernelClass::Ntt,
+                                        "test/worker");
+            });
+        },
+        "opened inside a pool chunk");
 }
 
 // ---- Exhaustive equivalence sweep: every order variant at every

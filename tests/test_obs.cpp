@@ -2,11 +2,10 @@
  * @file
  * Tests for the observability subsystem: span recording (nesting,
  * thread attribution, drain semantics), the named-counter registry
- * (cross-thread merge, disabled no-op), the thread-safe
- * KernelTimeBreakdown accumulator (exercised under TSAN in CI), the
- * stats / Chrome-trace JSON schemas, and the end-to-end guarantees --
- * stats JSON matches the SimReport exactly and proofs are
- * byte-identical with observability on or off.
+ * (cross-thread merge, disabled no-op), the stats / Chrome-trace JSON
+ * schemas, and the end-to-end guarantees -- stats JSON matches the
+ * SimReport exactly and proofs are byte-identical with observability on
+ * or off.
  */
 
 #include <gtest/gtest.h>
@@ -22,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "obs/exposition.h"
 #include "obs/folded_export.h"
@@ -30,17 +28,11 @@
 #include "obs/obs.h"
 #include "obs/stats_export.h"
 #include "obs/trace_export.h"
+#include "trace/kernel_class.h"
 #include "unizk/pipeline.h"
 
 namespace unizk {
 namespace {
-
-#if defined(UNIZK_OBS_DISABLE)
-#define SKIP_IF_OBS_DISABLED()                                            \
-    GTEST_SKIP() << "observability compiled out (UNIZK_DISABLE_OBS)"
-#else
-#define SKIP_IF_OBS_DISABLED() (void)0
-#endif
 
 /** Every test starts from a clean, enabled capture window and leaves
  *  observability off so other binaries' behaviour is unaffected. */
@@ -108,7 +100,6 @@ TEST_F(ObsTest, SpansAttributeToDistinctThreads)
 
 TEST_F(ObsTest, SpansRecordedInsideParallelFor)
 {
-    SKIP_IF_OBS_DISABLED();
     setGlobalThreadCount(4);
     constexpr size_t kItems = 32;
     std::atomic<size_t> visited{0};
@@ -126,7 +117,6 @@ TEST_F(ObsTest, SpansRecordedInsideParallelFor)
 
 TEST_F(ObsTest, DisabledRecordsNothing)
 {
-    SKIP_IF_OBS_DISABLED();
     obs::setEnabled(false);
     {
         obs::Span span("invisible");
@@ -142,7 +132,6 @@ TEST_F(ObsTest, DisabledRecordsNothing)
 
 TEST_F(ObsTest, CountersMergeAcrossThreads)
 {
-    SKIP_IF_OBS_DISABLED();
     constexpr unsigned kThreads = 8;
     constexpr uint64_t kPerThread = 1000;
     std::vector<std::thread> threads;
@@ -162,7 +151,6 @@ TEST_F(ObsTest, CountersMergeAcrossThreads)
 
 TEST_F(ObsTest, ResetClearsCounters)
 {
-    SKIP_IF_OBS_DISABLED();
     UNIZK_COUNTER_ADD("test.obs.reset", 5);
     obs::resetAll();
     const auto counters = obs::counterSnapshot();
@@ -196,7 +184,6 @@ TEST_F(ObsTest, SpansRecordParentNames)
 
 TEST_F(ObsTest, SpanStackUnwindsThroughExceptions)
 {
-    SKIP_IF_OBS_DISABLED();
     try {
         obs::Span outer("outer");
         obs::Span inner("inner");
@@ -220,7 +207,6 @@ TEST_F(ObsTest, SpanStackUnwindsThroughExceptions)
 
 TEST_F(ObsTest, HistogramsMergeAcrossThreads)
 {
-    SKIP_IF_OBS_DISABLED();
     constexpr unsigned kThreads = 8;
     constexpr uint64_t kPerThread = 100;
     std::vector<std::thread> threads;
@@ -253,7 +239,6 @@ TEST_F(ObsTest, HistogramsMergeAcrossThreads)
 
 TEST_F(ObsTest, HistogramLog2BucketBoundaries)
 {
-    SKIP_IF_OBS_DISABLED();
     // Bucket 0 holds the value 0; bucket i holds [2^(i-1), 2^i - 1].
     for (const uint64_t v : std::initializer_list<uint64_t>{
              0, 1, 2, 3, 4, 1023, 1024, UINT64_MAX})
@@ -286,7 +271,6 @@ using ObsConcurrency = ObsTest;
  */
 TEST_F(ObsConcurrency, RelaxedAtomicsSafeUnderConcurrentExport)
 {
-    SKIP_IF_OBS_DISABLED();
     constexpr unsigned kWriters = 4;
     constexpr uint64_t kPerWriter = 20000;
 
@@ -352,7 +336,6 @@ TEST_F(ObsConcurrency, RelaxedAtomicsSafeUnderConcurrentExport)
 
 TEST_F(ObsTest, SpanDurationsFeedBuiltinHistogram)
 {
-    SKIP_IF_OBS_DISABLED();
     {
         obs::Span span("timed");
     }
@@ -364,7 +347,6 @@ TEST_F(ObsTest, SpanDurationsFeedBuiltinHistogram)
 
 TEST_F(ObsTest, ResetForMeasurementDropsWarmupState)
 {
-    SKIP_IF_OBS_DISABLED();
     // Warmup work: spans, counters and histograms that must NOT leak
     // into the exported artifacts (regression: bench harnesses used to
     // export warmup spans/counters along with the measured run).
@@ -399,7 +381,6 @@ TEST(ObsDisabled, ResetForMeasurementIsNoOp)
 
 TEST_F(ObsTest, FoldedExportCollapsesStacks)
 {
-    SKIP_IF_OBS_DISABLED();
     std::vector<obs::SpanEvent> spans;
     // Thread 0: root [0,100], child [10,40], child [50,70].
     spans.push_back({"root", nullptr, 0, 100, 0, 0});
@@ -419,7 +400,6 @@ TEST_F(ObsTest, FoldedExportCollapsesStacks)
 
 TEST_F(ObsTest, FoldedExportFromLiveSpans)
 {
-    SKIP_IF_OBS_DISABLED();
     {
         obs::Span outer("live-outer");
         {
@@ -456,42 +436,6 @@ TEST(JsonWriter, EscapesControlAndQuoteCharacters)
     const std::string json = w.str();
     EXPECT_NE(json.find("a\\\"b\\\\c\\n\\t\\u0001"), std::string::npos)
         << json;
-}
-
-TEST(KernelTimeBreakdown, ConcurrentAddIsExact)
-{
-    // Regression for the data race ScopedKernelTimer used to cause when
-    // worker threads timed kernels concurrently; run under TSAN in CI.
-    KernelTimeBreakdown b;
-    constexpr unsigned kThreads = 8;
-    constexpr unsigned kAdds = 1000;
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&b] {
-            for (unsigned i = 0; i < kAdds; ++i)
-                b.add(KernelClass::Ntt, 0.001);
-        });
-    }
-    for (auto &t : threads)
-        t.join();
-    // 8000 adds of exactly 1e6 ns each: no update may be lost.
-    EXPECT_DOUBLE_EQ(b.seconds(KernelClass::Ntt), 8.0);
-    EXPECT_DOUBLE_EQ(b.total(), 8.0);
-}
-
-TEST(KernelTimeBreakdown, CopyAndScaleStillWork)
-{
-    KernelTimeBreakdown b;
-    b.add(KernelClass::MerkleTree, 2.0);
-    b.add(KernelClass::Ntt, 1.0);
-    const KernelTimeBreakdown copy = b;
-    EXPECT_DOUBLE_EQ(copy.seconds(KernelClass::MerkleTree), 2.0);
-    const KernelTimeBreakdown half = b.scaledBy(0.5);
-    EXPECT_DOUBLE_EQ(half.seconds(KernelClass::Ntt), 0.5);
-    KernelTimeBreakdown sum;
-    sum += b;
-    sum += half;
-    EXPECT_DOUBLE_EQ(sum.total(), 3.0 + 1.5);
 }
 
 TEST(ObsExport, StatsJsonGoldenSchema)
@@ -604,10 +548,7 @@ TEST_F(ObsTest, StatsJsonMatchesSimReport)
         EXPECT_NE(json.find(needle), std::string::npos)
             << "missing " << needle;
 
-#if !defined(UNIZK_OBS_DISABLE)
     // Instrumented code paths ran, so the standard counters are live.
-    // (With UNIZK_DISABLE_OBS the macros compile out and nothing is
-    // ever registered.)
     const auto counters = obs::counterSnapshot();
     for (const char *name : {"ntt.transforms", "merkle.trees",
                              "challenger.permutations",
@@ -616,7 +557,6 @@ TEST_F(ObsTest, StatsJsonMatchesSimReport)
         ASSERT_NE(it, counters.end()) << name;
         EXPECT_GT(it->second, 0u) << name;
     }
-#endif
 }
 
 TEST_F(ObsTest, ProofBytesIdenticalWithObsOnAndOff)
@@ -642,7 +582,6 @@ TEST_F(ObsTest, ProofBytesIdenticalWithObsOnAndOff)
 
 TEST_F(ObsTest, SnapshotDeltaPartitionsCumulative)
 {
-    SKIP_IF_OBS_DISABLED();
     UNIZK_COUNTER_ADD("test.obs.window", 5);
     UNIZK_OBS_HISTO("test.obs.window_histo", 100);
 
@@ -691,7 +630,6 @@ TEST_F(ObsTest, SnapshotDeltaPartitionsCumulative)
 
 TEST_F(ObsTest, SnapshotDeltaWindowMinMaxCoverOnlyTheWindow)
 {
-    SKIP_IF_OBS_DISABLED();
     // Window 1 records an outlier; window 2 must not inherit it into
     // its delta extremes (the cumulative side keeps it, as documented).
     UNIZK_OBS_HISTO("test.obs.window_extremes", 1000000);
@@ -711,7 +649,6 @@ TEST_F(ObsTest, SnapshotDeltaWindowMinMaxCoverOnlyTheWindow)
 
 TEST_F(ObsTest, ResetForMeasurementResetsHistogramWatermarks)
 {
-    SKIP_IF_OBS_DISABLED();
     // Regression: resetForMeasurement() used to zero counts and
     // buckets but leave the min/max watermarks, so a warmup outlier
     // survived into the measured window's quantile clamp.
@@ -744,7 +681,6 @@ TEST_F(ObsTest, ResetForMeasurementResetsHistogramWatermarks)
  */
 TEST_F(ObsConcurrency, SnapshotDeltaConcurrentWritersPartitionExactly)
 {
-    SKIP_IF_OBS_DISABLED();
     constexpr unsigned kWriters = 4;
     constexpr uint64_t kPerWriter = 20000;
 
@@ -818,7 +754,6 @@ TEST_F(ObsConcurrency, SnapshotDeltaConcurrentWritersPartitionExactly)
 
 TEST_F(ObsTest, SpanBufferStatsReportOccupancy)
 {
-    SKIP_IF_OBS_DISABLED();
     {
         obs::Span a("occ-a");
         obs::Span b("occ-b");
@@ -860,7 +795,6 @@ TEST_F(ObsTest, SpanBufferStatsReportOccupancy)
 
 TEST_F(ObsTest, ScopedTraceIdNestsAndTagsSpans)
 {
-    SKIP_IF_OBS_DISABLED();
     EXPECT_EQ(obs::currentTraceId(), 0u);
     {
         obs::ScopedTraceId outer(7);
@@ -939,7 +873,6 @@ TEST(ObsExposition, RendererEmitsValidFamilies)
 
 TEST_F(ObsTest, SnapshotJsonWindowSchema)
 {
-    SKIP_IF_OBS_DISABLED();
     UNIZK_COUNTER_ADD("test.obs.json_window", 4);
     UNIZK_OBS_HISTO("test.obs.json_histo", 64);
     const obs::StatsSnapshot snap = obs::snapshotDelta();

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "field/goldilocks_simd.h"
+#include "obs/obs.h"
 #include "plonk/plonk.h"
 #include "plonk/quotient_kernel.h"
 
@@ -226,6 +228,9 @@ TEST(Plonk, ProofSizeReported)
 
 TEST(Plonk, TraceRecordsExpectedKernelMix)
 {
+    // Class time does not depend on obs: KernelScope fills the breakdown
+    // with spans switched off at runtime.
+    obs::setEnabled(false);
     TraceRecorder recorder;
     KernelTimeBreakdown breakdown;
     ProverContext ctx;
@@ -235,9 +240,12 @@ TEST(Plonk, TraceRecordsExpectedKernelMix)
     const FriConfig cfg = FriConfig::testing();
     const Circuit c = powerBuilder().build(64);
     const auto key = plonkSetup(c, cfg, ctx);
+    breakdown = KernelTimeBreakdown{}; // count the prove only
     SplitMix64 rng(1);
     const Fp x = randomFp(rng);
+    const Stopwatch prove_clock;
     plonkProve(c, key, {{x, x.pow(8) + x}}, cfg, ctx);
+    const double prove_s = prove_clock.elapsedSeconds();
 
     size_t ntts = 0, merkles = 0, vecops = 0, pps = 0, hashes = 0;
     for (const auto &op : recorder.trace().ops) {
@@ -253,7 +261,15 @@ TEST(Plonk, TraceRecordsExpectedKernelMix)
     EXPECT_GE(vecops, 3u);
     EXPECT_EQ(pps, 1u);
     EXPECT_GE(hashes, 1u);
-    EXPECT_GT(breakdown.total(), 0.0);
+
+    // Every class the prover times got time, and the scopes never
+    // overlap, so together they fit inside the prove.
+    EXPECT_GT(breakdown.seconds(KernelClass::Polynomial), 0.0);
+    EXPECT_GT(breakdown.seconds(KernelClass::Ntt), 0.0);
+    EXPECT_GT(breakdown.seconds(KernelClass::MerkleTree), 0.0);
+    ASSERT_GT(cfg.powBits, 0u);
+    EXPECT_GT(breakdown.seconds(KernelClass::OtherHash), 0.0);
+    EXPECT_LE(breakdown.total(), prove_s);
 }
 
 /** Circuit with a public output: prove y = x^4 + 7 for public y. */

@@ -1018,13 +1018,11 @@ TEST(Service, ProofMatchesDirectPipeline)
     ASSERT_EQ(svc.runStats().size(), 3u);
     EXPECT_EQ(svc.runStats()[0].protocol, "plonky2");
     EXPECT_EQ(svc.runStats()[2].protocol, "starky");
-#if !defined(UNIZK_OBS_DISABLE)
     EXPECT_EQ(counterDelta(before, after, "service.key_cache_hits"), 1u);
     EXPECT_EQ(counterDelta(before, after, "service.key_cache_misses"),
               2u);
     EXPECT_EQ(counterDelta(before, after, "service.key_cache_evictions"),
               0u);
-#endif
 }
 
 TEST(Service, ZeroCapacityQueueRejectsWithQueueFull)
@@ -1160,13 +1158,11 @@ TEST(Service, GetStatsServedWhileLaneIsMidRequest)
     const auto second = poller.getStats();
     ASSERT_TRUE(second.has_value());
     ASSERT_EQ(second->tag, Tag::StatsOk);
-#if !defined(UNIZK_OBS_DISABLE)
     // One process-wide rotation stream: consecutive polls get
     // consecutive windows that chain exactly.
     EXPECT_GE(first->stats.sequence, 1u);
     EXPECT_EQ(second->stats.sequence, first->stats.sequence + 1);
     EXPECT_EQ(second->stats.windowStartNs, first->stats.windowEndNs);
-#endif
 
     // The parked prove still completes with its decomposition intact.
     const auto resp = prover.readResponse();

@@ -364,7 +364,7 @@ class TestRawChrono(LintHarness):
         self.assert_clean(
             "src/plonk/timing.cpp",
             "Stopwatch sw;\n"
-            "ScopedKernelTimer timer(breakdown, KernelClass::Ntt);\n",
+            "const KernelScope scope(ctx, KernelClass::Ntt, \"ntt\");\n",
         )
 
     def test_chrono_in_comment_is_fine(self):

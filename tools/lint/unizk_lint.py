@@ -28,10 +28,10 @@ codebase's proof-soundness and determinism contracts:
                     field arithmetic is exact; a stray floating-point
                     intermediate destroys soundness silently.
   raw-chrono        No raw std::chrono timing in prover/kernel paths:
-                    all timing goes through common/stats.h (Stopwatch /
-                    ScopedKernelTimer) or obs spans (UNIZK_SPAN), so
-                    instrumentation stays centralized, thread-safe, and
-                    can be compiled out (UNIZK_DISABLE_OBS).
+                    kernel-class time goes through KernelScope
+                    (trace/kernel_class.h), other timing through
+                    Stopwatch (common/stats.h) or obs spans (UNIZK_SPAN),
+                    so instrumentation stays centralized.
   raw-simd-intrinsic
                     Raw vector intrinsics (_mm*/__m128/__m256/__m512,
                     <immintrin.h> and friends) are confined to
@@ -114,7 +114,8 @@ PROVER_PATHS = (
 EXACT_ARITHMETIC_PATHS = ("src/field/", "src/ntt/", "src/hash/")
 
 # Prover/kernel directories where ad-hoc std::chrono timing is banned;
-# the sanctioned timing layers are common/stats.h and src/obs/.
+# the sanctioned timers are KernelScope (trace/kernel_class.h), Stopwatch
+# (common/stats.h) and the spans of src/obs/.
 TIMED_KERNEL_PATHS = PROVER_PATHS + (
     "src/ntt/",
     "src/poly/",
@@ -419,10 +420,10 @@ RULES: Tuple[Rule, ...] = (
         name="raw-chrono",
         summary="raw std::chrono timing in prover/kernel paths",
         message=(
-            "raw std::chrono timing in a prover/kernel path; time through "
-            "Stopwatch/ScopedKernelTimer (common/stats.h) or obs spans "
-            "(UNIZK_SPAN from obs/obs.h) so timing stays centralized, "
-            "thread-safe, and compilable-out"
+            "raw std::chrono timing in a prover/kernel path; time kernels "
+            "through KernelScope (trace/kernel_class.h), anything else "
+            "through Stopwatch (common/stats.h) or obs spans (UNIZK_SPAN "
+            "from obs/obs.h) so timing stays centralized"
         ),
         pattern=re.compile(
             r"\bstd::chrono\b"
