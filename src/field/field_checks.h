@@ -21,6 +21,7 @@
 #include <cstdint>
 
 #include "field/goldilocks.h"
+#include "field/goldilocks_simd.h"
 
 namespace unizk {
 namespace selfcheck {
@@ -92,12 +93,12 @@ static_assert(Fp::primitiveRootOfUnity(15) ==
                   Fp::primitiveRootOfUnity(16).squared(),
               "root tower is inconsistent: w_15 != w_16^2");
 
-// --- Branchless primitives agree with the operators on every carry -------
-// --- pattern (no wrap, 2^64 wrap, >= p, borrow). The NTT butterflies ------
-// --- run exclusively on these, so a divergence would silently corrupt -----
-// --- every proof. ---------------------------------------------------------
+// --- The lanes' lazy:: formulas, canonicalised, agree with the ----------
+// --- operators on every carry pattern (no wrap, 2^64 wrap, >= p, ---------
+// --- borrow). The NTT's scalar butterflies and the scalar lane backend ---
+// --- run on them, so a divergence would silently corrupt every proof. ----
 constexpr bool
-branchlessOpsMatchOperators()
+lazyFormulasMatchOperators()
 {
     const Fp cases[] = {Fp::zero(),
                         Fp::one(),
@@ -111,19 +112,19 @@ branchlessOpsMatchOperators()
                         Fp(Fp::modulus / 2 + 1)};
     for (const Fp a : cases) {
         for (const Fp b : cases) {
-            if (Fp::addBranchless(a, b) != a + b)
+            if (Fp(lazy::add(a.value(), b.value())) != a + b)
                 return false;
-            if (Fp::subBranchless(a, b) != a - b)
+            if (Fp(lazy::sub(a.value(), b.value())) != a - b)
                 return false;
-            if (Fp::mulBranchless(a, b) != a * b)
+            if (Fp(lazy::mul(a.value(), b.value())) != a * b)
                 return false;
         }
     }
     return true;
 }
 
-static_assert(branchlessOpsMatchOperators(),
-              "branchless field primitives diverge from the operators");
+static_assert(lazyFormulasMatchOperators(),
+              "lazy field formulas diverge from the operators");
 
 // --- Field arithmetic spot checks (exercised at compile time). ------------
 static_assert((Fp(7).inverse() * Fp(7)).isOne(), "inverse(7)*7 != 1");

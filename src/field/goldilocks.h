@@ -182,56 +182,6 @@ class Fp
         return root;
     }
 
-    /**
-     * Branchless addition: same canonical result as operator+, with the
-     * carry/overflow adjustments applied by masking instead of
-     * branching. The operators' data-dependent branches are ~50/50 on
-     * random field elements, and the resulting mispredictions roughly
-     * halve the throughput of the NTT butterfly inner loops -- the one
-     * place in the prover hot enough to care. Everywhere else the
-     * plain operators keep the code simpler.
-     * @{
-     */
-    static constexpr Fp
-    addBranchless(Fp a, Fp b)
-    {
-        uint64_t s = a.val + b.val;
-        // On wraparound, 2^64 === 2^32 - 1 (mod p); the adjusted value
-        // is then already canonical, so the second mask is zero.
-        s += 0xFFFFFFFFULL & -static_cast<uint64_t>(s < a.val);
-        s -= modulus & -static_cast<uint64_t>(s >= modulus);
-        return fromCanonical(s);
-    }
-
-    /** Branchless subtraction: same canonical result as operator-. */
-    static constexpr Fp
-    subBranchless(Fp a, Fp b)
-    {
-        uint64_t d = a.val - b.val;
-        d += modulus & -static_cast<uint64_t>(a.val < b.val);
-        return fromCanonical(d);
-    }
-
-    /** Branchless multiplication: same canonical result as operator*. */
-    static constexpr Fp
-    mulBranchless(Fp a, Fp b)
-    {
-        const auto x = static_cast<unsigned __int128>(a.val) * b.val;
-        const uint64_t lo = static_cast<uint64_t>(x);
-        const uint64_t hi = static_cast<uint64_t>(x >> 64);
-        const uint64_t mid = hi & 0xFFFFFFFFULL;
-        const uint64_t top = hi >> 32;
-        // Same decomposition as reduce128, masks instead of branches.
-        uint64_t t0 = lo - top;
-        t0 -= 0xFFFFFFFFULL & -static_cast<uint64_t>(lo < top);
-        const uint64_t t1 = mid * 0xFFFFFFFFULL;
-        uint64_t res = t0 + t1;
-        res += 0xFFFFFFFFULL & -static_cast<uint64_t>(res < t1);
-        res -= modulus & -static_cast<uint64_t>(res >= modulus);
-        return fromCanonical(res);
-    }
-    /** @} */
-
     /** Reduce a 128-bit value modulo p. */
     static constexpr uint64_t
     reduce128(unsigned __int128 x)

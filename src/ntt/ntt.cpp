@@ -45,12 +45,13 @@ constexpr size_t par_min_size = size_t{1} << 15;
 constexpr size_t stage_grain = size_t{1} << 12;
 
 /**
- * One DIF (Gentleman-Sande) butterfly. The Fp instantiation uses the
- * branchless field primitives: butterfly inputs are effectively random
+ * One DIF (Gentleman-Sande) butterfly. The Fp instantiation runs the
+ * lanes' branchless lazy:: formulas (field/goldilocks_simd.h) and
+ * canonicalises on the way out: butterfly inputs are effectively random
  * field elements, so the operators' carry branches are ~50/50 and the
- * mispredictions roughly halve inner-loop throughput (measured ~11 ->
- * ~5 ns/butterfly on the bench machine). Same canonical values either
- * way. The generic path serves Fp2 (short FRI final polynomials only).
+ * mispredictions roughly halve inner-loop throughput. Same canonical
+ * values either way. The generic path serves Fp2 (short FRI final
+ * polynomials only).
  */
 template <typename T>
 inline void
@@ -59,8 +60,8 @@ difButterfly(T &lo, T &hi, Fp w)
     const T u = lo;
     const T v = hi;
     if constexpr (std::is_same<T, Fp>::value) {
-        lo = Fp::addBranchless(u, v);
-        hi = Fp::mulBranchless(Fp::subBranchless(u, v), w);
+        lo = Fp(lazy::add(u.value(), v.value()));
+        hi = Fp(lazy::mul(lazy::sub(u.value(), v.value()), w.value()));
     } else {
         lo = u + v;
         hi = (u - v) * w;
@@ -73,13 +74,12 @@ inline void
 ditButterfly(T &lo, T &hi, Fp w)
 {
     const T u = lo;
-    T v;
     if constexpr (std::is_same<T, Fp>::value) {
-        v = Fp::mulBranchless(hi, w);
-        lo = Fp::addBranchless(u, v);
-        hi = Fp::subBranchless(u, v);
+        const uint64_t v = lazy::canonical(lazy::mul(hi.value(), w.value()));
+        lo = Fp(lazy::add(u.value(), v));
+        hi = Fp(lazy::sub(u.value(), v));
     } else {
-        v = hi * w;
+        const T v = hi * w;
         lo = u + v;
         hi = u - v;
     }
@@ -375,131 +375,14 @@ checkTransformSize(size_t n)
     unizk_assert(isPowerOfTwo(n), "NTT size must be a power of two");
 }
 
-// ---- Table-threaded internal entry points. The public API acquires a
-// table once and forwards here; the batch API shares one acquisition
-// across every polynomial.
-
-void
-nttNRImpl(std::vector<Fp> &a, const TwiddleTable &t, bool par)
-{
-    difRun(a.data(), a.size(), t.fwd.data(), par);
-}
-
-void
-nttRNImpl(std::vector<Fp> &a, const TwiddleTable &t, bool par)
-{
-    ditRun(a.data(), a.size(), t.fwd.data(), par);
-}
-
-void
-nttNNImpl(std::vector<Fp> &a, const TwiddleTable &t, bool par)
-{
-    difRun(a.data(), a.size(), t.fwd.data(), par);
-    bitrevPermute(a, par);
-}
-
-void
-inttNNImpl(std::vector<Fp> &a, const TwiddleTable &t, bool par)
-{
-    difRun(a.data(), a.size(), t.inv.data(), par);
-    bitrevPermute(a, par);
-    scaleAll(a, t.sizeInv, par);
-}
-
-void
-cosetNttNRImpl(std::vector<Fp> &a, Fp shift, const TwiddleTable &t,
-               bool par)
-{
-    const bool standard = shift == defaultCosetShift();
-    applyCosetScale(a, shift, Fp::one(),
-                    standard ? t.cosetFwd : std::vector<Fp>{}, par);
-    difRun(a.data(), a.size(), t.fwd.data(), par);
-}
-
-void
-cosetNttNNImpl(std::vector<Fp> &a, Fp shift, const TwiddleTable &t,
-               bool par)
-{
-    const bool standard = shift == defaultCosetShift();
-    applyCosetScale(a, shift, Fp::one(),
-                    standard ? t.cosetFwd : std::vector<Fp>{}, par);
-    difRun(a.data(), a.size(), t.fwd.data(), par);
-    bitrevPermute(a, par);
-}
-
 } // namespace
 
 void
 nttNR(std::vector<Fp> &a)
 {
     checkTransformSize(a.size());
-    nttNRImpl(a, *acquireTwiddles(log2Exact(a.size())), true);
-}
-
-void
-nttRN(std::vector<Fp> &a)
-{
-    checkTransformSize(a.size());
-    nttRNImpl(a, *acquireTwiddles(log2Exact(a.size())), true);
-}
-
-void
-nttNN(std::vector<Fp> &a)
-{
-    checkTransformSize(a.size());
-    nttNNImpl(a, *acquireTwiddles(log2Exact(a.size())), true);
-}
-
-void
-inttNN(std::vector<Fp> &a)
-{
-    checkTransformSize(a.size());
-    inttNNImpl(a, *acquireTwiddles(log2Exact(a.size())), true);
-}
-
-void
-inttRN(std::vector<Fp> &a)
-{
-    checkTransformSize(a.size());
     const auto t = acquireTwiddles(log2Exact(a.size()));
-    ditRun(a.data(), a.size(), t->inv.data(), true);
-    scaleAll(a, t->sizeInv, true);
-}
-
-void
-inttNR(std::vector<Fp> &a)
-{
-    checkTransformSize(a.size());
-    const auto t = acquireTwiddles(log2Exact(a.size()));
-    difRun(a.data(), a.size(), t->inv.data(), true);
-    scaleAll(a, t->sizeInv, true);
-}
-
-void
-cosetNttNN(std::vector<Fp> &a, Fp shift)
-{
-    checkTransformSize(a.size());
-    cosetNttNNImpl(a, shift, *acquireTwiddles(log2Exact(a.size())), true);
-}
-
-void
-cosetNttNR(std::vector<Fp> &a, Fp shift)
-{
-    checkTransformSize(a.size());
-    cosetNttNRImpl(a, shift, *acquireTwiddles(log2Exact(a.size())), true);
-}
-
-void
-cosetInttNN(std::vector<Fp> &a, Fp shift)
-{
-    checkTransformSize(a.size());
-    const auto t = acquireTwiddles(log2Exact(a.size()));
-    difRun(a.data(), a.size(), t->inv.data(), true);
-    bitrevPermute(a, true);
-    // Fold the 1/n normalization into the inverse coset scaling pass.
-    const bool standard = shift == defaultCosetShift();
-    applyCosetScale(a, shift.inverse(), t->sizeInv,
-                    standard ? t->cosetInv : std::vector<Fp>{}, true);
+    difRun(a.data(), a.size(), t->fwd.data(), true);
 }
 
 void
@@ -643,18 +526,9 @@ inttBatchNN(std::vector<std::vector<Fp>> &polys)
     const size_t n = polys[0].size();
     const auto t = acquireTwiddles(log2Exact(n));
     forEachPoly(polys.size(), n, [&](size_t p, bool par) {
-        inttNNImpl(polys[p], *t, par);
-    });
-}
-
-void
-nttBatchNR(std::vector<std::vector<Fp>> &polys)
-{
-    checkBatchSizes(polys);
-    const size_t n = polys[0].size();
-    const auto t = acquireTwiddles(log2Exact(n));
-    forEachPoly(polys.size(), n, [&](size_t p, bool par) {
-        nttNRImpl(polys[p], *t, par);
+        difRun(polys[p].data(), n, t->inv.data(), par);
+        bitrevPermute(polys[p], par);
+        scaleAll(polys[p], t->sizeInv, par);
     });
 }
 
@@ -761,7 +635,7 @@ inttNNExt(std::vector<Fp2> &a)
     if (n < 2)
         return;
     // Table-driven DIF core over Fp2 values with Fp twiddles, then
-    // bit-reverse and scale, mirroring inttNN. The FRI final polynomial
+    // bit-reverse and scale, mirroring inttBatchNN. The FRI final polynomial
     // is short, so this path stays serial.
     const auto t = acquireTwiddles(log2Exact(n));
     difTabled(a.data(), n, t->inv.data());
@@ -813,7 +687,8 @@ multidimNttImpl(std::vector<Fp> &a, const std::vector<uint32_t> &dims,
 {
     const size_t n = a.size();
     if (d + 1 >= dims.size()) {
-        nttNN(a);
+        nttNR(a);
+        bitReversePermute(a);
         return;
     }
 
@@ -846,7 +721,8 @@ multidimNttImpl(std::vector<Fp> &a, const std::vector<uint32_t> &dims,
     for (size_t k2 = 0; k2 < n2; ++k2) {
         for (size_t j1 = 0; j1 < n1; ++j1)
             row[j1] = a[n1 * k2 + j1];
-        nttNN(row);
+        nttNR(row);
+        bitReversePermute(row);
         for (size_t k1 = 0; k1 < n1; ++k1)
             out[n2 * k1 + k2] = row[k1];
     }
@@ -858,15 +734,8 @@ multidimNttImpl(std::vector<Fp> &a, const std::vector<uint32_t> &dims,
 void
 multidimNttNN(std::vector<Fp> &a, uint32_t log_n_max)
 {
-    const size_t n = a.size();
-    checkTransformSize(n);
-    const uint32_t log_n = log2Exact(n);
-    if (log_n <= log_n_max) {
-        nttNN(a);
-        return;
-    }
-    const auto dims = decomposeNttDims(log_n, log_n_max);
-    multidimNttImpl(a, dims, 0);
+    checkTransformSize(a.size());
+    multidimNttImpl(a, decomposeNttDims(log2Exact(a.size()), log_n_max), 0);
 }
 
 } // namespace unizk

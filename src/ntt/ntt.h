@@ -10,10 +10,15 @@
  *    the subgroup H, implemented by pre-scaling coefficients with g^i
  *    (forward) or post-scaling with g^-i (inverse).
  *
- * The protocol layer uses iNTT^NN to move polynomials from value to
- * coefficient form, and coset-NTT^NR for the low-degree extension (LDE)
- * inside FRI, exactly the two variants highlighted in Figure 1 of the
- * paper.
+ * The CPU prover runs three of them: iNTT^NN moves committed values to
+ * coefficient form (inttBatchNN), the coset NTT^NR computes the
+ * low-degree extension (LDE) inside FRI (lowDegreeExtension /
+ * ldeBatch), the two variants highlighted in Figure 1 of the paper, and
+ * the coset iNTT^RN recovers the Plonk and Stark quotients'
+ * coefficients from their bit-reversed coset evaluations (cosetInttRN).
+ * The other variants exist as UniZK kernels only: the kernel trace
+ * names them by NttKernel flags and the simulator maps them from those
+ * flags.
  *
  * Engine (mirroring SZKP/zkPHIRE twiddle datapaths): every transform
  * consumes precomputed stage-major twiddle tables from the registry in
@@ -31,10 +36,10 @@
  * regardless of thread count, SIMD level or cache setting, so proofs
  * stay byte-identical.
  *
- * The batch entry points (inttBatchNN / nttBatchNR / ldeBatch) commit
- * a whole set of polynomials with one twiddle acquisition and pick the
- * parallel axis automatically: many small polynomials spread across the
- * pool one-per-worker; the few huge ones recursion produces run
+ * The batch entry points (inttBatchNN / ldeBatch) commit a whole set of
+ * polynomials with one twiddle acquisition and pick the parallel axis
+ * automatically: many small polynomials spread across the pool
+ * one-per-worker; the few huge ones recursion produces run
  * sequentially, each transform itself pool-parallel.
  */
 
@@ -63,33 +68,6 @@ defaultCosetShift()
  */
 void nttNR(std::vector<Fp> &a);
 
-/** In-place forward NTT, bit-reversed input -> natural output (DIT). */
-void nttRN(std::vector<Fp> &a);
-
-/** In-place forward NTT, natural input -> natural output. */
-void nttNN(std::vector<Fp> &a);
-
-/** In-place inverse NTT, natural -> natural. */
-void inttNN(std::vector<Fp> &a);
-
-/** In-place inverse NTT, bit-reversed input -> natural output. */
-void inttRN(std::vector<Fp> &a);
-
-/** In-place inverse NTT, natural input -> bit-reversed output. */
-void inttNR(std::vector<Fp> &a);
-
-/**
- * Coset forward NTT, natural -> natural: evaluates the polynomial with
- * coefficients @p a over the coset shift*H.
- */
-void cosetNttNN(std::vector<Fp> &a, Fp shift);
-
-/** Coset forward NTT, natural -> bit-reversed (the LDE workhorse). */
-void cosetNttNR(std::vector<Fp> &a, Fp shift);
-
-/** Coset inverse NTT, natural -> natural. */
-void cosetInttNN(std::vector<Fp> &a, Fp shift);
-
 /** Coset inverse NTT, bit-reversed input -> natural coefficients. */
 void cosetInttRN(std::vector<Fp> &a, Fp shift);
 
@@ -105,16 +83,13 @@ std::vector<Fp> lowDegreeExtension(const std::vector<Fp> &coeffs,
 /**
  * Batch API: transforms over a set of equally-sized polynomials with a
  * single twiddle acquisition and automatic parallel-axis selection (see
- * file docs). All variants require every polynomial to share one
- * power-of-two size.
+ * file docs). Both require every polynomial to share one power-of-two
+ * size.
  * @{
  */
 
 /** In-place iNTT^NN of every polynomial (the commit-from-values step). */
 void inttBatchNN(std::vector<std::vector<Fp>> &polys);
-
-/** In-place NTT^NR of every polynomial. */
-void nttBatchNR(std::vector<std::vector<Fp>> &polys);
 
 /**
  * Coset LDE of every coefficient vector, bit-reversed output (the
@@ -155,11 +130,10 @@ std::vector<Fp> scalarLowDegreeExtension(const std::vector<Fp> &coeffs,
  * into dims of size at most 2^log_n_max, performing small NTTs along each
  * dimension with inter-dimension twiddle multiplications in between.
  *
- * Functionally identical to nttNN; exists to validate the hardware
- * mapping's dataflow and to let tests pin down the inter-dimension
- * twiddle math used by the simulator. Follows the decomposeNttDims plan
- * exactly, so the software dataflow and the simulator's cycle estimates
- * stay in lockstep.
+ * Exists to validate the hardware mapping's dataflow and to let tests
+ * pin down the inter-dimension twiddle math used by the simulator.
+ * Follows the decomposeNttDims plan exactly, so the software dataflow
+ * and the simulator's cycle estimates stay in lockstep.
  */
 void multidimNttNN(std::vector<Fp> &a, uint32_t log_n_max);
 

@@ -4,199 +4,8 @@
 
 #include "common/bits.h"
 #include "common/thread_pool.h"
-#include "ntt/ntt.h"
 
 namespace unizk {
-
-Polynomial
-Polynomial::constant(Fp c)
-{
-    return Polynomial(std::vector<Fp>{c});
-}
-
-Polynomial
-Polynomial::monomial(Fp c, size_t d)
-{
-    std::vector<Fp> coeffs(d + 1, Fp::zero());
-    coeffs[d] = c;
-    return Polynomial(std::move(coeffs));
-}
-
-void
-Polynomial::trim()
-{
-    while (!coeffs_.empty() && coeffs_.back().isZero())
-        coeffs_.pop_back();
-}
-
-Fp
-Polynomial::eval(Fp x) const
-{
-    Fp acc;
-    for (size_t i = coeffs_.size(); i-- > 0;)
-        acc = acc * x + coeffs_[i];
-    return acc;
-}
-
-Fp2
-Polynomial::evalExt(Fp2 x) const
-{
-    Fp2 acc;
-    for (size_t i = coeffs_.size(); i-- > 0;)
-        acc = acc * x + Fp2(coeffs_[i]);
-    return acc;
-}
-
-Polynomial
-Polynomial::operator+(const Polynomial &o) const
-{
-    std::vector<Fp> out(std::max(coeffs_.size(), o.coeffs_.size()));
-    for (size_t i = 0; i < out.size(); ++i)
-        out[i] = coeff(i) + o.coeff(i);
-    return Polynomial(std::move(out));
-}
-
-Polynomial
-Polynomial::operator-(const Polynomial &o) const
-{
-    std::vector<Fp> out(std::max(coeffs_.size(), o.coeffs_.size()));
-    for (size_t i = 0; i < out.size(); ++i)
-        out[i] = coeff(i) - o.coeff(i);
-    return Polynomial(std::move(out));
-}
-
-Polynomial
-Polynomial::operator*(const Polynomial &o) const
-{
-    if (isZero() || o.isZero())
-        return Polynomial();
-
-    const size_t out_len = coeffs_.size() + o.coeffs_.size() - 1;
-    constexpr size_t ntt_threshold = 64;
-    if (out_len < ntt_threshold) {
-        std::vector<Fp> out(out_len, Fp::zero());
-        for (size_t i = 0; i < coeffs_.size(); ++i)
-            for (size_t j = 0; j < o.coeffs_.size(); ++j)
-                out[i + j] += coeffs_[i] * o.coeffs_[j];
-        return Polynomial(std::move(out));
-    }
-
-    const size_t n = nextPowerOfTwo(out_len);
-    std::vector<Fp> a(coeffs_), b(o.coeffs_);
-    a.resize(n, Fp::zero());
-    b.resize(n, Fp::zero());
-    // NR/RN pairing: the pointwise product is order-agnostic, so using
-    // bit-reversed evaluations skips both permutation passes of the
-    // NN/NN round trip.
-    nttNR(a);
-    nttNR(b);
-    for (size_t i = 0; i < n; ++i)
-        a[i] *= b[i];
-    inttRN(a);
-    a.resize(out_len);
-    return Polynomial(std::move(a));
-}
-
-Polynomial
-Polynomial::scaled(Fp c) const
-{
-    std::vector<Fp> out(coeffs_);
-    for (auto &x : out)
-        x *= c;
-    return Polynomial(std::move(out));
-}
-
-Polynomial
-Polynomial::divideByLinear(Fp z, Fp *remainder) const
-{
-    if (coeffs_.empty()) {
-        if (remainder)
-            *remainder = Fp::zero();
-        return Polynomial();
-    }
-    std::vector<Fp> out(coeffs_.size() - 1);
-    Fp carry;
-    for (size_t i = coeffs_.size(); i-- > 0;) {
-        const Fp c = coeffs_[i] + carry * z;
-        if (i == 0) {
-            if (remainder)
-                *remainder = c;
-        } else {
-            out[i - 1] = c;
-            carry = c;
-        }
-    }
-    return Polynomial(std::move(out));
-}
-
-Polynomial
-Polynomial::longDivide(const Polynomial &divisor,
-                       Polynomial *remainder_out) const
-{
-    unizk_assert(!divisor.isZero(), "division by zero polynomial");
-    std::vector<Fp> rem(coeffs_);
-    const size_t d = divisor.coeffs_.size();
-    if (rem.size() < d) {
-        if (remainder_out)
-            *remainder_out = *this;
-        return Polynomial();
-    }
-    const Fp lead_inv = divisor.coeffs_.back().inverse();
-    std::vector<Fp> quot(rem.size() - d + 1, Fp::zero());
-    for (size_t i = rem.size(); i >= d;) {
-        --i;
-        const Fp q = rem[i] * lead_inv;
-        quot[i - (d - 1)] = q;
-        if (!q.isZero()) {
-            for (size_t j = 0; j < d; ++j)
-                rem[i - (d - 1) + j] -= q * divisor.coeffs_[j];
-        }
-    }
-    if (remainder_out)
-        *remainder_out = Polynomial(std::move(rem));
-    return Polynomial(std::move(quot));
-}
-
-Polynomial
-Polynomial::interpolate(const std::vector<Fp> &xs, const std::vector<Fp> &ys)
-{
-    unizk_assert(xs.size() == ys.size(), "interpolate: size mismatch");
-    Polynomial acc;
-    for (size_t i = 0; i < xs.size(); ++i) {
-        // Basis polynomial L_i(X) = prod_{j != i} (X - x_j)/(x_i - x_j).
-        Polynomial basis = Polynomial::constant(Fp::one());
-        Fp denom = Fp::one();
-        for (size_t j = 0; j < xs.size(); ++j) {
-            if (j == i)
-                continue;
-            basis = basis * Polynomial(
-                std::vector<Fp>{xs[j].neg(), Fp::one()});
-            denom *= xs[i] - xs[j];
-        }
-        acc = acc + basis.scaled(ys[i] * denom.inverse());
-    }
-    return acc;
-}
-
-std::vector<Fp>
-vecAdd(const std::vector<Fp> &a, const std::vector<Fp> &b)
-{
-    unizk_assert(a.size() == b.size(), "vecAdd size mismatch");
-    std::vector<Fp> out(a.size());
-    for (size_t i = 0; i < a.size(); ++i)
-        out[i] = a[i] + b[i];
-    return out;
-}
-
-std::vector<Fp>
-vecSub(const std::vector<Fp> &a, const std::vector<Fp> &b)
-{
-    unizk_assert(a.size() == b.size(), "vecSub size mismatch");
-    std::vector<Fp> out(a.size());
-    for (size_t i = 0; i < a.size(); ++i)
-        out[i] = a[i] - b[i];
-    return out;
-}
 
 std::vector<Fp>
 vecMul(const std::vector<Fp> &a, const std::vector<Fp> &b)
@@ -206,39 +15,6 @@ vecMul(const std::vector<Fp> &a, const std::vector<Fp> &b)
     for (size_t i = 0; i < a.size(); ++i)
         out[i] = a[i] * b[i];
     return out;
-}
-
-std::vector<Fp>
-vecScale(const std::vector<Fp> &a, Fp c)
-{
-    std::vector<Fp> out(a.size());
-    for (size_t i = 0; i < a.size(); ++i)
-        out[i] = a[i] * c;
-    return out;
-}
-
-std::vector<Fp>
-vecAddScalar(const std::vector<Fp> &a, Fp c)
-{
-    std::vector<Fp> out(a.size());
-    for (size_t i = 0; i < a.size(); ++i)
-        out[i] = a[i] + c;
-    return out;
-}
-
-std::vector<Fp>
-quotientChunkProducts(const std::vector<Fp> &q, size_t chunk_size)
-{
-    unizk_assert(chunk_size > 0 && q.size() % chunk_size == 0,
-                 "chunk size must divide input length");
-    std::vector<Fp> h(q.size() / chunk_size);
-    for (size_t i = 0; i < h.size(); ++i) {
-        Fp acc = Fp::one();
-        for (size_t j = 0; j < chunk_size; ++j)
-            acc *= q[i * chunk_size + j];
-        h[i] = acc;
-    }
-    return h;
 }
 
 std::vector<Fp>

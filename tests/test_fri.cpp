@@ -14,6 +14,7 @@
 #include "fri/fri.h"
 #include "field/goldilocks_simd.h"
 #include "hash/hashing.h"
+#include "test_common.h"
 
 namespace unizk {
 namespace {
@@ -125,9 +126,8 @@ TEST(PolynomialBatch, LeavesMatchNaiveEvaluation)
     // the subgroup H: check p(w^i) = values[i] via coefficients.
     const Fp w = Fp::primitiveRootOfUnity(log2Exact(n));
     for (size_t p = 0; p < 3; ++p) {
-        const Polynomial poly(batch.coefficients(p));
         for (size_t i = 0; i < n; i += 5)
-            EXPECT_EQ(poly.eval(w.pow(i)), orig[p][i]);
+            EXPECT_EQ(horner(batch.coefficients(p), w.pow(i)), orig[p][i]);
     }
 
     // Leaf i holds all polys' values at LDE point shift*w_big^rev(i).
@@ -136,10 +136,9 @@ TEST(PolynomialBatch, LeavesMatchNaiveEvaluation)
     for (size_t i : {size_t{0}, size_t{1}, lde - 1}) {
         const Fp x = cfg.shift() * w_big.pow(reverseBits(i,
                                                          log2Exact(lde)));
-        for (size_t p = 0; p < 3; ++p) {
-            const Polynomial poly(batch.coefficients(p));
-            EXPECT_EQ(batch.ldeValue(p, i), poly.eval(x));
-        }
+        for (size_t p = 0; p < 3; ++p)
+            EXPECT_EQ(batch.ldeValue(p, i),
+                      horner(batch.coefficients(p), x));
     }
 }
 
@@ -188,8 +187,8 @@ TEST(PolynomialBatch, EvalExtMatchesBaseFieldEval)
     PolynomialBatch batch = PolynomialBatch::fromValues(
         randomValues(2, 8, 9), cfg, ctx, "t");
     const Fp x(12345);
-    const Polynomial poly(batch.coefficients(1));
-    EXPECT_EQ(batch.evalAllExt(Fp2(x))[1], Fp2(poly.eval(x)));
+    EXPECT_EQ(batch.evalAllExt(Fp2(x))[1],
+              Fp2(horner(batch.coefficients(1), x)));
 }
 
 /** Restore auto thread count when a test forces a pool size. */
@@ -213,12 +212,12 @@ TEST(PolynomialBatch, EvalAllExtMatchesHornerAtEveryThreadCount)
     for (const Fp2 z : {randomFp2(rng), Fp2(Fp(Fp::modulus - 1),
                                             Fp(Fp::modulus - 1)),
                         Fp2::zero(), Fp2::one()}) {
-        std::vector<Fp2> horner(batch.polyCount());
-        for (size_t i = 0; i < horner.size(); ++i)
-            horner[i] = Polynomial(batch.coefficients(i)).evalExt(z);
+        std::vector<Fp2> expect(batch.polyCount());
+        for (size_t i = 0; i < expect.size(); ++i)
+            expect[i] = horner(batch.coefficients(i), z);
         for (const unsigned threads : {1u, 2u, 3u, 8u}) {
             const ThreadCountGuard guard(threads);
-            EXPECT_EQ(batch.evalAllExt(z), horner)
+            EXPECT_EQ(batch.evalAllExt(z), expect)
                 << "threads=" << threads;
         }
     }

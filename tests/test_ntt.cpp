@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the NTT library: all order/coset variants against the naive
- * DFT, inverse round trips, convolution property, LDE, and the
+ * Tests for the NTT library: every entry point against the naive DFT,
+ * inverse round trips, convolution property, LDE, and the
  * multi-dimensional decomposition used by the hardware mapper.
  */
 
@@ -46,6 +46,23 @@ ldeColumns(const std::vector<std::vector<Fp>> &coeffs, uint32_t blowup,
     return out;
 }
 
+/** A copy of @p v in bit-reversed order. */
+std::vector<Fp>
+bitReversed(std::vector<Fp> v)
+{
+    bitReversePermute(v);
+    return v;
+}
+
+/** inttBatchNN of a one-polynomial batch. */
+std::vector<Fp>
+inttOne(const std::vector<Fp> &values)
+{
+    std::vector<std::vector<Fp>> batch{values};
+    inttBatchNN(batch);
+    return batch[0];
+}
+
 Fp
 randomShift(uint64_t seed)
 {
@@ -67,45 +84,22 @@ struct ThreadCountGuard
 class NttSizes : public ::testing::TestWithParam<size_t>
 {};
 
-TEST_P(NttSizes, NttNNMatchesNaiveDft)
+TEST_P(NttSizes, NttNRIsBitReversedNaiveDft)
 {
     const size_t n = GetParam();
     auto a = randomVector(n, n);
     const auto expect = naiveDft(a, Fp::one());
-    nttNN(a);
-    EXPECT_EQ(a, expect);
+    nttNR(a);
+    EXPECT_EQ(bitReversed(a), expect);
 }
 
-TEST_P(NttSizes, NttNRIsBitReversedNN)
-{
-    const size_t n = GetParam();
-    auto a = randomVector(n, n + 1);
-    auto b = a;
-    nttNN(a);
-    nttNR(b);
-    bitReversePermute(b);
-    EXPECT_EQ(a, b);
-}
-
-TEST_P(NttSizes, NttRNConsumesBitReversedInput)
-{
-    const size_t n = GetParam();
-    auto a = randomVector(n, n + 2);
-    auto b = a;
-    nttNN(a);
-    bitReversePermute(b); // present input in bit-reversed order
-    nttRN(b);
-    EXPECT_EQ(a, b);
-}
-
-TEST_P(NttSizes, InverseRoundTripNN)
+TEST_P(NttSizes, InttBatchNNInvertsNaturalOrderNtt)
 {
     const size_t n = GetParam();
     const auto orig = randomVector(n, n + 3);
     auto a = orig;
-    nttNN(a);
-    inttNN(a);
-    EXPECT_EQ(a, orig);
+    nttNR(a);
+    EXPECT_EQ(inttOne(bitReversed(a)), orig);
 }
 
 TEST_P(NttSizes, InverseRoundTripNRThenRN)
@@ -113,18 +107,8 @@ TEST_P(NttSizes, InverseRoundTripNRThenRN)
     const size_t n = GetParam();
     const auto orig = randomVector(n, n + 4);
     auto a = orig;
-    nttNR(a);   // natural coeffs -> bit-reversed values
-    inttRN(a);  // bit-reversed values -> natural coeffs
-    EXPECT_EQ(a, orig);
-}
-
-TEST_P(NttSizes, InttNRThenNttRN)
-{
-    const size_t n = GetParam();
-    const auto orig = randomVector(n, n + 5);
-    auto a = orig;
-    inttNR(a);
-    nttRN(a);
+    nttNR(a);                  // natural coeffs -> bit-reversed values
+    cosetInttRN(a, Fp::one()); // bit-reversed values -> natural coeffs
     EXPECT_EQ(a, orig);
 }
 
@@ -132,10 +116,9 @@ TEST_P(NttSizes, CosetNttMatchesNaive)
 {
     const size_t n = GetParam();
     const Fp shift = defaultCosetShift();
-    auto a = randomVector(n, n + 6);
-    const auto expect = naiveDft(a, shift);
-    cosetNttNN(a, shift);
-    EXPECT_EQ(a, expect);
+    const auto a = randomVector(n, n + 6);
+    EXPECT_EQ(bitReversed(lowDegreeExtension(a, 1, shift)),
+              naiveDft(a, shift));
 }
 
 TEST_P(NttSizes, CosetInverseRoundTrip)
@@ -143,13 +126,7 @@ TEST_P(NttSizes, CosetInverseRoundTrip)
     const size_t n = GetParam();
     const Fp shift = defaultCosetShift();
     const auto orig = randomVector(n, n + 7);
-    auto a = orig;
-    cosetNttNN(a, shift);
-    cosetInttNN(a, shift);
-    EXPECT_EQ(a, orig);
-
-    auto b = orig;
-    cosetNttNR(b, shift);
+    auto b = lowDegreeExtension(orig, 1, shift);
     cosetInttRN(b, shift);
     EXPECT_EQ(b, orig);
 }
@@ -178,14 +155,16 @@ TEST(Ntt, ConvolutionTheorem)
         for (size_t j = 0; j < b.size(); ++j)
             expect[i + j] += a[i] * b[j];
 
+    // NR/RN pairing: the pointwise product is order-agnostic, so the
+    // bit-reversed evaluations need no permutation pass.
     a.resize(n, Fp::zero());
     b.resize(n, Fp::zero());
-    nttNN(a);
-    nttNN(b);
+    nttNR(a);
+    nttNR(b);
     std::vector<Fp> c(n);
     for (size_t i = 0; i < n; ++i)
         c[i] = a[i] * b[i];
-    inttNN(c);
+    cosetInttRN(c, Fp::one());
     EXPECT_EQ(c, expect);
 }
 
@@ -220,7 +199,7 @@ TEST(Ntt, LdeCosetSplitMatchesPaddedTransform)
                 const auto coeffs = randomVector(n, n * 31 + blowup);
                 auto padded = coeffs;
                 padded.resize(n * blowup, Fp::zero());
-                cosetNttNR(padded, shift);
+                padded = bitReversed(naiveDft(padded, shift));
 
                 EXPECT_EQ(lowDegreeExtension(coeffs, blowup, shift),
                           padded)
@@ -317,9 +296,9 @@ TEST_P(MultidimSizes, MatchesDirectNtt)
     const auto [n, log_max] = GetParam();
     auto a = randomVector(n, n * 31 + log_max);
     auto b = a;
-    nttNN(a);
+    nttNR(a);
     multidimNttNN(b, log_max);
-    EXPECT_EQ(a, b);
+    EXPECT_EQ(bitReversed(a), b);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -330,28 +309,26 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair<size_t, uint32_t>(256, 4),
                       std::make_pair<size_t, uint32_t>(32, 5)));
 
-TEST(Ntt, SizeOneIsIdentity)
-{
-    std::vector<Fp> a{Fp(42)};
-    nttNN(a);
-    EXPECT_EQ(a[0], Fp(42));
-    inttNN(a);
-    EXPECT_EQ(a[0], Fp(42));
-}
-
 TEST(Ntt, SizeOneAllVariants)
 {
-    const Fp shift = defaultCosetShift();
+    const Fp shift = randomShift(7);
     std::vector<Fp> a{Fp(7)};
     nttNR(a);
-    nttRN(a);
-    inttRN(a);
-    inttNR(a);
-    cosetNttNN(a, shift);
-    cosetInttNN(a, shift);
+    cosetInttRN(a, shift);
+    cosetInttRN(a, defaultCosetShift());
+    multidimNttNN(a, 3);
     EXPECT_EQ(a[0], Fp(7));
-    EXPECT_EQ(lowDegreeExtension({Fp(7)}, 1, shift),
-              std::vector<Fp>{Fp(7)});
+    EXPECT_EQ(inttOne(a), a);
+    for (const Fp s : {shift, defaultCosetShift()}) {
+        EXPECT_EQ(lowDegreeExtension({Fp(7)}, 1, s),
+                  std::vector<Fp>{Fp(7)});
+        EXPECT_EQ(ldeColumns({{Fp(7)}}, 1, s),
+                  std::vector<std::vector<Fp>>{{Fp(7)}});
+    }
+    std::vector<Fp2> ext{Fp2(Fp(7), Fp(8))};
+    inttNNExt(ext);
+    cosetInttNNExt(ext, shift);
+    EXPECT_EQ(ext[0], Fp2(Fp(7), Fp(8)));
 }
 
 TEST(Ntt, DecomposeDimsZeroSize)
@@ -365,14 +342,17 @@ TEST(NttDeathTest, EmptyInputPanicsWithClearMessage)
     // Size-0 input used to reach log2Exact(0) and die with a confusing
     // "power of two" message; the entry points now reject it up front.
     std::vector<Fp> empty;
-    EXPECT_DEATH(nttNN(empty), "empty");
     EXPECT_DEATH(nttNR(empty), "empty");
-    EXPECT_DEATH(nttRN(empty), "empty");
-    EXPECT_DEATH(inttNN(empty), "empty");
-    EXPECT_DEATH(inttNR(empty), "empty");
-    EXPECT_DEATH(inttRN(empty), "empty");
+    EXPECT_DEATH(cosetInttRN(empty, defaultCosetShift()), "empty");
+    EXPECT_DEATH(scalarNttNR(empty), "empty");
     EXPECT_DEATH(multidimNttNN(empty, 3), "empty");
     EXPECT_DEATH(lowDegreeExtension({}, 4, defaultCosetShift()), "empty");
+    std::vector<std::vector<Fp>> empty_poly{empty};
+    EXPECT_DEATH(inttBatchNN(empty_poly), "NTT on an empty vector");
+    EXPECT_DEATH(ldeBatch(empty_poly, 4, defaultCosetShift(), nullptr),
+                 "NTT on an empty vector");
+    std::vector<std::vector<Fp>> no_polys;
+    EXPECT_DEATH(inttBatchNN(no_polys), "empty polynomial batch");
     std::vector<Fp2> empty_ext;
     EXPECT_DEATH(inttNNExt(empty_ext), "empty");
 }
@@ -380,7 +360,10 @@ TEST(NttDeathTest, EmptyInputPanicsWithClearMessage)
 TEST(NttDeathTest, NonPowerOfTwoPanics)
 {
     std::vector<Fp> a{Fp(1), Fp(2), Fp(3)};
-    EXPECT_DEATH(nttNN(a), "power of two");
+    EXPECT_DEATH(nttNR(a), "power of two");
+    EXPECT_DEATH(cosetInttRN(a, defaultCosetShift()), "power of two");
+    std::vector<std::vector<Fp>> batch{a};
+    EXPECT_DEATH(inttBatchNN(batch), "power of two");
 }
 
 // KernelScope writes the breakdown without synchronisation and charges
@@ -413,12 +396,11 @@ TEST(KernelScopeDeathTest, ScopeOnPoolWorkerPanics)
         "opened inside a pool chunk");
 }
 
-// ---- Exhaustive equivalence sweep: every order variant at every
+// ---- Exhaustive equivalence sweep: every entry point at every
 // power-of-two size 2^1..2^12 against the quadratic-time oracles, with
-// random (not just standard) coset shifts. nttNN anchors directly to
-// naiveDft; the other variants are checked against nttNN through exact
-// permutation/inversion identities, which keeps the sweep O(n log n)
-// per variant instead of O(n^2) each.
+// random (not just standard) coset shifts. One forward and one coset
+// evaluation per size are paid at O(n^2); the inverses are checked
+// against those anchors through exact permutation identities.
 
 TEST(NttExhaustive, AllVariantsAllSizesAgainstOracle)
 {
@@ -427,54 +409,19 @@ TEST(NttExhaustive, AllVariantsAllSizesAgainstOracle)
         const Fp shift = randomShift(1000 + log);
         const auto orig = randomVector(n, 2000 + log);
 
-        // Anchors: one forward and one coset evaluation per size paid
-        // at O(n^2).
         const auto plain = naiveDft(orig, Fp::one());
         const auto coset = naiveDft(orig, shift);
 
         auto a = orig;
-        nttNN(a);
-        ASSERT_EQ(a, plain) << "nttNN size " << n;
-
-        a = orig;
         nttNR(a);
-        bitReversePermute(a);
-        EXPECT_EQ(a, plain) << "nttNR size " << n;
+        ASSERT_EQ(bitReversed(a), plain) << "nttNR size " << n;
 
-        a = orig;
-        bitReversePermute(a);
-        nttRN(a);
-        EXPECT_EQ(a, plain) << "nttRN size " << n;
+        EXPECT_EQ(inttOne(plain), orig) << "inttBatchNN size " << n;
 
-        a = plain;
-        inttNN(a);
-        EXPECT_EQ(a, orig) << "inttNN size " << n;
+        EXPECT_EQ(bitReversed(lowDegreeExtension(orig, 1, shift)), coset)
+            << "lowDegreeExtension size " << n;
 
-        a = plain;
-        inttNR(a);
-        bitReversePermute(a);
-        EXPECT_EQ(a, orig) << "inttNR size " << n;
-
-        a = plain;
-        bitReversePermute(a);
-        inttRN(a);
-        EXPECT_EQ(a, orig) << "inttRN size " << n;
-
-        a = orig;
-        cosetNttNN(a, shift);
-        EXPECT_EQ(a, coset) << "cosetNttNN size " << n;
-
-        a = orig;
-        cosetNttNR(a, shift);
-        bitReversePermute(a);
-        EXPECT_EQ(a, coset) << "cosetNttNR size " << n;
-
-        a = coset;
-        cosetInttNN(a, shift);
-        EXPECT_EQ(a, orig) << "cosetInttNN size " << n;
-
-        a = coset;
-        bitReversePermute(a);
+        a = bitReversed(coset);
         cosetInttRN(a, shift);
         EXPECT_EQ(a, orig) << "cosetInttRN size " << n;
 
@@ -497,9 +444,10 @@ TEST(NttExhaustive, MultidimMatchesAtEveryMaxDim)
         for (uint32_t max = 1; max <= log; ++max) {
             auto a = randomVector(n, 3000 + 31 * log + max);
             auto b = a;
-            nttNN(a);
+            nttNR(a);
             multidimNttNN(b, max);
-            EXPECT_EQ(a, b) << "size " << n << " max dim 2^" << max;
+            EXPECT_EQ(bitReversed(a), b)
+                << "size " << n << " max dim 2^" << max;
         }
     }
 }
@@ -522,11 +470,15 @@ TEST(NttExhaustive, ExtensionFieldActsLimbwise)
         auto coset = v;
         cosetInttNNExt(coset, shift);
 
-        auto lo_coset = lo, hi_coset = hi;
-        inttNN(lo);
-        inttNN(hi);
-        cosetInttNN(lo_coset, shift);
-        cosetInttNN(hi_coset, shift);
+        // The natural-order coset inverse is cosetInttRN on bit-reversed
+        // values.
+        auto lo_coset = bitReversed(lo), hi_coset = bitReversed(hi);
+        cosetInttRN(lo_coset, shift);
+        cosetInttRN(hi_coset, shift);
+        std::vector<std::vector<Fp>> limbs{lo, hi};
+        inttBatchNN(limbs);
+        lo = limbs[0];
+        hi = limbs[1];
         for (size_t i = 0; i < n; ++i) {
             EXPECT_EQ(plain[i], Fp2(lo[i], hi[i])) << "size " << n;
             EXPECT_EQ(coset[i], Fp2(lo_coset[i], hi_coset[i]))
@@ -535,8 +487,8 @@ TEST(NttExhaustive, ExtensionFieldActsLimbwise)
     }
 }
 
-// ---- Batch API: identical values to the per-polynomial entry points,
-// whichever parallel axis the engine picks.
+// ---- Batch API: identical values to the oracle and the per-polynomial
+// entry points, whichever parallel axis the engine picks.
 
 TEST(NttBatch, MatchesPerPolyEntryPoints)
 {
@@ -550,17 +502,8 @@ TEST(NttBatch, MatchesPerPolyEntryPoints)
     auto batch = polys;
     inttBatchNN(batch);
     for (size_t p = 0; p < polys.size(); ++p) {
-        auto one = polys[p];
-        inttNN(one);
-        EXPECT_EQ(batch[p], one) << "inttBatchNN poly " << p;
-    }
-
-    batch = polys;
-    nttBatchNR(batch);
-    for (size_t p = 0; p < polys.size(); ++p) {
-        auto one = polys[p];
-        nttNR(one);
-        EXPECT_EQ(batch[p], one) << "nttBatchNR poly " << p;
+        EXPECT_EQ(batch[p], naiveIdft(polys[p], Fp::one()))
+            << "inttBatchNN poly " << p;
     }
 
     const auto ldes = ldeColumns(polys, blowup, shift);
@@ -589,12 +532,11 @@ TEST(NttBatch, CommittedLdePrefixIsTheSmallerBlowupLde)
                     continue;
                 const auto smaller = ldeColumns(polys, uint32_t{1} << q, shift);
                 for (size_t p = 0; p < polys.size(); ++p) {
-                    auto natural = smaller[p];
-                    bitReversePermute(natural);
-                    auto coset = polys[p];
-                    coset.resize(n << q, Fp::zero());
-                    cosetNttNN(coset, shift);
-                    ASSERT_EQ(natural, coset) << "n=" << n << " q=" << q;
+                    // The padded size-(n 2^q) coset transform.
+                    auto padded = polys[p];
+                    padded.resize(n << q, Fp::zero());
+                    ASSERT_EQ(smaller[p], lowDegreeExtension(padded, 1, shift))
+                        << "n=" << n << " q=" << q;
                     ASSERT_TRUE(std::equal(smaller[p].begin(),
                                            smaller[p].end(),
                                            committed[p].begin()))
@@ -612,37 +554,64 @@ TEST(NttBatch, CommittedLdePrefixIsTheSmallerBlowupLde)
 
 TEST(NttParallel, LargeTransformsThreadCountInvariant)
 {
+    // 2^16 points take every pool path: the four-step DIF of nttNR and
+    // inttBatchNN (with the pool-chunked bit-reverse and scaling), the
+    // block-first DIT of cosetInttRN, and its coset scaling through the
+    // cached table (standard shift) and pow() jumps (random shift).
     const size_t n = size_t{1} << 16;
-    const Fp shift = defaultCosetShift();
+    const Fp g = defaultCosetShift();
+    const Fp shift = randomShift(8002);
     const auto orig = randomVector(n, 8001);
+    // Many small polynomials spread across the pool instead.
+    std::vector<std::vector<Fp>> small(16);
+    for (size_t p = 0; p < small.size(); ++p)
+        small[p] = randomVector(1024, 8100 + p);
 
-    std::vector<Fp> serial_nr, serial_lde, serial_roundtrip;
+    const auto transforms = [&] {
+        std::vector<std::vector<Fp>> out;
+        auto a = orig;
+        nttNR(a);
+        out.push_back(std::move(a));
+        out.push_back(lowDegreeExtension(orig, 2, g));
+        out.push_back(inttOne(orig));
+        for (const Fp s : {g, shift}) {
+            a = orig;
+            cosetInttRN(a, s);
+            out.push_back(std::move(a));
+        }
+        auto batch = small;
+        inttBatchNN(batch);
+        for (auto &v : batch)
+            out.push_back(std::move(v));
+        return out;
+    };
+
+    std::vector<std::vector<Fp>> serial;
     {
         ThreadCountGuard guard(1);
-        serial_nr = orig;
-        nttNR(serial_nr);
-        serial_lde = scalarLowDegreeExtension(orig, 2, shift);
-        serial_roundtrip = orig;
-        cosetNttNN(serial_roundtrip, shift);
+        serial = transforms();
     }
     auto scalar = orig;
     scalarNttNR(scalar);
-    ASSERT_EQ(serial_nr, scalar);
+    ASSERT_EQ(serial[0], scalar);
+    ASSERT_EQ(serial[1], scalarLowDegreeExtension(orig, 2, g));
 
     for (unsigned threads : {2u, 4u, 8u}) {
         ThreadCountGuard guard(threads);
-        auto a = orig;
-        nttNR(a);
-        EXPECT_EQ(a, serial_nr) << threads << " threads";
+        const auto got = transforms();
+        ASSERT_EQ(got.size(), serial.size());
+        for (size_t v = 0; v < got.size(); ++v)
+            EXPECT_EQ(got[v], serial[v])
+                << threads << " threads, transform " << v;
 
-        EXPECT_EQ(lowDegreeExtension(orig, 2, shift), serial_lde)
-            << threads << " threads";
-
-        a = orig;
-        cosetNttNN(a, shift);
-        EXPECT_EQ(a, serial_roundtrip) << threads << " threads";
-        cosetInttNN(a, shift);
-        EXPECT_EQ(a, orig) << threads << " threads";
+        // Round trips back to the input.
+        auto a = got[0];
+        EXPECT_EQ(inttOne(bitReversed(a)), orig) << threads << " threads";
+        for (const Fp s : {g, shift}) {
+            a = lowDegreeExtension(orig, 1, s);
+            cosetInttRN(a, s);
+            EXPECT_EQ(a, orig) << threads << " threads";
+        }
     }
 }
 
@@ -671,24 +640,17 @@ allVariants(const std::vector<Fp> &orig, Fp shift)
 {
     const Fp g = defaultCosetShift();
     std::vector<std::vector<Fp>> out;
-    const auto run = [&](auto &&fn) {
-        auto a = orig;
-        fn(a);
-        out.push_back(std::move(a));
-    };
-    run([](std::vector<Fp> &a) { nttNN(a); });
-    run([](std::vector<Fp> &a) { nttNR(a); });
-    run([](std::vector<Fp> &a) { nttRN(a); });
-    run([](std::vector<Fp> &a) { inttNN(a); });
-    run([](std::vector<Fp> &a) { inttNR(a); });
-    run([](std::vector<Fp> &a) { inttRN(a); });
+    auto a = orig;
+    nttNR(a);
+    out.push_back(std::move(a));
+    out.push_back(inttOne(orig));
     // A random shift takes the power-chain scaling; the standard shift
     // takes the cached coset-power tables.
     for (const Fp s : {shift, g}) {
-        run([s](std::vector<Fp> &a) { cosetNttNN(a, s); });
-        run([s](std::vector<Fp> &a) { cosetNttNR(a, s); });
-        run([s](std::vector<Fp> &a) { cosetInttNN(a, s); });
-        run([s](std::vector<Fp> &a) { cosetInttRN(a, s); });
+        a = orig;
+        cosetInttRN(a, s);
+        out.push_back(std::move(a));
+        out.push_back(lowDegreeExtension(orig, 1, s));
         out.push_back(lowDegreeExtension(orig, 4, s));
     }
     std::vector<std::vector<Fp>> polys{orig, orig};
@@ -697,10 +659,8 @@ allVariants(const std::vector<Fp> &orig, Fp shift)
         out.push_back(std::move(v));
     for (auto &v : ldeColumns(polys, 2, shift))
         out.push_back(std::move(v));
-    auto batch = polys;
-    inttBatchNN(batch);
-    nttBatchNR(batch);
-    for (auto &v : batch)
+    inttBatchNN(polys);
+    for (auto &v : polys)
         out.push_back(std::move(v));
     return out;
 }
@@ -723,12 +683,15 @@ TEST(NttLanes, EveryVariantMatchesScalarLevelAtEveryThreadCount)
             reference = allVariants(orig, shift);
         }
         if (log <= 10) {
-            EXPECT_EQ(reference[0], naiveDft(orig, Fp::one())) << n;
-            EXPECT_EQ(reference[6], naiveDft(orig, shift)) << n;
+            EXPECT_EQ(bitReversed(reference[0]), naiveDft(orig, Fp::one()))
+                << n;
+            EXPECT_EQ(bitReversed(reference[3]), naiveDft(orig, shift))
+                << n;
         }
         if (log <= 8) {
-            EXPECT_EQ(reference[3], naiveIdft(orig, Fp::one())) << n;
-            EXPECT_EQ(reference[8], naiveIdft(orig, shift)) << n;
+            EXPECT_EQ(reference[1], naiveIdft(orig, Fp::one())) << n;
+            EXPECT_EQ(reference[2], naiveIdft(bitReversed(orig), shift))
+                << n;
         }
 
         for (const SimdLevel level : levels) {
@@ -780,14 +743,15 @@ TEST(NttTwiddles, CacheOnOffProducesIdenticalValues)
     const auto orig = randomVector(n, 9001);
     const Fp shift = defaultCosetShift();
 
+    // The standard shift reads the registry's coset-power table too.
     setTwiddleCacheEnabled(true);
     auto cached = orig;
-    cosetNttNR(cached, shift);
+    cosetInttRN(cached, shift);
 
     setTwiddleCacheEnabled(false);
     EXPECT_FALSE(twiddleCacheEnabled());
     auto uncached = orig;
-    cosetNttNR(uncached, shift);
+    cosetInttRN(uncached, shift);
 
     setTwiddleCacheEnabled(true);
     EXPECT_TRUE(twiddleCacheEnabled());
@@ -841,8 +805,8 @@ TEST(NttTwiddles, ConcurrentFirstTouchIsSafe)
                 unizk_assert(table->logSize == log, "wrong table");
             }
             auto v = randomVector(size_t{1} << max_log, 42);
-            nttNN(v);
-            inttNN(v);
+            nttNR(v);
+            cosetInttRN(v, Fp::one());
             results[t] = std::move(v);
         });
     }
@@ -883,9 +847,9 @@ TEST(Ntt, LinearityProperty)
         combo[i] = a[i] * alpha + b[i];
 
     auto fa = a, fb = b;
-    nttNN(fa);
-    nttNN(fb);
-    nttNN(combo);
+    nttNR(fa);
+    nttNR(fb);
+    nttNR(combo);
     for (size_t i = 0; i < n; ++i)
         EXPECT_EQ(combo[i], fa[i] * alpha + fb[i]);
 }

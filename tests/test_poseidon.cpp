@@ -414,10 +414,9 @@ TEST(SimdDispatch, DotMatchesFpDotOnEdgeValues)
                 Fp expect[kSimdBatchWidth];
                 for (size_t k = 0; k < kSimdBatchWidth; ++k) {
                     expect[k] = fpDot(row.data(), in[k].data(), n);
-                    Fp chain = Fp::mulBranchless(row[0], in[k][0]);
+                    Fp chain = row[0] * in[k][0];
                     for (size_t j = 1; j < n; ++j)
-                        chain = Fp::addBranchless(
-                            chain, Fp::mulBranchless(row[j], in[k][j]));
+                        chain += row[j] * in[k][j];
                     ASSERT_EQ(chain, expect[k]) << "n=" << n;
                     const DotBranches b =
                         dotBranches(row.data(), in[k], n);

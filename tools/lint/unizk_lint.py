@@ -392,15 +392,15 @@ RULES: Tuple[Rule, ...] = (
         name="ntt-core-outside",
         summary="hand-rolled NTT butterfly core outside src/ntt/",
         message=(
-            "inline NTT butterfly core (difTabled/ditTabled call or a "
-            "sequential `w_len` twiddle chain) outside src/ntt/; per-call "
-            "root recomputation forfeits the twiddle cache and the "
-            "pool-parallel decomposition. Call the src/ntt/ntt.h entry "
-            "points (nttNR, inttNN, lowDegreeExtension, the batch API) "
-            "instead"
+            "inline NTT butterfly core (difTabled/difButterfly/ditButterfly "
+            "call or a sequential `w_len` twiddle chain) outside src/ntt/; "
+            "per-call root recomputation forfeits the twiddle cache and "
+            "the pool-parallel decomposition. Call the src/ntt/ntt.h entry "
+            "points (nttNR, lowDegreeExtension, inttBatchNN, ldeBatch, "
+            "cosetInttRN) instead"
         ),
         pattern=re.compile(
-            r"\b(?:difTabled|ditTabled|difButterfly|ditButterfly)\s*\("
+            r"\b(?:difTabled|difButterfly|ditButterfly)\s*\("
             r"|\bw_len\b"
         ),
         exclude=("src/ntt/",),
