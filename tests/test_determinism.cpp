@@ -16,6 +16,8 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "field/goldilocks_simd.h"
+#include "fri/fri.h"
+#include "fri/polynomial_batch.h"
 #include "hash/challenger.h"
 #include "ntt/twiddles.h"
 #include "plonk/plonk.h"
@@ -174,6 +176,116 @@ TEST(Determinism, ProofBytesIdenticalAcrossSimdLevelsAndThreads)
                 << simdLevelName(level) << " threads=" << threads;
             EXPECT_EQ(proveStarkSeeded(), stark_ref)
                 << simdLevelName(level) << " threads=" << threads;
+        }
+    }
+
+    setGlobalThreadCount(saved_threads);
+    ASSERT_TRUE(setSimdLevel(saved_level));
+}
+
+/** FNV-1a over a byte string. */
+uint64_t
+fnv1a(const std::vector<uint8_t> &bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** A standalone FRI proof over two committed batches of random values
+ *  (no PIOP around it), opened at zeta and zeta * g. */
+std::vector<uint8_t>
+proveFriSeeded()
+{
+    const FriConfig cfg = FriConfig::testing();
+    const size_t n = 64;
+    ProverContext ctx;
+    SplitMix64 rng(2024);
+    auto values = [&rng, n](size_t polys) {
+        std::vector<std::vector<Fp>> vals(polys, std::vector<Fp>(n));
+        for (auto &v : vals)
+            for (Fp &x : v)
+                x = randomFp(rng);
+        return vals;
+    };
+    const PolynomialBatch a =
+        PolynomialBatch::fromValues(values(5), cfg, ctx, "a");
+    const PolynomialBatch b =
+        PolynomialBatch::fromValues(values(3), cfg, ctx, "b");
+
+    Challenger challenger;
+    for (const auto *batch : {&a, &b})
+        for (const HashOut &digest : batch->cap())
+            challenger.observe(digest);
+    const Fp2 zeta = challenger.challengeExt();
+    const std::vector<Fp2> points{
+        zeta, zeta * Fp::primitiveRootOfUnity(log2Exact(n))};
+    std::vector<std::vector<Fp2>> openings;
+    for (const Fp2 &z : points) {
+        std::vector<Fp2> row;
+        for (const auto *batch : {&a, &b})
+            for (const Fp2 &v : batch->evalAllExt(z))
+                row.push_back(v);
+        openings.push_back(std::move(row));
+    }
+    for (const auto &row : openings)
+        for (const Fp2 &v : row) {
+            challenger.observe(v.limb(0));
+            challenger.observe(v.limb(1));
+        }
+    return serializeFriProof(
+        friProve({&a, &b}, points, openings, challenger, cfg, ctx));
+}
+
+/** A small Plonky2 shape: the Factorial circuit at 256 rows, 3 reps. */
+std::vector<uint8_t>
+proveFactorialSmall()
+{
+    const FriConfig cfg = FriConfig::testing();
+    ProverContext ctx;
+    const PlonkApp app = buildPlonkApp(AppId::Factorial, 256, 3);
+    const PlonkProvingKey key = plonkSetup(app.circuit, cfg, ctx);
+    const PlonkProof proof =
+        plonkProve(app.circuit, key, app.witnesses, cfg, ctx);
+    EXPECT_TRUE(plonkVerify(key.constants->cap(), proof, cfg));
+    return serializePlonkProof(proof);
+}
+
+/* Pinned FNV-1a digests of three proofs' bytes. Determinism across
+ * threads and SIMD levels cannot catch a change that moves every
+ * level's bytes alike; these digests can. A change that means to alter
+ * proof bytes updates them on purpose. */
+constexpr uint64_t kPinnedFactorialDigest = 0x81043db983213e9f;
+constexpr uint64_t kPinnedFibonacciDigest = 0x577f82d7c4d167c4;
+constexpr uint64_t kPinnedFriDigest = 0x7ea180204e1b430b;
+
+TEST(Determinism, ProofBytesMatchPinnedDigests)
+{
+    const unsigned saved_threads = globalThreadCount();
+    const SimdLevel saved_level = activeSimdLevel();
+
+    std::vector<SimdLevel> levels{SimdLevel::Scalar};
+    if (simdLevelAvailable(SimdLevel::Avx2))
+        levels.push_back(SimdLevel::Avx2);
+    for (const SimdLevel level : levels) {
+        ASSERT_TRUE(setSimdLevel(level));
+        for (const unsigned threads : {1u, 3u, 4u}) {
+            setGlobalThreadCount(threads);
+            const uint64_t factorial = fnv1a(proveFactorialSmall());
+            const uint64_t fibonacci = fnv1a(proveStarkSeeded());
+            const uint64_t fri = fnv1a(proveFriSeeded());
+            EXPECT_EQ(factorial, kPinnedFactorialDigest)
+                << simdLevelName(level) << " threads=" << threads
+                << std::hex << " factorial 0x" << factorial;
+            EXPECT_EQ(fibonacci, kPinnedFibonacciDigest)
+                << simdLevelName(level) << " threads=" << threads
+                << std::hex << " fibonacci 0x" << fibonacci;
+            EXPECT_EQ(fri, kPinnedFriDigest)
+                << simdLevelName(level) << " threads=" << threads
+                << std::hex << " fri 0x" << fri;
         }
     }
 
