@@ -162,7 +162,8 @@ powGrind(Fp challenge, uint32_t bits)
                 const size_t m = std::min(kSimdBatchWidth, hi - i);
                 for (size_t k = 0; k < m; ++k)
                     states[k] = powState(challenge, start + i + k);
-                poseidon.permuteBatch(states, m);
+                // The PoW condition reads digest element 0 only.
+                poseidon.permuteBatch(states, m, 0, 1);
                 for (size_t k = 0; k < m; ++k)
                     valid[i + k] = powDigestValid(states[k], bits);
             }

@@ -9,19 +9,24 @@ namespace unizk {
 
 namespace {
 
-/** Copy the digest (capacity lanes 0..3) out of each batched state. */
+/** State lanes 0..3 hold the digest. */
+constexpr uint32_t kDigestLanes = 4;
+
+/** Copy the digest out of each batched state. */
 void
 extractDigests(const PoseidonState *states, size_t n, HashOut *out)
 {
     for (size_t k = 0; k < n; ++k)
-        for (size_t i = 0; i < 4; ++i)
+        for (size_t i = 0; i < kDigestLanes; ++i)
             out[k].elems[i] = states[k][i];
 }
 
 /**
  * hashNoPad of @p run <= kSimdBatchWidth inputs of @p len elements
  * each (element j of input k is at(k, j)) through one shared
- * permuteBatch absorption schedule.
+ * permuteBatch absorption schedule. Each permutation computes only the
+ * lanes read next: those the next chunk does not overwrite, or the
+ * digest after the last chunk.
  */
 template <typename At>
 void
@@ -36,11 +41,16 @@ hashNoPadGroup(size_t run, size_t len, const At &at, HashOut *out)
         for (size_t j = 0; j < chunk; ++j)
             for (size_t k = 0; k < run; ++k)
                 states[k][j] = at(k, pos + j);
-        poseidon.permuteBatch(states, run);
         pos += chunk;
+        const auto next = static_cast<uint32_t>(
+            std::min<size_t>(PoseidonConfig::rate, len - pos));
+        if (next == 0)
+            poseidon.permuteBatch(states, run, 0, kDigestLanes);
+        else
+            poseidon.permuteBatch(states, run, next, PoseidonConfig::width);
     }
     if (len == 0)
-        poseidon.permuteBatch(states, run);
+        poseidon.permuteBatch(states, run, 0, kDigestLanes);
     extractDigests(states, run, out);
 }
 
@@ -112,7 +122,7 @@ hashTwoToOneBatch(const HashOut *children, size_t pair_count,
                 states[k][4 + j] = right.elems[j];
             }
         }
-        poseidon.permuteBatch(states, group);
+        poseidon.permuteBatch(states, group, 0, kDigestLanes);
         extractDigests(states, group, &out[i]);
     }
 }

@@ -52,41 +52,47 @@ Poseidon::generateConstants()
             mds.at(i, j) = mds_flat[i * t + j];
 }
 
+namespace {
+
+/** state = m * state for a flat row-major t x t matrix @p m. */
 void
-Poseidon::denseMdsApply(PoseidonState &state) const
+denseApply(PoseidonState &state, const Fp *m)
 {
     // Allocation-free matrix-vector product: this is the permutation's
     // hot loop and dominates the CPU baseline's Merkle-tree time.
     PoseidonState out;
     for (uint32_t i = 0; i < t; ++i)
-        out[i] = fpDot(&mds_flat[i * t], state.data(), t);
+        out[i] = fpDot(&m[i * t], state.data(), t);
     state = out;
 }
 
+} // namespace
+
 void
-Poseidon::fullRound(PoseidonState &state, uint32_t round) const
+Poseidon::fullRound(PoseidonState &state, uint32_t round,
+                    const Fp *matrix) const
 {
     for (uint32_t i = 0; i < t; ++i) {
         state[i] += arc[round][i];
         state[i] = sbox(state[i]);
     }
-    denseMdsApply(state);
+    denseApply(state, matrix);
 }
 
 void
 Poseidon::permuteNaive(PoseidonState &state) const
 {
     for (uint32_t r = 0; r < half; ++r)
-        fullRound(state, r);
+        fullRound(state, r, mds_flat.data());
     for (uint32_t r = 0; r < rp; ++r) {
         // ARC on all lanes, S-box only on lane 0, dense MDS.
         for (uint32_t i = 0; i < t; ++i)
             state[i] += arc[half + r][i];
         state[0] = sbox(state[0]);
-        denseMdsApply(state);
+        denseApply(state, mds_flat.data());
     }
     for (uint32_t r = 0; r < half; ++r)
-        fullRound(state, half + rp + r);
+        fullRound(state, half + rp + r, mds_flat.data());
 }
 
 void
@@ -199,17 +205,21 @@ Poseidon::deriveOptimizedForm()
         for (size_t j = 0; j < n; ++j)
             d0_inv.at(i + 1, j + 1) = lambda_inv[rp].at(i, j);
     const std::vector<Fp> beta = d0_inv.mulVector(m_next);
-    for (uint32_t i = 0; i < t; ++i)
-        pre_constants[i] = beta[i];
 
-    for (uint32_t i = 0; i < t; ++i)
+    // Fold the pre layer into round half - 1, whose MDS it follows:
+    // D_0 (M s + beta) = (D_0 M) s + D_0 beta.
+    const FpMatrix fused = pre_matrix.mul(mds);
+    const std::vector<Fp> f = pre_matrix.mulVector(beta);
+    for (uint32_t i = 0; i < t; ++i) {
+        fused_constants[i] = f[i];
         for (uint32_t j = 0; j < t; ++j)
-            pre_flat[i * t + j] = pre_matrix.at(i, j);
+            fused_flat[i * t + j] = fused.at(i, j);
+    }
 
     // Limb splits for the batch kernels' dot().
     for (size_t k = 0; k < t * t; ++k) {
         mds_limbs[k] = FpLimbs::split(mds_flat[k]);
-        pre_limbs[k] = FpLimbs::split(pre_flat[k]);
+        fused_limbs[k] = FpLimbs::split(fused_flat[k]);
     }
     for (auto &layer : sparse_layers)
         for (uint32_t j = 0; j < t; ++j)
@@ -219,18 +229,13 @@ Poseidon::deriveOptimizedForm()
 void
 Poseidon::permute(PoseidonState &state) const
 {
-    for (uint32_t r = 0; r < half; ++r)
-        fullRound(state, r);
+    for (uint32_t r = 0; r + 1 < half; ++r)
+        fullRound(state, r, mds_flat.data());
 
-    // PrePartialRound: constant add then dense PreMDSMatrix.
+    // Round half - 1 with the PrePartialRound folded in.
+    fullRound(state, half - 1, fused_flat.data());
     for (uint32_t i = 0; i < t; ++i)
-        state[i] += pre_constants[i];
-    {
-        PoseidonState out;
-        for (uint32_t i = 0; i < t; ++i)
-            out[i] = fpDot(&pre_flat[i * t], state.data(), t);
-        state = out;
-    }
+        state[i] += fused_constants[i];
 
     // Partial rounds: sbox lane 0, scalar constant, sparse layer.
     for (uint32_t r = 0; r < rp; ++r) {
@@ -246,28 +251,31 @@ Poseidon::permute(PoseidonState &state) const
     }
 
     for (uint32_t r = 0; r < half; ++r)
-        fullRound(state, half + rp + r);
+        fullRound(state, half + rp + r, mds_flat.data());
 }
 
 void
-poseidonPermuteBatch4Scalar(const Poseidon &p, PoseidonState *states)
+poseidonPermuteBatch4Scalar(const Poseidon &p, PoseidonState *states,
+                            uint32_t lo, uint32_t hi)
 {
-    poseidonPermuteBatch4Impl<FpVec4Scalar>(p, states);
+    poseidonPermuteBatch4Impl<FpVec4Scalar>(p, states, lo, hi);
 }
 
 void
-Poseidon::permuteBatch(PoseidonState *states, size_t n) const
+Poseidon::permuteBatch(PoseidonState *states, size_t n, uint32_t lo,
+                       uint32_t hi) const
 {
+    unizk_assert(lo < hi && hi <= t, "bad output lane range");
     const SimdLevel level = activeSimdLevel();
     size_t i = 0;
     for (; i + kSimdBatchWidth <= n; i += kSimdBatchWidth) {
 #if defined(UNIZK_HAVE_AVX2)
         if (level == SimdLevel::Avx2) {
-            poseidonPermuteBatch4Avx2(*this, states + i);
+            poseidonPermuteBatch4Avx2(*this, states + i, lo, hi);
             continue;
         }
 #endif
-        poseidonPermuteBatch4Scalar(*this, states + i);
+        poseidonPermuteBatch4Scalar(*this, states + i, lo, hi);
     }
 #if defined(UNIZK_HAVE_AVX2)
     // A ragged tail of 2-3 states costs about one scalar permutation
@@ -275,7 +283,7 @@ Poseidon::permuteBatch(PoseidonState *states, size_t n) const
     if (level == SimdLevel::Avx2 && n - i >= 2) {
         PoseidonState padded[kSimdBatchWidth] = {};
         std::copy(states + i, states + n, padded);
-        poseidonPermuteBatch4Avx2(*this, padded);
+        poseidonPermuteBatch4Avx2(*this, padded, lo, hi);
         std::copy(padded, padded + (n - i), states + i);
         return;
     }

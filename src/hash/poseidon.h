@@ -18,6 +18,13 @@
  * from the naive parameters, and the test suite checks the two forms
  * agree on random inputs.
  *
+ * The CPU permutation goes one step further: the PreMDSMatrix follows
+ * the last first-half full round's MDS with only a constant add in
+ * between, so both collapse into one dense layer F = PreMDS * MDS plus
+ * the constant f = PreMDS * preConstants. A permutation runs 8 dense
+ * layers, not 9. (The simulator still maps the separate pre-partial
+ * pass, as UniZK's hardware runs it.)
+ *
  * Round constants are generated deterministically (splitmix64 rejection
  * sampling) and the MDS matrix is a Cauchy matrix, which is provably MDS
  * over a prime field. These differ from Plonky2's published constants --
@@ -72,10 +79,11 @@ class Poseidon
     void permuteNaive(PoseidonState &state) const;
 
     /**
-     * Optimized permutation per Algorithm 1: full rounds, then
-     * PrePartialRound (constant add + dense PreMDSMatrix), then 22
+     * Optimized permutation per Algorithm 1: full rounds, then 22
      * partial rounds each doing sbox(state[0]), scalar constant add,
-     * sparse MDS.
+     * sparse MDS. The PrePartialRound (constant add + dense
+     * PreMDSMatrix) is folded into the last first-half full round:
+     * S-boxes, the fused dense layer fusedFlat(), then fusedConstants().
      */
     void permute(PoseidonState &state) const;
 
@@ -84,11 +92,17 @@ class Poseidon
      * groups of kSimdBatchWidth through the SIMD backend selected by
      * activeSimdLevel() (field/goldilocks_simd.h). On AVX2 a ragged
      * tail of 2-3 states runs as one zero-padded group; otherwise the
-     * tail falls back to scalar permute(). Bit-identical to n scalar
-     * permute() calls at every dispatch level, so callers may batch
-     * freely without affecting proof bytes.
+     * tail falls back to scalar permute().
+     *
+     * Only output lanes [lo, hi) are computed: the last dense layer
+     * runs just those rows, and the other lanes are unspecified on
+     * return. A sponge states the lanes it reads next (the digest, or
+     * what the next absorption does not overwrite). Lanes in the range
+     * are bit-identical to scalar permute() at every dispatch level, so
+     * callers may batch freely without affecting proof bytes.
      */
-    void permuteBatch(PoseidonState *states, size_t n) const;
+    void permuteBatch(PoseidonState *states, size_t n, uint32_t lo = 0,
+                      uint32_t hi = PoseidonConfig::width) const;
 
     /** x^7 S-box. */
     static Fp sbox(Fp x);
@@ -103,26 +117,31 @@ class Poseidon
         return arc;
     }
 
-    /** Dense matrix applied once before the partial rounds. */
+    /**
+     * Algorithm 1's dense matrix before the partial rounds. The
+     * permutations apply it only through fusedFlat().
+     */
     const FpMatrix &preMdsMatrix() const { return pre_matrix; }
 
     /** Flat row-major MDS matrix (width*width). */
     const Fp *mdsFlat() const { return mds_flat.data(); }
 
-    /** Flat row-major PreMDSMatrix. */
-    const Fp *preFlat() const { return pre_flat.data(); }
+    /** Flat row-major F = PreMDSMatrix * MDS: the dense layer of round
+     *  halfFullRounds - 1. */
+    const Fp *fusedFlat() const { return fused_flat.data(); }
 
     /**
-     * mdsFlat() / preFlat() split into dot() limbs once, at
+     * mdsFlat() / fusedFlat() split into dot() limbs once, at
      * construction, for the batch kernels.
      * @{
      */
     const FpLimbs *mdsLimbs() const { return mds_limbs.data(); }
-    const FpLimbs *preLimbs() const { return pre_limbs.data(); }
+    const FpLimbs *fusedLimbs() const { return fused_limbs.data(); }
     /** @} */
 
-    /** Constant vector added before PreMDSMatrix. */
-    const PoseidonState &prePartialConstants() const { return pre_constants; }
+    /** f = PreMDSMatrix * (Algorithm 1's pre-partial constants),
+     *  canonical, added after the fused dense layer. */
+    const PoseidonState &fusedConstants() const { return fused_constants; }
 
     /** Per-partial-round scalar constants (added after the S-box). */
     const std::array<Fp, PoseidonConfig::partialRounds> &
@@ -142,8 +161,9 @@ class Poseidon
     void generateConstants();
     void deriveOptimizedForm();
 
-    void fullRound(PoseidonState &state, uint32_t round) const;
-    void denseMdsApply(PoseidonState &state) const;
+    /** ARC + S-box on every lane, then the dense layer @p matrix. */
+    void fullRound(PoseidonState &state, uint32_t round,
+                   const Fp *matrix) const;
 
     FpMatrix mds;
     /** Flat row-major copy of the MDS matrix for the hot path. */
@@ -153,17 +173,16 @@ class Poseidon
 
     // Derived optimized-form parameters.
     FpMatrix pre_matrix;
-    /** Flat copy of pre_matrix for the hot path. */
     std::array<Fp, PoseidonConfig::width * PoseidonConfig::width>
-        pre_flat{};
-    PoseidonState pre_constants;
+        fused_flat{};
+    PoseidonState fused_constants;
     std::array<Fp, PoseidonConfig::partialRounds> partial_constants;
     std::array<SparseMdsLayer, PoseidonConfig::partialRounds> sparse_layers;
 
     std::array<FpLimbs, PoseidonConfig::width * PoseidonConfig::width>
         mds_limbs{};
     std::array<FpLimbs, PoseidonConfig::width * PoseidonConfig::width>
-        pre_limbs{};
+        fused_limbs{};
 };
 
 } // namespace unizk

@@ -5,21 +5,26 @@
  * Vectorization is *vertical*: lane k of every vector belongs to sponge
  * state k, so all four states advance through identical operations in
  * lockstep and no horizontal (cross-lane) instruction is ever needed --
- * full rounds, the dense PreMDSMatrix, and the sparse partial-round
- * chain all become element-wise lane arithmetic against broadcast
- * constants.
+ * full rounds, the fused pre-partial layer, and the sparse
+ * partial-round chain all become element-wise lane arithmetic against
+ * broadcast constants.
  *
  * This mirrors Poseidon::permute (the optimized Algorithm-1 form) step
  * for step, on lazily reduced lanes (field/goldilocks_simd.h): a state
  * element may hold any 64-bit value congruent to its true value between
  * operations, and is canonicalized once, on the way back to memory.
- *  - Round constants are canonical, so add() may take a lazy state.
- *  - The linear layers (MDS rows, PreMDSMatrix rows, and the sparse
- *    [m00, v] row) go through V::dot against rows pre-split into
+ *  - Round constants are canonical, so add() may take a lazy state;
+ *    so are the fused constants added after round half - 1's layer.
+ *  - The linear layers (MDS rows, the fused PreMDS * MDS rows, and the
+ *    sparse [m00, v] row) go through V::dot against rows pre-split into
  *    22/22/20-bit limbs (Poseidon::mdsLimbs and friends); each state
  *    element is split into 32-bit halves once per layer, not per row.
+ *    That is 8 dense layers per permutation.
  *  - The partial rounds' s[i+1] + w[i] * s[0] is one fused mulAdd, so
  *    two lazy values are never added directly.
+ *  - The last dense layer computes, and the store writes, only output
+ *    rows [lo, hi): the lanes the caller reads. The others keep their
+ *    input values.
  * Every lane value is congruent to the scalar permute()'s, so the
  * canonical outputs are bit-identical; the dispatch-equivalence suite
  * pins that against permuteNaive.
@@ -39,7 +44,8 @@ namespace unizk {
 
 template <typename V>
 inline void
-poseidonPermuteBatch4Impl(const Poseidon &p, PoseidonState *states)
+poseidonPermuteBatch4Impl(const Poseidon &p, PoseidonState *states,
+                          uint32_t lo, uint32_t hi)
 {
     constexpr uint32_t t = PoseidonConfig::width;
     constexpr uint32_t rp = PoseidonConfig::partialRounds;
@@ -48,7 +54,6 @@ poseidonPermuteBatch4Impl(const Poseidon &p, PoseidonState *states)
 
     const auto &arc = p.roundConstants();
     const FpLimbs *mds = p.mdsLimbs();
-    const FpLimbs *pre = p.preLimbs();
 
     // Transpose in: element i of the four states becomes one vector.
     V st[t];
@@ -86,21 +91,23 @@ poseidonPermuteBatch4Impl(const Poseidon &p, PoseidonState *states)
             st[i] = out[i];
     };
 
-    const auto fullRound = [&](uint32_t round) {
+    const auto sboxLayer = [&](uint32_t round) {
 #pragma GCC unroll 12
         for (uint32_t i = 0; i < t; ++i)
             st[i] = sbox(V::add(st[i], V::broadcast(arc[round][i])));
-        dense(mds);
     };
 
-    for (uint32_t r = 0; r < half; ++r)
-        fullRound(r);
+    for (uint32_t r = 0; r + 1 < half; ++r) {
+        sboxLayer(r);
+        dense(mds);
+    }
 
-    // PrePartialRound: constant add then dense PreMDSMatrix.
-    const PoseidonState &pre_c = p.prePartialConstants();
+    // Round half - 1 with the PrePartialRound folded in.
+    sboxLayer(half - 1);
+    dense(p.fusedLimbs());
+    const PoseidonState &fused_c = p.fusedConstants();
     for (uint32_t i = 0; i < t; ++i)
-        st[i] = V::add(st[i], V::broadcast(pre_c[i]));
-    dense(pre);
+        st[i] = V::add(st[i], V::broadcast(fused_c[i]));
 
     // Partial rounds: sbox lane 0, scalar constant, sparse layer.
     const auto &partial_c = p.partialConstants();
@@ -118,13 +125,18 @@ poseidonPermuteBatch4Impl(const Poseidon &p, PoseidonState *states)
         st[0] = new0;
     }
 
-    for (uint32_t r = 0; r < half; ++r)
-        fullRound(half + rp + r);
+    for (uint32_t r = 0; r + 1 < half; ++r) {
+        sboxLayer(half + rp + r);
+        dense(mds);
+    }
 
-    // Transpose out, canonicalizing each lane.
-    for (uint32_t i = 0; i < t; ++i) {
+    // The last round's layer computes only the rows the caller reads;
+    // transpose them out, canonicalizing each lane.
+    sboxLayer(half + rp + half - 1);
+    splitState();
+    for (uint32_t i = lo; i < hi; ++i) {
         Fp column[kSimdBatchWidth];
-        st[i].store(column);
+        V::dot(&mds[i * t], st, xh, t).store(column);
         for (size_t k = 0; k < kSimdBatchWidth; ++k)
             states[k][i] = column[k];
     }
@@ -132,14 +144,19 @@ poseidonPermuteBatch4Impl(const Poseidon &p, PoseidonState *states)
 
 /**
  * Backend kernels: advance exactly kSimdBatchWidth sponge states in
- * place. Exposed (rather than hidden behind permuteBatch) so the test
- * suite can differential-test both backends on any host regardless of
- * the dispatched level.
+ * place, writing output lanes [lo, hi) as Poseidon::permuteBatch does.
+ * Exposed (rather than hidden behind permuteBatch) so the test suite
+ * can differential-test both backends on any host regardless of the
+ * dispatched level.
  * @{
  */
-void poseidonPermuteBatch4Scalar(const Poseidon &p, PoseidonState *states);
+void poseidonPermuteBatch4Scalar(const Poseidon &p, PoseidonState *states,
+                                 uint32_t lo = 0,
+                                 uint32_t hi = PoseidonConfig::width);
 #if defined(UNIZK_HAVE_AVX2)
-void poseidonPermuteBatch4Avx2(const Poseidon &p, PoseidonState *states);
+void poseidonPermuteBatch4Avx2(const Poseidon &p, PoseidonState *states,
+                               uint32_t lo = 0,
+                               uint32_t hi = PoseidonConfig::width);
 #endif
 /** @} */
 

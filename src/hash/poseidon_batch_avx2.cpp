@@ -12,9 +12,10 @@
 namespace unizk {
 
 void
-poseidonPermuteBatch4Avx2(const Poseidon &p, PoseidonState *states)
+poseidonPermuteBatch4Avx2(const Poseidon &p, PoseidonState *states,
+                          uint32_t lo, uint32_t hi)
 {
-    poseidonPermuteBatch4Impl<avx2::FpVec4Avx2>(p, states);
+    poseidonPermuteBatch4Impl<avx2::FpVec4Avx2>(p, states, lo, hi);
 }
 
 } // namespace unizk

@@ -305,6 +305,45 @@ TEST(SimdDispatch, BatchMatchesNaiveForEveryBatchSize)
     }
 }
 
+TEST(SimdDispatch, BatchOutputRangesMatchNaive)
+{
+    // permuteBatch with every output-lane range the hashing layer asks
+    // for below the full state: [0, 1) (PoW), [0, 4) (digests) and
+    // [c, 12) for the c = 1..8 lanes a next absorption overwrites.
+    // Lanes in the range must equal permuteNaive at every batch size
+    // and level; the others are unspecified.
+    const auto &p = Poseidon::instance();
+    const uint32_t t = PoseidonConfig::width;
+    std::vector<std::pair<uint32_t, uint32_t>> ranges{{0, 1}, {0, 4}};
+    for (uint32_t c = 1; c <= PoseidonConfig::rate; ++c)
+        ranges.emplace_back(c, t);
+    std::vector<SimdLevel> levels{SimdLevel::Scalar};
+    if (simdLevelAvailable(SimdLevel::Avx2))
+        levels.push_back(SimdLevel::Avx2);
+
+    for (const SimdLevel level : levels) {
+        withSimdLevel(level, [&] {
+            for (const auto &[lo, hi] : ranges) {
+                for (size_t n = 1; n <= 9; ++n) {
+                    std::vector<PoseidonState> batch(n), oracle(n);
+                    for (size_t i = 0; i < n; ++i) {
+                        batch[i] = randomState(31 * n + i + 100 * lo + hi);
+                        oracle[i] = batch[i];
+                        p.permuteNaive(oracle[i]);
+                    }
+                    p.permuteBatch(batch.data(), n, lo, hi);
+                    for (size_t i = 0; i < n; ++i)
+                        for (uint32_t j = lo; j < hi; ++j)
+                            ASSERT_EQ(batch[i][j], oracle[i][j])
+                                << simdLevelName(level) << " range=[" << lo
+                                << "," << hi << ") n=" << n
+                                << " state=" << i << " lane=" << j;
+                }
+            }
+        });
+    }
+}
+
 TEST(SimdDispatch, Avx2KernelMatchesScalarKernel)
 {
 #if defined(UNIZK_HAVE_AVX2)
@@ -450,16 +489,16 @@ TEST(SimdDispatch, DotMatchesFpDotOnEdgeValues)
 TEST(SimdDispatch, DotMatchesFpDotOnPoseidonRows)
 {
     // The limb-split dot on the rows the batch kernel really uses (MDS,
-    // PreMDSMatrix and every sparse first row, through the limbs split
-    // at construction), fed lazily reduced lanes: edge values and
-    // non-canonical words in [p, 2^64), as the kernel's linear layers
-    // see them between rounds.
+    // the fused PreMDS * MDS layer and every sparse first row, through
+    // the limbs split at construction), fed lazily reduced lanes: edge
+    // values and non-canonical words in [p, 2^64), as the kernel's
+    // linear layers see them between rounds.
     const auto &p = Poseidon::instance();
     const size_t t = PoseidonConfig::width;
     std::vector<std::pair<const Fp *, const FpLimbs *>> rows;
     for (size_t i = 0; i < t; ++i) {
         rows.emplace_back(p.mdsFlat() + i * t, p.mdsLimbs() + i * t);
-        rows.emplace_back(p.preFlat() + i * t, p.preLimbs() + i * t);
+        rows.emplace_back(p.fusedFlat() + i * t, p.fusedLimbs() + i * t);
     }
     for (const auto &layer : p.sparseLayers())
         rows.emplace_back(layer.row.data(), layer.rowLimbs.data());
