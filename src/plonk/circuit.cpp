@@ -111,6 +111,12 @@ CircuitBuilder::build(size_t min_rows) const
     c.num_vars = num_vars;
     c.n = nextPowerOfTwo(std::max(min_rows, gates.size()));
 
+    // Every gate that defines an output wire has qO = -1, so its
+    // output is c = qL*a + qR*b + qM*a*b + qC (fillWitness).
+    for (const Gate &g : gates)
+        unizk_assert(!g.c.isValid() || g.qO == Fp::one().neg(),
+                     "gate with an output wire needs qO = -1");
+
     const size_t n = c.n;
     c.q_l.assign(n, Fp::zero());
     c.q_r.assign(n, Fp::zero());
@@ -185,9 +191,8 @@ Circuit::fillWitness(const std::vector<Fp> &inputs) const
         const Fp b = slot_value(g.b);
         const Fp partial = g.qL * a + g.qR * b + g.qM * a * b + g.qC;
         if (g.c.isValid() && !defined[g.c.id]) {
-            unizk_assert(!g.qO.isZero(),
-                         "cannot solve gate output with qO = 0");
-            values[g.c.id] = partial * g.qO.neg().inverse();
+            // qO = -1 (asserted in build()): partial - c = 0.
+            values[g.c.id] = partial;
             defined[g.c.id] = true;
         } else {
             const Fp cval = slot_value(g.c);

@@ -148,6 +148,12 @@ class Circuit
     /** Gate rows carrying public-input bindings, in declaration order. */
     const std::vector<size_t> &publicRows() const { return public_rows; }
 
+    /** The unpadded gates, in row order. */
+    const std::vector<Gate> &gateList() const { return gates; }
+
+    /** Ids of the input variables, in the order fillWitness takes them. */
+    const std::vector<uint32_t> &inputVars() const { return input_vars; }
+
     /**
      * Extract the public-input values from filled wire columns (the
      * a-slot of each public row).

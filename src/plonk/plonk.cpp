@@ -185,16 +185,21 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
     for (const auto &digest : key.constants->cap())
         challenger.observe(digest);
 
+    // Repetitions are independent witnesses: fill them on the pool,
+    // each into its own slot, then list the columns in rep order.
+    std::vector<std::array<std::vector<Fp>, 3>> per_rep_wires(reps);
+    proof.publicInputs.resize(reps);
+    parallelFor(0, reps, /*grain=*/1, [&](size_t r_lo, size_t r_hi) {
+        for (size_t r = r_lo; r < r_hi; ++r) {
+            per_rep_wires[r] = circuit.fillWitness(inputs[r]);
+            proof.publicInputs[r] = circuit.publicValues(per_rep_wires[r]);
+        }
+    });
     std::vector<std::vector<Fp>> wire_values;
     wire_values.reserve(3 * reps);
-    std::vector<std::array<std::vector<Fp>, 3>> per_rep_wires(reps);
-    for (size_t r = 0; r < reps; ++r) {
-        per_rep_wires[r] = circuit.fillWitness(inputs[r]);
-        proof.publicInputs.push_back(
-            circuit.publicValues(per_rep_wires[r]));
-        for (size_t col = 0; col < 3; ++col)
-            wire_values.push_back(per_rep_wires[r][col]);
-    }
+    for (const auto &rep : per_rep_wires)
+        for (const auto &col : rep)
+            wire_values.push_back(col);
     // Public inputs are part of the statement: bind them into the
     // transcript before any challenge is drawn.
     for (const auto &row : proof.publicInputs)

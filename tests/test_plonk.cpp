@@ -14,6 +14,7 @@
 #include "obs/obs.h"
 #include "plonk/plonk.h"
 #include "plonk/quotient_kernel.h"
+#include "workloads/apps.h"
 
 namespace unizk {
 namespace {
@@ -77,6 +78,69 @@ TEST(Circuit, AssertEqualGate)
     const Circuit c = b.build();
     EXPECT_TRUE(c.checkWitness(c.fillWitness({Fp(5), Fp(5)})));
     EXPECT_DEATH(c.fillWitness({Fp(5), Fp(6)}), "constraint");
+}
+
+/**
+ * The witness fill in its general division form: each gate output is
+ * solved as c = (qL*a + qR*b + qM*a*b + qC) * (-qO)^-1. fillWitness
+ * relies on qO = -1 instead and must agree with this everywhere.
+ */
+std::array<std::vector<Fp>, 3>
+divisionFormFill(const Circuit &circuit, const std::vector<Fp> &inputs)
+{
+    const std::vector<Gate> &gates = circuit.gateList();
+    uint32_t num_vars = 0;
+    for (const uint32_t id : circuit.inputVars())
+        num_vars = std::max(num_vars, id + 1);
+    for (const Gate &g : gates)
+        for (const Var v : {g.a, g.b, g.c})
+            if (v.isValid())
+                num_vars = std::max(num_vars, v.id + 1);
+    std::vector<Fp> values(num_vars);
+    std::vector<bool> defined(num_vars, false);
+    for (size_t i = 0; i < inputs.size(); ++i) {
+        values[circuit.inputVars()[i]] = inputs[i];
+        defined[circuit.inputVars()[i]] = true;
+    }
+    std::vector<bool> public_row(gates.size(), false);
+    for (const size_t row : circuit.publicRows())
+        public_row[row] = true;
+    auto value = [&](Var v) { return v.isValid() ? values[v.id] : Fp(); };
+    for (size_t row = 0; row < gates.size(); ++row) {
+        const Gate &g = gates[row];
+        if (public_row[row] || !g.c.isValid() || defined[g.c.id])
+            continue;
+        const Fp a = value(g.a);
+        const Fp b = value(g.b);
+        values[g.c.id] = (g.qL * a + g.qR * b + g.qM * a * b + g.qC) *
+                         g.qO.neg().inverse();
+        defined[g.c.id] = true;
+    }
+    std::array<std::vector<Fp>, 3> wires;
+    for (auto &col : wires)
+        col.assign(circuit.rows(), Fp::zero());
+    for (size_t row = 0; row < gates.size(); ++row) {
+        wires[0][row] = value(gates[row].a);
+        wires[1][row] = value(gates[row].b);
+        wires[2][row] = value(gates[row].c);
+    }
+    return wires;
+}
+
+TEST(Circuit, WitnessFillMatchesDivisionForm)
+{
+    std::vector<AppId> apps = evaluationApps();
+    apps.push_back(AppId::Recursion);
+    for (const AppId app : apps) {
+        for (const size_t rows : {64u, 512u}) {
+            const PlonkApp built = buildPlonkApp(app, rows, 2);
+            for (size_t r = 0; r < built.witnesses.size(); ++r)
+                ASSERT_EQ(built.circuit.fillWitness(built.witnesses[r]),
+                          divisionFormFill(built.circuit,
+                                           built.witnesses[r]))
+                    << appName(app) << " rows=" << rows << " rep=" << r;
+        }
+    }
 }
 
 TEST(Circuit, PermutationIsBijective)
