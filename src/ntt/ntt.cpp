@@ -575,11 +575,18 @@ naiveIdft(const std::vector<Fp> &a, Fp shift)
     const Fp n_inv = Fp(static_cast<uint64_t>(n)).inverse();
     const Fp s_inv = shift.inverse();
     std::vector<Fp> out(n);
+    Fp wj = Fp::one(); // w_inv^j
+    Fp sj = Fp::one(); // s_inv^j
     for (size_t j = 0; j < n; ++j) {
         Fp acc;
-        for (size_t i = 0; i < n; ++i)
-            acc += a[i] * w_inv.pow(static_cast<uint64_t>(i) * j % n);
-        out[j] = acc * n_inv * s_inv.pow(j);
+        Fp xp = Fp::one();
+        for (size_t i = 0; i < n; ++i) {
+            acc += a[i] * xp;
+            xp *= wj;
+        }
+        out[j] = acc * n_inv * sj;
+        wj *= w_inv;
+        sj *= s_inv;
     }
     return out;
 }

@@ -72,11 +72,15 @@ bitReversedCosetPoints(size_t size, Fp shift)
     const uint32_t log_size = log2Exact(size);
     const Fp w = Fp::primitiveRootOfUnity(log_size);
     std::vector<Fp> out(size);
-    Fp cur = shift;
-    for (size_t j = 0; j < size; ++j) {
-        out[reverseBits(j, log_size)] = cur;
-        cur *= w;
-    }
+    // Each chunk starts its power chain at shift * w^lo, so the points
+    // are the same at every thread count.
+    parallelFor(0, size, /*grain=*/4096, [&](size_t lo, size_t hi) {
+        Fp cur = shift * w.pow(lo);
+        for (size_t j = lo; j < hi; ++j) {
+            out[reverseBits(j, log_size)] = cur;
+            cur *= w;
+        }
+    });
     return out;
 }
 

@@ -1,5 +1,7 @@
 #include "stark/stark.h"
 
+#include <atomic>
+
 #include "common/bits.h"
 #include "common/thread_pool.h"
 #include "ntt/ntt.h"
@@ -64,17 +66,30 @@ StarkAir::checkTrace(const std::vector<std::vector<Fp>> &columns) const
     if (columns.size() != cols || columns.empty())
         return false;
     const size_t n = columns[0].size();
-    std::vector<Fp> local(cols), next(cols), out(numConstraints());
-    for (size_t i = 0; i + 1 < n; ++i) {
-        for (size_t c = 0; c < cols; ++c) {
-            local[c] = columns[c][i];
-            next[c] = columns[c][i + 1];
+    // Transitions on rows [0, n - 1), one chunk of rows per task, each
+    // chunk with its own row buffers; chunks skip their rows once one
+    // has failed.
+    const size_t transitions = n == 0 ? 0 : n - 1;
+    std::atomic<bool> ok{true};
+    parallelFor(0, transitions, /*grain=*/1024, [&](size_t lo, size_t hi) {
+        if (!ok.load())
+            return;
+        std::vector<Fp> local(cols), next(cols), out(numConstraints());
+        for (size_t i = lo; i < hi; ++i) {
+            for (size_t c = 0; c < cols; ++c) {
+                local[c] = columns[c][i];
+                next[c] = columns[c][i + 1];
+            }
+            evalTransition(local, next, out);
+            for (const Fp &v : out)
+                if (!v.isZero()) {
+                    ok.store(false);
+                    return;
+                }
         }
-        evalTransition(local, next, out);
-        for (const Fp &v : out)
-            if (!v.isZero())
-                return false;
-    }
+    });
+    if (!ok.load())
+        return false;
     for (const BoundaryConstraint &bc : boundaries()) {
         const size_t row = bc.lastRow ? n - 1 : 0;
         if (columns[bc.column][row] != bc.value)

@@ -10,6 +10,7 @@
 
 #include "common/bits.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "ntt/ntt.h"
 #include "poly/polynomial.h"
 #include "test_common.h"
@@ -87,6 +88,28 @@ TEST(BitReversedCosetPoints, StoresPointRevS)
     const Fp w = Fp::primitiveRootOfUnity(6);
     for (size_t s = 0; s < xs.size(); ++s)
         EXPECT_EQ(xs[s], shift * w.pow(reverseBits(s, 6))) << s;
+}
+
+TEST(BitReversedCosetPoints, MatchesSerialLoopAtEveryThreadCount)
+{
+    const Fp shift = defaultCosetShift();
+    const unsigned saved = globalThreadCount();
+    for (const uint32_t log_size : {3u, 15u}) {
+        const size_t size = size_t{1} << log_size;
+        const Fp w = Fp::primitiveRootOfUnity(log_size);
+        std::vector<Fp> serial(size);
+        Fp cur = shift;
+        for (size_t j = 0; j < size; ++j) {
+            serial[reverseBits(j, log_size)] = cur;
+            cur *= w;
+        }
+        for (const unsigned threads : {1u, 3u, 4u, 8u}) {
+            setGlobalThreadCount(threads);
+            EXPECT_EQ(bitReversedCosetPoints(size, shift), serial)
+                << "size=" << size << " threads=" << threads;
+        }
+    }
+    setGlobalThreadCount(saved);
 }
 
 TEST(Vanishing, NonzeroEverywhereOnCoset)

@@ -144,6 +144,28 @@ TEST(Stark, TraceCheckerRejectsBadBoundary)
     EXPECT_FALSE(air.checkTrace(trace));
 }
 
+TEST(Stark, TraceCheckerRejectsOneBadCellAtEveryThreadCount)
+{
+    // checkTrace scans row chunks on the pool: a single corrupted cell
+    // in the first, a middle or the last row must fail whichever chunk
+    // holds it, and the clean trace must pass.
+    const size_t n = 8192;
+    const auto clean = fibonacciTrace(n);
+    FibonacciAir air(clean[1].back());
+    const unsigned saved = globalThreadCount();
+    for (const unsigned threads : {1u, 3u, 4u}) {
+        setGlobalThreadCount(threads);
+        EXPECT_TRUE(air.checkTrace(clean)) << "threads=" << threads;
+        for (const size_t row : {size_t{0}, n / 2 + 3, n - 1}) {
+            auto trace = clean;
+            trace[0][row] += Fp::one();
+            EXPECT_FALSE(air.checkTrace(trace))
+                << "threads=" << threads << " row=" << row;
+        }
+    }
+    setGlobalThreadCount(saved);
+}
+
 TEST(Stark, FibonacciProofVerifies)
 {
     const auto trace = fibonacciTrace(128);
