@@ -7,46 +7,44 @@
 namespace unizk {
 
 PolynomialBatch
-PolynomialBatch::fromValues(std::vector<std::vector<Fp>> values,
+PolynomialBatch::fromValues(std::vector<Fp> values, size_t n, size_t count,
                             const FriConfig &cfg, const ProverContext &ctx,
                             const std::string &label)
 {
-    unizk_assert(!values.empty(), "empty polynomial batch");
-    const size_t n = values[0].size();
+    unizk_assert(values.size() == n * count,
+                 "batch values must be count x n");
     {
         const KernelScope scope(ctx, KernelClass::Ntt, "commit/values-intt");
-        inttBatchNN(values);
+        inttBatchNN(values.data(), n, count);
     }
-    ctx.record(NttKernel{log2Exact(n), values.size(), /*inverse=*/true,
+    ctx.record(NttKernel{log2Exact(n), count, /*inverse=*/true,
                          /*coset=*/false, /*bitrevOutput=*/false,
                          PolyLayout::PolyMajor},
                label + ": iNTT^NN");
-    return PolynomialBatch(std::move(values), cfg, ctx, label);
+    return PolynomialBatch(std::move(values), n, cfg, ctx, label);
 }
 
 PolynomialBatch
-PolynomialBatch::fromCoefficients(const std::vector<Fp> &coeffs, size_t n,
+PolynomialBatch::fromCoefficients(std::vector<Fp> coeffs, size_t n,
                                   size_t count, const FriConfig &cfg,
                                   const ProverContext &ctx,
                                   const std::string &label)
 {
-    std::vector<std::vector<Fp>> chunks(count);
-    for (size_t k = 0; k < count; ++k)
-        chunks[k].assign(
-            coeffs.begin() + static_cast<std::ptrdiff_t>(k * n),
-            coeffs.begin() + static_cast<std::ptrdiff_t>((k + 1) * n));
-    return PolynomialBatch(std::move(chunks), cfg, ctx, label);
+    unizk_assert(coeffs.size() >= n * count,
+                 "fewer coefficients than count x n");
+    coeffs.resize(n * count);
+    return PolynomialBatch(std::move(coeffs), n, cfg, ctx, label);
 }
 
-PolynomialBatch::PolynomialBatch(std::vector<std::vector<Fp>> coeffs,
+PolynomialBatch::PolynomialBatch(std::vector<Fp> coeffs, size_t n,
                                  const FriConfig &cfg,
                                  const ProverContext &ctx,
                                  const std::string &label)
-    : coeffs_(std::move(coeffs)), n_(coeffs_.at(0).size()), cfg_(cfg)
+    : coeffs_(std::move(coeffs)), n_(n), cfg_(cfg)
 {
     unizk_assert(isPowerOfTwo(n_), "degree bound must be a power of two");
     const size_t lde_size = ldeSize();
-    const size_t num_polys = coeffs_.size();
+    const size_t num_polys = polyCount();
 
     // Coset LDE per polynomial (NTT^NR) into the flat buffer, which
     // ldeBatch fills completely: it starts uninitialized.
@@ -54,7 +52,8 @@ PolynomialBatch::PolynomialBatch(std::vector<std::vector<Fp>> coeffs,
         ::operator new(num_polys * lde_size * sizeof(Fp))));
     {
         const KernelScope scope(ctx, KernelClass::Ntt, "commit/lde");
-        ldeBatch(coeffs_, cfg_.blowup(), cfg_.shift(), lde_.get());
+        ldeBatch(coeffs_.data(), n_, num_polys, cfg_.blowup(), cfg_.shift(),
+                 lde_.get());
     }
     ctx.record(NttKernel{log2Exact(lde_size), num_polys, /*inverse=*/false,
                          /*coset=*/true, /*bitrevOutput=*/true,
@@ -89,7 +88,7 @@ PolynomialBatch::byteSize() const
 std::vector<Fp2>
 PolynomialBatch::evalAllExt(Fp2 z) const
 {
-    return evalEachExt(coeffs_, z);
+    return evalEachExt(coeffs_.data(), n_, polyCount(), z);
 }
 
 } // namespace unizk

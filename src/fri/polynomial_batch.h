@@ -5,10 +5,12 @@
  * polynomials at one LDE point, the leaf of Figure 1 step 3 in the
  * paper.
  *
- * The LDE is the batch's only copy of its evaluations: one flat
- * column-major buffer, each column in bit-reversed order so that FRI
- * folding pairs (x, -x) sit in adjacent leaves, read in place by the
- * Merkle tree, the queries and the quotients (DESIGN.md §6.11).
+ * Both forms are flat, one polynomial after another: the coefficients
+ * a count x n buffer, and the LDE, the batch's only copy of its
+ * evaluations, a column-major buffer with each column in bit-reversed
+ * order so that FRI folding pairs (x, -x) sit in adjacent leaves, read
+ * in place by the Merkle tree, the queries and the quotients
+ * (DESIGN.md §6.11).
  */
 
 #ifndef UNIZK_FRI_POLYNOMIAL_BATCH_H
@@ -32,28 +34,31 @@ class PolynomialBatch
 {
   public:
     /**
-     * Commit to polynomials given by their evaluations over the size-n
-     * subgroup H (value form, natural order). Performs iNTT^NN per
-     * polynomial, then the coset LDE and Merkle construction.
+     * Commit to @p count polynomials given by their evaluations over the
+     * size-n subgroup H (value form, natural order), polynomial k at
+     * values[k n, (k + 1) n). Runs iNTT^NN in place on @p values, which
+     * become the coefficients, then the coset LDE and Merkle
+     * construction.
      */
-    static PolynomialBatch fromValues(std::vector<std::vector<Fp>> values,
-                                      const FriConfig &cfg,
+    static PolynomialBatch fromValues(std::vector<Fp> values, size_t n,
+                                      size_t count, const FriConfig &cfg,
                                       const ProverContext &ctx,
                                       const std::string &label);
 
     /**
      * Commit to @p count polynomials in coefficient form: polynomial k
      * has the coefficients coeffs[k n, (k + 1) n) (a quotient's chunks).
+     * Adopts @p coeffs, truncated to count * n values.
      */
     static PolynomialBatch
-    fromCoefficients(const std::vector<Fp> &coeffs, size_t n, size_t count,
+    fromCoefficients(std::vector<Fp> coeffs, size_t n, size_t count,
                      const FriConfig &cfg, const ProverContext &ctx,
                      const std::string &label);
 
     /** Degree bound n (power of two). */
     size_t degreeBound() const { return n_; }
 
-    size_t polyCount() const { return coeffs_.size(); }
+    size_t polyCount() const { return coeffs_.size() / n_; }
 
     /** LDE domain size n * blowup. */
     size_t ldeSize() const { return n_ << cfg_.blowupBits; }
@@ -62,11 +67,8 @@ class PolynomialBatch
 
     const MerkleTree &tree() const { return *tree_; }
 
-    /** Coefficients of polynomial @p i. */
-    const std::vector<Fp> &coefficients(size_t i) const
-    {
-        return coeffs_[i];
-    }
+    /** The degreeBound() coefficients of polynomial @p i. */
+    const Fp *coefficients(size_t i) const { return coeffs_.data() + i * n_; }
 
     /** Polynomial @p poly's LDE, ldeSize() values, bit-reversed order. */
     const Fp *
@@ -99,16 +101,15 @@ class PolynomialBatch
     std::vector<Fp2> evalAllExt(Fp2 z) const;
 
   private:
-    PolynomialBatch(std::vector<std::vector<Fp>> coeffs,
-                    const FriConfig &cfg, const ProverContext &ctx,
-                    const std::string &label);
+    PolynomialBatch(std::vector<Fp> coeffs, size_t n, const FriConfig &cfg,
+                    const ProverContext &ctx, const std::string &label);
 
     struct RawDelete // the LDE's uninitialized storage
     {
         void operator()(Fp *p) const { ::operator delete(p); }
     };
 
-    std::vector<std::vector<Fp>> coeffs_;
+    std::vector<Fp> coeffs_;
     size_t n_;
     FriConfig cfg_;
     std::unique_ptr<Fp, RawDelete> lde_;

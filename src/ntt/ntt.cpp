@@ -268,15 +268,14 @@ ditRun(Fp *data, size_t n, const Fp *tw, bool allow_parallel)
 
 /** Multiply every element by the same constant (pool-chunked lanes). */
 void
-scaleAll(std::vector<Fp> &a, Fp c, bool allow_parallel)
+scaleAll(Fp *data, size_t n, Fp c, bool allow_parallel)
 {
     const LaneKernels &lanes = activeLaneKernels();
-    Fp *data = a.data();
-    if (!runParallel(a.size(), allow_parallel)) {
-        lanes.scale(data, a.size(), c);
+    if (!runParallel(n, allow_parallel)) {
+        lanes.scale(data, n, c);
         return;
     }
-    parallelFor(0, a.size(), stage_grain, [&](size_t lo, size_t hi) {
+    parallelFor(0, n, stage_grain, [&](size_t lo, size_t hi) {
         lanes.scale(data + lo, hi - lo, c);
     });
 }
@@ -331,24 +330,21 @@ applyCosetScale(std::vector<Fp> &a, Fp shift, Fp extra,
 
 /** Bit-reverse permutation, pool-chunked: each swap pair (i, rev(i)) is
  *  touched exactly once, by the chunk owning its smaller index. */
-template <typename T>
 void
-bitrevPermute(std::vector<T> &v, bool allow_parallel)
+bitrevPermute(Fp *data, size_t n, bool allow_parallel)
 {
-    const size_t n = v.size();
-    if (!runParallel(n, allow_parallel)) {
-        bitReversePermute(v);
-        return;
-    }
     const uint32_t bits = log2Exact(n);
-    T *data = v.data();
-    parallelFor(0, n, stage_grain, [&](size_t lo, size_t hi) {
+    auto swaps = [&](size_t lo, size_t hi) {
         for (size_t i = lo; i < hi; ++i) {
             const size_t j = reverseBits(i, bits);
             if (j > i)
                 std::swap(data[i], data[j]);
         }
-    });
+    };
+    if (runParallel(n, allow_parallel))
+        parallelFor(0, n, stage_grain, swaps);
+    else
+        swaps(0, n);
 }
 
 Fp
@@ -419,10 +415,9 @@ namespace {
  *             slice for coset c starts at rev(c) * N.
  */
 void
-ldeNRInto(const std::vector<Fp> &coeffs, uint32_t blowup, Fp shift,
-          Fp *out, bool allow_parallel)
+ldeNRInto(const Fp *coeffs, size_t n, uint32_t blowup, Fp shift, Fp *out,
+          bool allow_parallel)
 {
-    const size_t n = coeffs.size();
     const size_t m = n * blowup;
     const uint32_t log_b = log2Exact(blowup);
     const Fp w_m = Fp::primitiveRootOfUnity(log2Exact(m));
@@ -433,9 +428,8 @@ ldeNRInto(const std::vector<Fp> &coeffs, uint32_t blowup, Fp shift,
         Fp *slice = out + reverseBits(c, log_b) * n;
         const Fp coset_shift = shift * w_m.pow(c);
         // slice[i] = coeffs[i] * coset_shift^i, chunked power chains.
-        const Fp *src = coeffs.data();
         auto scale = [&](size_t lo, size_t hi) {
-            scaleByPowers(lanes, slice + lo, src + lo, hi - lo,
+            scaleByPowers(lanes, slice + lo, coeffs + lo, hi - lo,
                           coset_shift.pow(lo), coset_shift);
         };
         if (runParallel(n, par))
@@ -464,7 +458,8 @@ lowDegreeExtension(const std::vector<Fp> &coeffs, uint32_t blowup, Fp shift)
     checkTransformSize(coeffs.size());
     unizk_assert(isPowerOfTwo(blowup), "blowup must be a power of two");
     std::vector<Fp> ext(coeffs.size() * blowup);
-    ldeNRInto(coeffs, blowup, shift, ext.data(), true);
+    ldeNRInto(coeffs.data(), coeffs.size(), blowup, shift, ext.data(),
+              true);
     return ext;
 }
 
@@ -492,14 +487,10 @@ spreadAcrossPolys(size_t count, size_t n)
 }
 
 void
-checkBatchSizes(const std::vector<std::vector<Fp>> &polys)
+checkBatchSizes(size_t n, size_t count)
 {
-    unizk_assert(!polys.empty(), "empty polynomial batch");
-    checkTransformSize(polys[0].size());
-    for (const auto &p : polys) {
-        unizk_assert(p.size() == polys[0].size(),
-                     "batch polynomials differ in size");
-    }
+    unizk_assert(count != 0, "empty polynomial batch");
+    checkTransformSize(n);
 }
 
 template <typename Fn>
@@ -520,27 +511,27 @@ forEachPoly(size_t count, size_t n, const Fn &fn)
 } // namespace
 
 void
-inttBatchNN(std::vector<std::vector<Fp>> &polys)
+inttBatchNN(Fp *data, size_t n, size_t count)
 {
-    checkBatchSizes(polys);
-    const size_t n = polys[0].size();
+    checkBatchSizes(n, count);
     const auto t = acquireTwiddles(log2Exact(n));
-    forEachPoly(polys.size(), n, [&](size_t p, bool par) {
-        difRun(polys[p].data(), n, t->inv.data(), par);
-        bitrevPermute(polys[p], par);
-        scaleAll(polys[p], t->sizeInv, par);
+    forEachPoly(count, n, [&](size_t p, bool par) {
+        Fp *poly = data + p * n;
+        difRun(poly, n, t->inv.data(), par);
+        bitrevPermute(poly, n, par);
+        scaleAll(poly, n, t->sizeInv, par);
     });
 }
 
 void
-ldeBatch(const std::vector<std::vector<Fp>> &coeffs, uint32_t blowup,
+ldeBatch(const Fp *coeffs, size_t n, size_t count, uint32_t blowup,
          Fp shift, Fp *out)
 {
-    checkBatchSizes(coeffs);
+    checkBatchSizes(n, count);
     unizk_assert(isPowerOfTwo(blowup), "blowup must be a power of two");
-    const size_t m = coeffs[0].size() * blowup;
-    forEachPoly(coeffs.size(), m, [&](size_t p, bool par) {
-        ldeNRInto(coeffs[p], blowup, shift, out + p * m, par);
+    const size_t m = n * blowup;
+    forEachPoly(count, m, [&](size_t p, bool par) {
+        ldeNRInto(coeffs + p * n, n, blowup, shift, out + p * m, par);
     });
 }
 

@@ -81,23 +81,23 @@ std::vector<Fp> lowDegreeExtension(const std::vector<Fp> &coeffs,
                                    uint32_t blowup, Fp shift);
 
 /**
- * Batch API: transforms over a set of equally-sized polynomials with a
+ * Batch API: transforms over @p count polynomials of one power-of-two
+ * size @p n, stored flat (polynomial p at [p n, (p + 1) n)), with a
  * single twiddle acquisition and automatic parallel-axis selection (see
- * file docs). Both require every polynomial to share one power-of-two
- * size.
+ * file docs).
  * @{
  */
 
 /** In-place iNTT^NN of every polynomial (the commit-from-values step). */
-void inttBatchNN(std::vector<std::vector<Fp>> &polys);
+void inttBatchNN(Fp *data, size_t n, size_t count);
 
 /**
  * Coset LDE of every coefficient vector, bit-reversed output (the
  * commit step of FRI), written column-major: lowDegreeExtension of
- * coeffs[p] fills out[p * m, (p + 1) * m), m = n * blowup, and nothing
- * else is read or written.
+ * polynomial p fills out[p * m, (p + 1) * m), m = n * blowup, and
+ * nothing else is read or written.
  */
-void ldeBatch(const std::vector<std::vector<Fp>> &coeffs, uint32_t blowup,
+void ldeBatch(const Fp *coeffs, size_t n, size_t count, uint32_t blowup,
               Fp shift, Fp *out);
 
 /** @} */

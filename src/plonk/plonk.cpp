@@ -131,12 +131,16 @@ plonkSetup(const Circuit &circuit, const FriConfig &cfg,
         }
     }
 
-    std::vector<std::vector<Fp>> constants{
-        circuit.selQL(), circuit.selQR(), circuit.selQO(), circuit.selQM(),
-        circuit.selQC(), key.sigmaValues[0], key.sigmaValues[1],
-        key.sigmaValues[2]};
+    const std::vector<Fp> *columns[] = {
+        &circuit.selQL(),    &circuit.selQR(),    &circuit.selQO(),
+        &circuit.selQM(),    &circuit.selQC(),    &key.sigmaValues[0],
+        &key.sigmaValues[1], &key.sigmaValues[2]};
+    std::vector<Fp> constants;
+    constants.reserve(8 * n);
+    for (const auto *col : columns)
+        constants.insert(constants.end(), col->begin(), col->end());
     key.constants = std::make_unique<PolynomialBatch>(
-        PolynomialBatch::fromValues(std::move(constants), cfg, ctx,
+        PolynomialBatch::fromValues(std::move(constants), n, 8, cfg, ctx,
                                     "constants"));
     return key;
 }
@@ -195,17 +199,17 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
             proof.publicInputs[r] = circuit.publicValues(per_rep_wires[r]);
         }
     });
-    std::vector<std::vector<Fp>> wire_values;
-    wire_values.reserve(3 * reps);
+    std::vector<Fp> wire_values;
+    wire_values.reserve(3 * reps * n);
     for (const auto &rep : per_rep_wires)
         for (const auto &col : rep)
-            wire_values.push_back(col);
+            wire_values.insert(wire_values.end(), col.begin(), col.end());
     // Public inputs are part of the statement: bind them into the
     // transcript before any challenge is drawn.
     for (const auto &row : proof.publicInputs)
         challenger.observe(row);
     PolynomialBatch wires = PolynomialBatch::fromValues(
-        std::move(wire_values), cfg, ctx, "wires");
+        std::move(wire_values), n, 3 * reps, cfg, ctx, "wires");
     proof.wiresCap = wires.cap();
     for (const auto &digest : wires.cap())
         challenger.observe(digest);
@@ -223,7 +227,7 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
             cur *= w;
         }
     }
-    std::vector<std::vector<Fp>> z_values(reps);
+    std::vector<Fp> z_values(reps * n);
     {
         const KernelScope scope(ctx, KernelClass::Polynomial,
                                 "plonk/permutation-z");
@@ -249,11 +253,10 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
                     partialProductsGrouped(q, 32);
                 unizk_assert(prefix[n - 1] == Fp::one(),
                              "permutation product must telescope to 1");
-                std::vector<Fp> z(n);
+                Fp *z = z_values.data() + r * n;
                 z[0] = Fp::one();
                 for (size_t i = 1; i < n; ++i)
                     z[i] = prefix[i - 1];
-                z_values[r] = std::move(z);
             }
         });
     }
@@ -263,7 +266,7 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
     ctx.record(PartialProductKernel{n * reps, 8}, "quotient chunk PP");
 
     PolynomialBatch z_batch = PolynomialBatch::fromValues(
-        std::move(z_values), cfg, ctx, "Z");
+        std::move(z_values), n, reps, cfg, ctx, "Z");
     // Only the public values and the Z products read the witness.
     per_rep_wires = {};
     proof.zCap = z_batch.cap();
@@ -371,7 +374,7 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
                "quotient: iNTT");
     // Degree must be below 4n by construction.
     PolynomialBatch quotient = PolynomialBatch::fromCoefficients(
-        combined, n, plonkQuotientChunks, cfg, ctx, "quotient");
+        std::move(combined), n, plonkQuotientChunks, cfg, ctx, "quotient");
     proof.quotientCap = quotient.cap();
     for (const auto &digest : quotient.cap())
         challenger.observe(digest);

@@ -99,18 +99,15 @@ vanishingOnCoset(size_t n, uint32_t blowup, Fp shift)
 }
 
 std::vector<Fp2>
-evalEachExt(const std::vector<std::vector<Fp>> &coeffs, Fp2 z)
+evalEachExt(const Fp *coeffs, size_t n, size_t count, Fp2 z)
 {
-    size_t len = 0;
-    for (const auto &c : coeffs)
-        len = std::max(len, c.size());
-    // z^0 .. z^(len-1) once for every polynomial, split into limbs:
+    // z^0 .. z^(n-1) once for every polynomial, split into limbs:
     // p(z).limb(l) = sum_k c_k * (z^k).limb(l) for base-field c_k, one
     // lazily reduced dot per limb and polynomial. Each chunk of the
     // power chain starts from its own z^lo, so the table is the same
     // at every thread count.
-    std::vector<Fp> pow0(len), pow1(len);
-    parallelFor(0, len, /*grain=*/4096, [&](size_t lo, size_t hi) {
+    std::vector<Fp> pow0(n), pow1(n);
+    parallelFor(0, n, /*grain=*/4096, [&](size_t lo, size_t hi) {
         Fp2 cur = z.pow(lo);
         for (size_t k = lo; k < hi; ++k) {
             pow0[k] = cur.limb(0);
@@ -118,12 +115,11 @@ evalEachExt(const std::vector<std::vector<Fp>> &coeffs, Fp2 z)
             cur *= z;
         }
     });
-    std::vector<Fp2> out(coeffs.size());
-    parallelFor(0, coeffs.size(), /*grain=*/1, [&](size_t lo, size_t hi) {
+    std::vector<Fp2> out(count);
+    parallelFor(0, count, /*grain=*/1, [&](size_t lo, size_t hi) {
         for (size_t i = lo; i < hi; ++i) {
-            const auto &c = coeffs[i];
-            out[i] = Fp2(fpDot(pow0.data(), c.data(), c.size()),
-                         fpDot(pow1.data(), c.data(), c.size()));
+            const Fp *c = coeffs + i * n;
+            out[i] = Fp2(fpDot(pow0.data(), c, n), fpDot(pow1.data(), c, n));
         }
     });
     return out;

@@ -24,12 +24,14 @@ namespace unizk {
 std::vector<Fp> vecMul(const std::vector<Fp> &a, const std::vector<Fp> &b);
 
 /**
- * Evaluate every coefficient vector of @p coeffs (lengths may differ)
- * at the extension point @p z: one shared table of z's powers, then
- * two fpDot calls per polynomial. Equal to Horner's rule on each.
+ * Evaluate each of @p count coefficient vectors of length @p n, stored
+ * flat (polynomial k at coeffs[k n, (k + 1) n)), at the extension point
+ * @p z: one shared table of z's powers, then two fpDot calls per
+ * polynomial. Equal to Horner's rule on each.
  */
-std::vector<Fp2> evalEachExt(const std::vector<std::vector<Fp>> &coeffs,
+std::vector<Fp2> evalEachExt(const Fp *coeffs, size_t n, size_t count,
                              Fp2 z);
+
 
 /**
  * Running partial products (paper Eq. 2): PP[i] = h[0] * ... * h[i].

@@ -139,8 +139,12 @@ starkProve(const StarkAir &air,
     proof.columns = cols;
 
     // ---- Trace commitment. ----
-    PolynomialBatch trace =
-        PolynomialBatch::fromValues(columns, cfg, ctx, "trace");
+    std::vector<Fp> trace_values;
+    trace_values.reserve(cols * n);
+    for (const auto &col : columns)
+        trace_values.insert(trace_values.end(), col.begin(), col.end());
+    PolynomialBatch trace = PolynomialBatch::fromValues(
+        std::move(trace_values), n, cols, cfg, ctx, "trace");
     proof.traceCap = trace.cap();
     for (const auto &digest : trace.cap())
         challenger.observe(digest);
@@ -189,7 +193,7 @@ starkProve(const StarkAir &air,
                      "quotient degree exceeds chunk budget");
     }
     PolynomialBatch quotient = PolynomialBatch::fromCoefficients(
-        combined, n, num_chunks, cfg, ctx, "quotient");
+        std::move(combined), n, num_chunks, cfg, ctx, "quotient");
     proof.quotientCap = quotient.cap();
     for (const auto &digest : quotient.cap())
         challenger.observe(digest);

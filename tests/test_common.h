@@ -19,12 +19,19 @@ namespace unizk {
  */
 template <typename T>
 T
-horner(const std::vector<Fp> &coeffs, T x)
+horner(const Fp *coeffs, size_t len, T x)
 {
     T acc{};
-    for (size_t i = coeffs.size(); i-- > 0;)
+    for (size_t i = len; i-- > 0;)
         acc = acc * x + T(coeffs[i]);
     return acc;
+}
+
+template <typename T>
+T
+horner(const std::vector<Fp> &coeffs, T x)
+{
+    return horner(coeffs.data(), coeffs.size(), x);
 }
 
 } // namespace unizk

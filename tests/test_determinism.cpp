@@ -204,17 +204,15 @@ proveFriSeeded()
     const size_t n = 64;
     ProverContext ctx;
     SplitMix64 rng(2024);
-    auto values = [&rng, n](size_t polys) {
-        std::vector<std::vector<Fp>> vals(polys, std::vector<Fp>(n));
-        for (auto &v : vals)
-            for (Fp &x : v)
-                x = randomFp(rng);
-        return vals;
+    auto commit = [&](size_t polys, const char *label) {
+        std::vector<Fp> vals(polys * n);
+        for (Fp &x : vals)
+            x = randomFp(rng);
+        return PolynomialBatch::fromValues(std::move(vals), n, polys, cfg,
+                                           ctx, label);
     };
-    const PolynomialBatch a =
-        PolynomialBatch::fromValues(values(5), cfg, ctx, "a");
-    const PolynomialBatch b =
-        PolynomialBatch::fromValues(values(3), cfg, ctx, "b");
+    const PolynomialBatch a = commit(5, "a");
+    const PolynomialBatch b = commit(3, "b");
 
     Challenger challenger;
     for (const auto *batch : {&a, &b})

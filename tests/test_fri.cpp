@@ -19,17 +19,24 @@
 namespace unizk {
 namespace {
 
-std::vector<std::vector<Fp>>
+/** @p num_polys random polynomials of @p n values each, stored flat. */
+std::vector<Fp>
 randomValues(size_t num_polys, size_t n, uint64_t seed)
 {
     SplitMix64 rng(seed);
-    std::vector<std::vector<Fp>> vals(num_polys);
-    for (auto &v : vals) {
-        v.resize(n);
-        for (auto &x : v)
-            x = randomFp(rng);
-    }
+    std::vector<Fp> vals(num_polys * n);
+    for (auto &x : vals)
+        x = randomFp(rng);
     return vals;
+}
+
+/** A batch committing @p num_polys random polynomials of @p n values. */
+PolynomialBatch
+randomBatch(size_t num_polys, size_t n, uint64_t seed, const FriConfig &cfg,
+            const ProverContext &ctx)
+{
+    return PolynomialBatch::fromValues(randomValues(num_polys, n, seed), n,
+                                       num_polys, cfg, ctx, "t");
 }
 
 /** Everything needed to drive one honest FRI round trip. */
@@ -47,11 +54,9 @@ struct FriFixture
     {
         ProverContext ctx;
         batch_a = std::make_unique<PolynomialBatch>(
-            PolynomialBatch::fromValues(randomValues(polys_a, n, 1), cfg,
-                                        ctx, "a"));
+            randomBatch(polys_a, n, 1, cfg, ctx));
         batch_b = std::make_unique<PolynomialBatch>(
-            PolynomialBatch::fromValues(randomValues(polys_b, n, 2), cfg,
-                                        ctx, "b"));
+            randomBatch(polys_b, n, 2, cfg, ctx));
 
         Challenger challenger;
         const Fp2 zeta = challenger.challengeExt();
@@ -113,10 +118,9 @@ TEST(PolynomialBatch, LeavesMatchNaiveEvaluation)
     const size_t n = 16;
     ProverContext ctx;
     const FriConfig cfg = FriConfig::testing();
-    auto values = randomValues(3, n, 7);
-    const auto orig = values;
-    PolynomialBatch batch =
-        PolynomialBatch::fromValues(std::move(values), cfg, ctx, "t");
+    const auto orig = randomValues(3, n, 7);
+    PolynomialBatch batch = PolynomialBatch::fromValues(orig, n, 3, cfg, ctx,
+                                                        "t");
 
     EXPECT_EQ(batch.polyCount(), 3u);
     EXPECT_EQ(batch.degreeBound(), n);
@@ -127,7 +131,8 @@ TEST(PolynomialBatch, LeavesMatchNaiveEvaluation)
     const Fp w = Fp::primitiveRootOfUnity(log2Exact(n));
     for (size_t p = 0; p < 3; ++p) {
         for (size_t i = 0; i < n; i += 5)
-            EXPECT_EQ(horner(batch.coefficients(p), w.pow(i)), orig[p][i]);
+            EXPECT_EQ(horner(batch.coefficients(p), n, w.pow(i)),
+                      orig[p * n + i]);
     }
 
     // Leaf i holds all polys' values at LDE point shift*w_big^rev(i).
@@ -138,7 +143,7 @@ TEST(PolynomialBatch, LeavesMatchNaiveEvaluation)
                                                          log2Exact(lde)));
         for (size_t p = 0; p < 3; ++p)
             EXPECT_EQ(batch.ldeValue(p, i),
-                      horner(batch.coefficients(p), x));
+                      horner(batch.coefficients(p), n, x));
     }
 }
 
@@ -149,8 +154,7 @@ TEST(PolynomialBatch, RowGatherMatchesLdeValues)
     // leaf view must read the same buffer.
     ProverContext ctx;
     const FriConfig cfg = FriConfig::testing();
-    const PolynomialBatch batch =
-        PolynomialBatch::fromValues(randomValues(5, 32, 17), cfg, ctx, "t");
+    const PolynomialBatch batch = randomBatch(5, 32, 17, cfg, ctx);
     const LeafView view = batch.leafView();
     ASSERT_EQ(view.count, batch.ldeSize());
     ASSERT_EQ(view.width, batch.polyCount());
@@ -173,8 +177,7 @@ TEST(PolynomialBatch, ByteSizeIsCoefficientsLdeAndDigests)
     const FriConfig cfg = FriConfig::testing();
     ASSERT_EQ(cfg.blowupBits, 3u);
     ASSERT_EQ(cfg.capHeight, 1u);
-    const PolynomialBatch batch =
-        PolynomialBatch::fromValues(randomValues(3, 8, 18), cfg, ctx, "t");
+    const PolynomialBatch batch = randomBatch(3, 8, 18, cfg, ctx);
     const size_t digests = 64 + 32 + 16 + 8 + 4 + 2;
     EXPECT_EQ(batch.byteSize(),
               3 * 8 * sizeof(Fp) + 3 * 64 * sizeof(Fp) + digests * 32);
@@ -184,11 +187,10 @@ TEST(PolynomialBatch, EvalExtMatchesBaseFieldEval)
 {
     ProverContext ctx;
     const FriConfig cfg = FriConfig::testing();
-    PolynomialBatch batch = PolynomialBatch::fromValues(
-        randomValues(2, 8, 9), cfg, ctx, "t");
+    PolynomialBatch batch = randomBatch(2, 8, 9, cfg, ctx);
     const Fp x(12345);
     EXPECT_EQ(batch.evalAllExt(Fp2(x))[1],
-              Fp2(horner(batch.coefficients(1), x)));
+              Fp2(horner(batch.coefficients(1), 8, x)));
 }
 
 /** Restore auto thread count when a test forces a pool size. */
@@ -206,15 +208,15 @@ TEST(PolynomialBatch, EvalAllExtMatchesHornerAtEveryThreadCount)
     // 2^13 coefficients: the power table spans two 4096-term chunks.
     ProverContext ctx;
     const FriConfig cfg = FriConfig::testing();
-    PolynomialBatch batch = PolynomialBatch::fromValues(
-        randomValues(5, size_t{1} << 13, 11), cfg, ctx, "t");
+    const size_t n = size_t{1} << 13;
+    PolynomialBatch batch = randomBatch(5, n, 11, cfg, ctx);
     SplitMix64 rng(12);
     for (const Fp2 z : {randomFp2(rng), Fp2(Fp(Fp::modulus - 1),
                                             Fp(Fp::modulus - 1)),
                         Fp2::zero(), Fp2::one()}) {
         std::vector<Fp2> expect(batch.polyCount());
         for (size_t i = 0; i < expect.size(); ++i)
-            expect[i] = horner(batch.coefficients(i), z);
+            expect[i] = horner(batch.coefficients(i), n, z);
         for (const unsigned threads : {1u, 2u, 3u, 8u}) {
             const ThreadCountGuard guard(threads);
             EXPECT_EQ(batch.evalAllExt(z), expect)
@@ -231,7 +233,7 @@ TEST(DeepCombination, MatchesPerTermForm)
     SplitMix64 rng(13);
     std::vector<std::vector<Fp>> rows;
     for (const size_t width : {135u, 0u, 3u, 1u, 17u, 192u})
-        rows.push_back(randomValues(1, width, 14 + width)[0]);
+        rows.push_back(randomValues(1, width, 14 + width));
     rows.emplace_back(64, Fp(Fp::modulus - 1));
     size_t total = 0;
     for (const auto &row : rows)
@@ -277,7 +279,7 @@ TEST(DeepCombination, ColumnSweepMatchesPerTermFormAtEveryPoint)
     std::vector<std::vector<Fp>> columns;
     size_t total = 0;
     for (const size_t width : widths) {
-        columns.push_back(randomValues(1, width * points, 30 + width)[0]);
+        columns.push_back(randomValues(1, width * points, 30 + width));
         total += width;
     }
     // Sprinkle p - 1 in so that the 128-bit sums wrap.
@@ -318,7 +320,7 @@ TEST(PolynomialBatch, RecordsKernels)
     ProverContext ctx;
     ctx.recorder = &recorder;
     const FriConfig cfg = FriConfig::testing();
-    PolynomialBatch::fromValues(randomValues(2, 16, 10), cfg, ctx, "t");
+    randomBatch(2, 16, 10, cfg, ctx);
     // iNTT + LDE NTT + transpose + merkle
     ASSERT_EQ(recorder.trace().size(), 4u);
     EXPECT_STREQ(kernelPayloadName(recorder.trace().ops[0].payload), "ntt");

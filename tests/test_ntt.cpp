@@ -30,20 +30,49 @@ randomVector(size_t n, uint64_t seed)
     return v;
 }
 
+/** Equally sized polynomials, one after another, as the batch API
+ *  stores them. */
+std::vector<Fp>
+flatten(const std::vector<std::vector<Fp>> &polys)
+{
+    std::vector<Fp> flat;
+    for (const auto &p : polys)
+        flat.insert(flat.end(), p.begin(), p.end());
+    return flat;
+}
+
+/** A flat buffer split back into @p count vectors. */
+std::vector<std::vector<Fp>>
+unflatten(const std::vector<Fp> &flat, size_t count)
+{
+    const size_t m = flat.size() / count;
+    std::vector<std::vector<Fp>> out;
+    for (size_t p = 0; p < count; ++p)
+        out.emplace_back(flat.begin() + static_cast<std::ptrdiff_t>(p * m),
+                         flat.begin() +
+                             static_cast<std::ptrdiff_t>((p + 1) * m));
+    return out;
+}
+
 /** ldeBatch's column-major output, split into one vector per polynomial. */
 std::vector<std::vector<Fp>>
 ldeColumns(const std::vector<std::vector<Fp>> &coeffs, uint32_t blowup,
            Fp shift)
 {
-    const size_t m = coeffs[0].size() * blowup;
-    std::vector<Fp> flat(coeffs.size() * m);
-    ldeBatch(coeffs, blowup, shift, flat.data());
-    std::vector<std::vector<Fp>> out;
-    for (size_t p = 0; p < coeffs.size(); ++p)
-        out.emplace_back(flat.begin() + static_cast<std::ptrdiff_t>(p * m),
-                         flat.begin() +
-                             static_cast<std::ptrdiff_t>((p + 1) * m));
-    return out;
+    const size_t n = coeffs[0].size();
+    std::vector<Fp> out(coeffs.size() * n * blowup);
+    ldeBatch(flatten(coeffs).data(), n, coeffs.size(), blowup, shift,
+             out.data());
+    return unflatten(out, coeffs.size());
+}
+
+/** inttBatchNN of equally sized polynomials, through their flat buffer. */
+void
+inttEach(std::vector<std::vector<Fp>> &polys)
+{
+    std::vector<Fp> flat = flatten(polys);
+    inttBatchNN(flat.data(), polys[0].size(), polys.size());
+    polys = unflatten(flat, polys.size());
 }
 
 /** A copy of @p v in bit-reversed order. */
@@ -56,11 +85,10 @@ bitReversed(std::vector<Fp> v)
 
 /** inttBatchNN of a one-polynomial batch. */
 std::vector<Fp>
-inttOne(const std::vector<Fp> &values)
+inttOne(std::vector<Fp> values)
 {
-    std::vector<std::vector<Fp>> batch{values};
-    inttBatchNN(batch);
-    return batch[0];
+    inttBatchNN(values.data(), values.size(), 1);
+    return values;
 }
 
 Fp
@@ -347,12 +375,11 @@ TEST(NttDeathTest, EmptyInputPanicsWithClearMessage)
     EXPECT_DEATH(scalarNttNR(empty), "empty");
     EXPECT_DEATH(multidimNttNN(empty, 3), "empty");
     EXPECT_DEATH(lowDegreeExtension({}, 4, defaultCosetShift()), "empty");
-    std::vector<std::vector<Fp>> empty_poly{empty};
-    EXPECT_DEATH(inttBatchNN(empty_poly), "NTT on an empty vector");
-    EXPECT_DEATH(ldeBatch(empty_poly, 4, defaultCosetShift(), nullptr),
+    EXPECT_DEATH(inttBatchNN(empty.data(), 0, 1), "NTT on an empty vector");
+    EXPECT_DEATH(ldeBatch(empty.data(), 0, 1, 4, defaultCosetShift(),
+                          nullptr),
                  "NTT on an empty vector");
-    std::vector<std::vector<Fp>> no_polys;
-    EXPECT_DEATH(inttBatchNN(no_polys), "empty polynomial batch");
+    EXPECT_DEATH(inttBatchNN(empty.data(), 4, 0), "empty polynomial batch");
     std::vector<Fp2> empty_ext;
     EXPECT_DEATH(inttNNExt(empty_ext), "empty");
 }
@@ -362,8 +389,7 @@ TEST(NttDeathTest, NonPowerOfTwoPanics)
     std::vector<Fp> a{Fp(1), Fp(2), Fp(3)};
     EXPECT_DEATH(nttNR(a), "power of two");
     EXPECT_DEATH(cosetInttRN(a, defaultCosetShift()), "power of two");
-    std::vector<std::vector<Fp>> batch{a};
-    EXPECT_DEATH(inttBatchNN(batch), "power of two");
+    EXPECT_DEATH(inttBatchNN(a.data(), a.size(), 1), "power of two");
 }
 
 // KernelScope writes the breakdown without synchronisation and charges
@@ -476,7 +502,7 @@ TEST(NttExhaustive, ExtensionFieldActsLimbwise)
         cosetInttRN(lo_coset, shift);
         cosetInttRN(hi_coset, shift);
         std::vector<std::vector<Fp>> limbs{lo, hi};
-        inttBatchNN(limbs);
+        inttEach(limbs);
         lo = limbs[0];
         hi = limbs[1];
         for (size_t i = 0; i < n; ++i) {
@@ -500,7 +526,7 @@ TEST(NttBatch, MatchesPerPolyEntryPoints)
         polys[p] = randomVector(n, 7000 + p);
 
     auto batch = polys;
-    inttBatchNN(batch);
+    inttEach(batch);
     for (size_t p = 0; p < polys.size(); ++p) {
         EXPECT_EQ(batch[p], naiveIdft(polys[p], Fp::one()))
             << "inttBatchNN poly " << p;
@@ -580,7 +606,7 @@ TEST(NttParallel, LargeTransformsThreadCountInvariant)
             out.push_back(std::move(a));
         }
         auto batch = small;
-        inttBatchNN(batch);
+        inttEach(batch);
         for (auto &v : batch)
             out.push_back(std::move(v));
         return out;
@@ -659,7 +685,7 @@ allVariants(const std::vector<Fp> &orig, Fp shift)
         out.push_back(std::move(v));
     for (auto &v : ldeColumns(polys, 2, shift))
         out.push_back(std::move(v));
-    inttBatchNN(polys);
+    inttEach(polys);
     for (auto &v : polys)
         out.push_back(std::move(v));
     return out;

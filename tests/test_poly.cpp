@@ -121,26 +121,27 @@ TEST(Vanishing, NonzeroEverywhereOnCoset)
         EXPECT_FALSE(v.isZero());
 }
 
-TEST(EvalEachExt, RaggedLengthsMatchHorner)
+TEST(EvalEachExt, UniformBatchesMatchHorner)
 {
-    // Lengths 0 and 1, lane-ragged lengths, and lengths on both sides
-    // of the power chain's 4096-term chunks, in one call.
+    // Lengths 1 to 3, a lane-ragged length, and lengths on both sides of
+    // the power chain's 4096-term chunks; each batch ends in a row of
+    // all p - 1. A zero-count batch evaluates nothing.
     SplitMix64 rng(21);
-    std::vector<std::vector<Fp>> coeffs;
-    for (const size_t len :
-         {0u, 1u, 2u, 3u, 17u, 4095u, 4096u, 4097u, 9000u, 1u, 0u})
-        coeffs.push_back(randomVector(len, 22 + len));
-    coeffs.emplace_back(300, Fp(Fp::modulus - 1));
-    for (const Fp2 z : {randomFp2(rng), Fp2(Fp(Fp::modulus - 1),
-                                            Fp(Fp::modulus - 1)),
-                        Fp2::zero()}) {
-        const auto got = evalEachExt(coeffs, z);
-        ASSERT_EQ(got.size(), coeffs.size());
-        for (size_t i = 0; i < coeffs.size(); ++i) {
-            EXPECT_EQ(got[i], horner(coeffs[i], z)) << "poly " << i;
+    for (const size_t n : {1u, 2u, 3u, 17u, 4095u, 4096u, 4097u, 9000u}) {
+        std::vector<Fp> coeffs = randomVector(2 * n, 22 + n);
+        coeffs.insert(coeffs.end(), n, Fp(Fp::modulus - 1));
+        const size_t count = 3;
+        for (const Fp2 z : {randomFp2(rng), Fp2(Fp(Fp::modulus - 1),
+                                                Fp(Fp::modulus - 1)),
+                            Fp2::zero()}) {
+            const auto got = evalEachExt(coeffs.data(), n, count, z);
+            ASSERT_EQ(got.size(), count);
+            for (size_t i = 0; i < count; ++i)
+                EXPECT_EQ(got[i], horner(coeffs.data() + i * n, n, z))
+                    << "n " << n << " poly " << i;
         }
+        EXPECT_TRUE(evalEachExt(coeffs.data(), n, 0, Fp2::one()).empty());
     }
-    EXPECT_TRUE(evalEachExt({}, Fp2::one()).empty());
 }
 
 } // namespace
