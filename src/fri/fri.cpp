@@ -123,7 +123,28 @@ combinedOpenings(const std::vector<std::vector<Fp2>> &openings,
     return bz;
 }
 
+/** Observe the openings row by row, limb 0 then limb 1 of each value. */
+void
+observeOpenings(Challenger &challenger,
+                const std::vector<std::vector<Fp2>> &openings)
+{
+    for (const auto &row : openings)
+        for (const Fp2 &v : row) {
+            challenger.observe(v.limb(0));
+            challenger.observe(v.limb(1));
+        }
+}
+
 } // namespace
+
+void
+recordChallenger(Challenger &challenger, const ProverContext &ctx,
+                 const char *label)
+{
+    const size_t perms = challenger.takePermutations();
+    if (perms > 0)
+        ctx.record(HashKernel{perms}, std::string("challenger: ") + label);
+}
 
 DeepCombination::DeepCombination(const std::vector<Fp2> &alpha_pows)
     : limb0_(alpha_pows.size()), limb1_(alpha_pows.size())
@@ -200,17 +221,13 @@ FriProof::byteSize() const
     return bytes;
 }
 
-FriProof
+FriOpenedProof
 friProve(const std::vector<const PolynomialBatch *> &batches,
-         const std::vector<Fp2> &points,
-         const std::vector<std::vector<Fp2>> &openings,
-         Challenger &challenger, const FriConfig &cfg,
-         const ProverContext &ctx)
+         const std::vector<Fp2> &points, Challenger &challenger,
+         const FriConfig &cfg, const ProverContext &ctx, const char *span)
 {
     UNIZK_SPAN("fri/prove");
     unizk_assert(!batches.empty(), "no batches to open");
-    unizk_assert(points.size() == openings.size(),
-                 "one opening set per point required");
     const size_t n = batches[0]->degreeBound();
     for (const auto *b : batches) {
         unizk_assert(b->degreeBound() == n,
@@ -222,10 +239,25 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
     for (const auto *b : batches)
         num_polys += b->polyCount();
 
+    FriOpenedProof out;
+    std::vector<std::vector<Fp2>> &openings = out.openings;
+    openings.resize(points.size());
+    {
+        const KernelScope scope(ctx, KernelClass::Polynomial, span);
+        for (size_t j = 0; j < points.size(); ++j)
+            for (const auto *batch : batches)
+                for (const Fp2 &v : batch->evalAllExt(points[j]))
+                    openings[j].push_back(v);
+    }
+    ctx.record(VecOpKernel{n, static_cast<uint32_t>(num_polys), 1, 4, 0},
+               "openings: evaluate at zeta, w*zeta");
+    observeOpenings(challenger, openings);
+    recordChallenger(challenger, ctx, "openings");
+
     const Fp2 alpha = challenger.challengeExt();
     const auto alpha_pows = alphaPowers(alpha, num_polys + points.size());
 
-    FriProof proof;
+    FriProof &proof = out.proof;
 
     // ---- DEEP quotient G over the LDE domain (bit-reversed order). ----
     std::vector<Fp2> g_values(domain);
@@ -372,7 +404,8 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
         }
         proof.queries.push_back(std::move(round));
     }
-    return proof;
+    recordChallenger(challenger, ctx, "fri");
+    return out;
 }
 
 bool
@@ -397,6 +430,11 @@ friVerify(const std::vector<FriBatchInfo> &batches, size_t degree_bound,
         return false;
     const size_t domain = n << cfg.blowupBits;
     const size_t num_polys = totalPolyCount(batches);
+    if (openings.size() != points.size())
+        return false;
+    for (const auto &row : openings)
+        if (row.size() != num_polys)
+            return false;
 
     // Number of folding layers the prover must have produced.
     size_t expected_layers = 0;
@@ -414,6 +452,7 @@ friVerify(const std::vector<FriBatchInfo> &batches, size_t degree_bound,
     if (proof.queries.size() != cfg.numQueries)
         return false;
 
+    observeOpenings(challenger, openings);
     const Fp2 alpha = challenger.challengeExt();
     const auto alpha_pows = alphaPowers(alpha, num_polys + points.size());
     const auto b_z = combinedOpenings(openings, alpha_pows, num_polys);

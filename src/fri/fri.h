@@ -5,6 +5,8 @@
  * right).
  *
  * Protocol outline:
+ *  0. Openings: every committed polynomial is evaluated at each point
+ *     z_j and the values are observed into the transcript.
  *  1. All committed polynomials are batched with powers of a challenge
  *     alpha into B(X); the openings at each point z_j give the DEEP
  *     quotient G(X) = sum_j alpha_j * (B(X) - B(z_j)) / (X - z_j),
@@ -174,16 +176,35 @@ class DeepCombination
 };
 
 /**
- * Prove the openings of all polynomials in @p batches at each point of
- * @p points. @p openings[j][k] must equal the k-th polynomial's value at
- * points[j], where k runs over all batches' polynomials in order; they
- * must already have been observed into @p challenger by the caller.
+ * Record the permutations @p challenger ran since the previous call as
+ * one HashKernel labelled "challenger: <label>", or nothing if it ran
+ * none. The provers call it after each challenge they draw.
  */
-FriProof friProve(const std::vector<const PolynomialBatch *> &batches,
-                  const std::vector<Fp2> &points,
-                  const std::vector<std::vector<Fp2>> &openings,
-                  Challenger &challenger, const FriConfig &cfg,
-                  const ProverContext &ctx);
+void recordChallenger(Challenger &challenger, const ProverContext &ctx,
+                      const char *label);
+
+/** What friProve returns: the openings it evaluated and their proof. */
+struct FriOpenedProof
+{
+    /**
+     * openings[j][k]: polynomial k at points[j], k running over every
+     * batch's polynomials in batch order.
+     */
+    std::vector<std::vector<Fp2>> openings;
+    FriProof proof;
+};
+
+/**
+ * The opening round of the batches' commitment (paper Fig. 1): evaluate
+ * every polynomial of @p batches at each of @p points under a
+ * KernelScope named @p span, observe the openings into @p challenger
+ * (row by row, each value limb 0 then limb 1), and prove them with
+ * FRI. friVerify replays the same transcript from the same openings.
+ */
+FriOpenedProof friProve(const std::vector<const PolynomialBatch *> &batches,
+                        const std::vector<Fp2> &points,
+                        Challenger &challenger, const FriConfig &cfg,
+                        const ProverContext &ctx, const char *span);
 
 /** Verifier-side view of one committed batch. */
 struct FriBatchInfo
@@ -202,9 +223,13 @@ struct FriBatchInfo
 bool friDomainFits(size_t degree_bound, const FriConfig &cfg);
 
 /**
- * Verify a FRI opening proof. @p degree_bound is the common degree
- * bound n of the committed polynomials; the challenger must be in the
- * same state as the prover's was when friProve was called.
+ * Verify the opening round: @p openings, one row per point of @p points
+ * holding a value for every committed polynomial, are observed into
+ * @p challenger as friProve observed them, and FRI must prove them.
+ * Openings of any other shape are rejected. @p degree_bound is the
+ * common degree bound n of the committed polynomials; the challenger
+ * must be in the same state as the prover's was when friProve was
+ * called.
  *
  * All query indices are drawn before any query is checked, then chunks
  * of queries run on the pool: each chunk verifies its Merkle paths one

@@ -39,7 +39,7 @@ Challenger::duplex()
         state[i] = input_buffer[i];
     input_buffer.clear();
     Poseidon::instance().permute(state);
-    ++permutation_count;
+    ++unrecorded_permutations;
     UNIZK_COUNTER_ADD("challenger.permutations", 1);
     output_buffer.assign(state.begin(),
                          state.begin() + PoseidonConfig::rate);

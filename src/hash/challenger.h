@@ -46,11 +46,17 @@ class Challenger
     std::vector<Fp> challenges(size_t n);
 
     /**
-     * Total Poseidon permutations performed so far; lets the CPU
-     * baseline and the trace recorder attribute Fiat-Shamir hashing
-     * cost (Table 1's "Other Hash").
+     * Poseidon permutations since the previous call (or construction),
+     * so that the prover's trace can charge Fiat-Shamir hashing (Table
+     * 1's "Other Hash") to the step that ran it.
      */
-    size_t permutationCount() const { return permutation_count; }
+    size_t
+    takePermutations()
+    {
+        const size_t since = unrecorded_permutations;
+        unrecorded_permutations = 0;
+        return since;
+    }
 
   private:
     void duplex();
@@ -58,7 +64,7 @@ class Challenger
     PoseidonState state{};
     std::vector<Fp> input_buffer;
     std::vector<Fp> output_buffer;
-    size_t permutation_count = 0;
+    size_t unrecorded_permutations = 0;
 };
 
 } // namespace unizk

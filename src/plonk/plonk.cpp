@@ -14,13 +14,6 @@ namespace {
 /** Quotient-computation blowup: covers the degree-4n quotient. */
 constexpr uint32_t quotient_blowup_bits = 2;
 
-/** The flattened number of committed polynomials. */
-size_t
-flatPolyCount(size_t repetitions)
-{
-    return 8 + 3 * repetitions + repetitions + plonkQuotientChunks;
-}
-
 /** Flat index of the first wire polynomial. */
 constexpr size_t wiresOffset = 8;
 
@@ -37,16 +30,16 @@ quotientOffset(size_t repetitions)
 }
 
 /**
- * Evaluate the combined Plonk constraint at zeta from opened values.
- * Shared between the verifier and (as a sanity check) the prover.
- * @return the expected t(zeta) * Z_H(zeta).
+ * The quotient identity at zeta on opened values: the combined Plonk
+ * constraint equals t(zeta) * Z_H(zeta). Shared between the verifier
+ * and (as a sanity check) the prover.
  */
-Fp2
-combinedConstraintAtZeta(const std::vector<Fp2> &at_z,
-                         const std::vector<Fp2> &at_wz, Fp2 zeta,
-                         size_t n, size_t repetitions, Fp beta, Fp gamma,
-                         Fp alpha, const std::vector<size_t> &public_rows,
-                         const std::vector<std::vector<Fp>> &publics)
+bool
+quotientIdentityHolds(const std::vector<Fp2> &at_z,
+                      const std::vector<Fp2> &at_wz, Fp2 zeta, size_t n,
+                      size_t repetitions, Fp beta, Fp gamma, Fp alpha,
+                      const std::vector<size_t> &public_rows,
+                      const std::vector<std::vector<Fp>> &publics)
 {
     const Fp2 q_l = at_z[0], q_r = at_z[1], q_o = at_z[2], q_m = at_z[3],
               q_c = at_z[4];
@@ -97,7 +90,9 @@ combinedConstraintAtZeta(const std::vector<Fp2> &at_z,
         acc += l1 * (z - Fp2::one()) * alpha_pow;
         alpha_pow *= alpha;
     }
-    return acc;
+    return acc == recombineChunks(&at_z[quotientOffset(repetitions)],
+                                  plonkQuotientChunks, zeta, n) *
+                      z_h;
 }
 
 } // namespace
@@ -171,15 +166,6 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
     const Fp shift = cfg.shift();
 
     Challenger challenger;
-    size_t hash_mark = 0;
-    auto record_challenger = [&](const char *label) {
-        if (challenger.permutationCount() > hash_mark) {
-            ctx.record(HashKernel{challenger.permutationCount() -
-                                  hash_mark},
-                       std::string("challenger: ") + label);
-            hash_mark = challenger.permutationCount();
-        }
-    };
 
     PlonkProof proof;
     proof.rows = n;
@@ -216,7 +202,7 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
 
     const Fp beta = challenger.challenge();
     const Fp gamma = challenger.challenge();
-    record_challenger("beta/gamma");
+    recordChallenger(challenger, ctx, "beta/gamma");
 
     // ---- Permutation argument Z polynomials (copy constraints). ----
     std::vector<Fp> w_pows(n);
@@ -274,7 +260,7 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
         challenger.observe(digest);
 
     const Fp alpha = challenger.challenge();
-    record_challenger("alpha");
+    recordChallenger(challenger, ctx, "alpha");
 
     // ---- Quotient polynomial on the 4n coset domain. ----
     // Stored bit-reversed, the 4n-point coset is the first 4n values of
@@ -380,55 +366,19 @@ plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
         challenger.observe(digest);
 
     const Fp2 zeta = challenger.challengeExt();
-    record_challenger("zeta");
+    recordChallenger(challenger, ctx, "zeta");
 
-    // ---- Openings at zeta and w*zeta. ----
-    const std::vector<Fp2> points{zeta, zeta * w};
-    const std::vector<const PolynomialBatch *> batches{
-        key.constants.get(), &wires, &z_batch, &quotient};
-    proof.openings.resize(points.size());
-    {
-        const KernelScope scope(ctx, KernelClass::Polynomial,
-                                "plonk/openings");
-        for (size_t j = 0; j < points.size(); ++j) {
-            for (const auto *batch : batches) {
-                for (const Fp2 &v : batch->evalAllExt(points[j]))
-                    proof.openings[j].push_back(v);
-            }
-        }
-    }
-    ctx.record(VecOpKernel{n, static_cast<uint32_t>(
-                                  flatPolyCount(reps)),
-                           1, 4, 0},
-               "openings: evaluate at zeta, w*zeta");
-    for (const auto &row : proof.openings) {
-        for (const Fp2 &v : row) {
-            challenger.observe(v.limb(0));
-            challenger.observe(v.limb(1));
-        }
-    }
-    record_challenger("openings");
-
-    // Sanity: the opened values must satisfy the quotient identity.
-    {
-        const Fp2 expected = combinedConstraintAtZeta(
-            proof.openings[0], proof.openings[1], zeta, n, reps, beta,
-            gamma, alpha, circuit.publicRows(), proof.publicInputs);
-        Fp2 t_at_zeta;
-        const Fp2 zeta_n = zeta.pow(n);
-        Fp2 zpow = Fp2::one();
-        for (size_t k = 0; k < plonkQuotientChunks; ++k) {
-            t_at_zeta +=
-                proof.openings[0][quotientOffset(reps) + k] * zpow;
-            zpow *= zeta_n;
-        }
-        unizk_assert(expected == t_at_zeta * (zeta_n - Fp2::one()),
-                     "prover-side quotient identity failed");
-    }
-
-    proof.fri = friProve(batches, points, proof.openings, challenger, cfg,
-                         ctx);
-    record_challenger("fri");
+    // ---- Openings at zeta and w*zeta, proven by FRI. ----
+    FriOpenedProof opened = friProve(
+        {key.constants.get(), &wires, &z_batch, &quotient}, {zeta, zeta * w},
+        challenger, cfg, ctx, "plonk/openings");
+    proof.openings = std::move(opened.openings);
+    proof.fri = std::move(opened.proof);
+    unizk_assert(quotientIdentityHolds(proof.openings[0], proof.openings[1],
+                                       zeta, n, reps, beta, gamma, alpha,
+                                       circuit.publicRows(),
+                                       proof.publicInputs),
+                 "prover-side quotient identity failed");
     return proof;
 }
 
@@ -441,15 +391,6 @@ plonkVerify(const MerkleCap &constants_cap, const PlonkProof &proof,
     // Rejects row counts whose FRI domain has no root of unity.
     if (!friDomainFits(n, cfg) || reps == 0)
         return false;
-    const size_t num_polys = flatPolyCount(reps);
-    if (proof.openings.size() != 2)
-        return false;
-    for (const auto &row : proof.openings)
-        if (row.size() != num_polys)
-            return false;
-
-    const Fp w = Fp::primitiveRootOfUnity(log2Exact(n));
-
     if (proof.publicInputs.size() != reps)
         return false;
     for (const auto &row : proof.publicInputs)
@@ -471,39 +412,20 @@ plonkVerify(const MerkleCap &constants_cap, const PlonkProof &proof,
     for (const auto &digest : proof.quotientCap)
         challenger.observe(digest);
     const Fp2 zeta = challenger.challengeExt();
-    for (const auto &row : proof.openings) {
-        for (const Fp2 &v : row) {
-            challenger.observe(v.limb(0));
-            challenger.observe(v.limb(1));
-        }
-    }
 
-    // Quotient identity at zeta.
-    const Fp2 expected = combinedConstraintAtZeta(
-        proof.openings[0], proof.openings[1], zeta, n, reps, beta, gamma,
-        alpha, public_rows, proof.publicInputs);
-    const Fp2 zeta_n = zeta.pow(n);
-    Fp2 t_at_zeta;
-    {
-        Fp2 zpow = Fp2::one();
-        for (size_t k = 0; k < plonkQuotientChunks; ++k) {
-            t_at_zeta +=
-                proof.openings[0][quotientOffset(reps) + k] * zpow;
-            zpow *= zeta_n;
-        }
-    }
-    if (expected != t_at_zeta * (zeta_n - Fp2::one()))
-        return false;
-
-    // FRI certifies the openings.
-    const std::vector<Fp2> points{zeta, zeta * w};
+    // FRI certifies the openings (and their shape); only then does the
+    // quotient identity read them.
+    const Fp w = Fp::primitiveRootOfUnity(log2Exact(n));
     const std::vector<FriBatchInfo> batches{
         {constants_cap, 8},
         {proof.wiresCap, 3 * reps},
         {proof.zCap, reps},
         {proof.quotientCap, plonkQuotientChunks}};
-    return friVerify(batches, n, points, proof.openings, proof.fri,
-                     challenger, cfg);
+    return friVerify(batches, n, {zeta, zeta * w}, proof.openings,
+                     proof.fri, challenger, cfg) &&
+           quotientIdentityHolds(proof.openings[0], proof.openings[1], zeta,
+                                 n, reps, beta, gamma, alpha, public_rows,
+                                 proof.publicInputs);
 }
 
 } // namespace unizk

@@ -125,4 +125,16 @@ evalEachExt(const Fp *coeffs, size_t n, size_t count, Fp2 z)
     return out;
 }
 
+Fp2
+recombineChunks(const Fp2 *values, size_t count, Fp2 z, size_t n)
+{
+    const Fp2 z_n = z.pow(n);
+    Fp2 acc, z_pow = Fp2::one();
+    for (size_t k = 0; k < count; ++k) {
+        acc += values[k] * z_pow;
+        z_pow *= z_n;
+    }
+    return acc;
+}
+
 } // namespace unizk

@@ -32,6 +32,12 @@ std::vector<Fp> vecMul(const std::vector<Fp> &a, const std::vector<Fp> &b);
 std::vector<Fp2> evalEachExt(const Fp *coeffs, size_t n, size_t count,
                              Fp2 z);
 
+/**
+ * t(z) = sum_k values[k] * z^(n k) for a polynomial t of degree below
+ * count * n split into @p count chunks of @p n coefficients, from the
+ * chunks' values at @p z (the Plonk and Stark quotients' openings).
+ */
+Fp2 recombineChunks(const Fp2 *values, size_t count, Fp2 z, size_t n);
 
 /**
  * Running partial products (paper Eq. 2): PP[i] = h[0] * ... * h[i].

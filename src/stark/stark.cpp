@@ -13,15 +13,15 @@ namespace unizk {
 namespace {
 
 /**
- * Combined constraint value at zeta computed from opened values;
- * shared by prover (sanity check) and verifier. Returns the expected
- * t(zeta), i.e. the combination already divided by the vanishing
- * factors.
+ * The quotient identity at zeta on opened values: the constraints
+ * combined and divided by their vanishing factors equal t(zeta), from
+ * the @p chunks quotient openings after the columns. Shared by prover
+ * (sanity check) and verifier.
  */
-Fp2
-combinedAtZeta(const StarkAir &air, const std::vector<Fp2> &at_z,
-               const std::vector<Fp2> &at_wz, Fp2 zeta, size_t n,
-               Fp alpha)
+bool
+quotientIdentityHolds(const StarkAir &air, const std::vector<Fp2> &at_z,
+                      const std::vector<Fp2> &at_wz, Fp2 zeta, size_t n,
+                      Fp alpha, size_t chunks)
 {
     const size_t cols = air.numColumns();
     const Fp w = Fp::primitiveRootOfUnity(log2Exact(n));
@@ -54,7 +54,7 @@ combinedAtZeta(const StarkAir &air, const std::vector<Fp2> &at_z,
         acc += term * alpha_pow;
         alpha_pow *= alpha;
     }
-    return acc;
+    return acc == recombineChunks(&at_z[cols], chunks, zeta, n);
 }
 
 } // namespace
@@ -124,15 +124,6 @@ starkProve(const StarkAir &air,
     const Fp shift = cfg.shift();
 
     Challenger challenger;
-    size_t hash_mark = 0;
-    auto record_challenger = [&](const char *label) {
-        if (challenger.permutationCount() > hash_mark) {
-            ctx.record(HashKernel{challenger.permutationCount() -
-                                  hash_mark},
-                       std::string("challenger: ") + label);
-            hash_mark = challenger.permutationCount();
-        }
-    };
 
     StarkProof proof;
     proof.rows = n;
@@ -149,7 +140,7 @@ starkProve(const StarkAir &air,
     for (const auto &digest : trace.cap())
         challenger.observe(digest);
     const Fp alpha = challenger.challenge();
-    record_challenger("alpha");
+    recordChallenger(challenger, ctx, "alpha");
 
     // ---- Quotient on a coset domain covering the constraint degree. --
     const uint32_t q_blowup_bits =
@@ -199,50 +190,17 @@ starkProve(const StarkAir &air,
         challenger.observe(digest);
 
     const Fp2 zeta = challenger.challengeExt();
-    record_challenger("zeta");
+    recordChallenger(challenger, ctx, "zeta");
 
-    // ---- Openings and FRI. ----
-    const std::vector<Fp2> points{zeta, zeta * w};
-    const std::vector<const PolynomialBatch *> batches{&trace, &quotient};
-    proof.openings.resize(points.size());
-    {
-        const KernelScope scope(ctx, KernelClass::Polynomial,
-                                "stark/openings");
-        for (size_t j = 0; j < points.size(); ++j) {
-            for (const auto *batch : batches)
-                for (const Fp2 &v : batch->evalAllExt(points[j]))
-                    proof.openings[j].push_back(v);
-        }
-    }
-    ctx.record(VecOpKernel{n, static_cast<uint32_t>(cols + num_chunks), 1,
-                           4, 0},
-               "openings: evaluate at zeta, w*zeta");
-    for (const auto &row : proof.openings) {
-        for (const Fp2 &v : row) {
-            challenger.observe(v.limb(0));
-            challenger.observe(v.limb(1));
-        }
-    }
-    record_challenger("openings");
-
-    // Sanity check against the verifier's identity.
-    {
-        const Fp2 expected = combinedAtZeta(
-            air, proof.openings[0], proof.openings[1], zeta, n, alpha);
-        const Fp2 zeta_n = zeta.pow(n);
-        Fp2 t_at_zeta;
-        Fp2 zpow = Fp2::one();
-        for (size_t k = 0; k < num_chunks; ++k) {
-            t_at_zeta += proof.openings[0][cols + k] * zpow;
-            zpow *= zeta_n;
-        }
-        unizk_assert(expected == t_at_zeta,
-                     "prover-side STARK identity failed");
-    }
-
-    proof.fri = friProve(batches, points, proof.openings, challenger, cfg,
-                         ctx);
-    record_challenger("fri");
+    // ---- Openings at zeta and w*zeta, proven by FRI. ----
+    FriOpenedProof opened = friProve({&trace, &quotient}, {zeta, zeta * w},
+                                     challenger, cfg, ctx, "stark/openings");
+    proof.openings = std::move(opened.openings);
+    proof.fri = std::move(opened.proof);
+    unizk_assert(quotientIdentityHolds(air, proof.openings[0],
+                                       proof.openings[1], zeta, n, alpha,
+                                       num_chunks),
+                 "prover-side STARK identity failed");
     return proof;
 }
 
@@ -329,13 +287,6 @@ starkVerify(const StarkAir &air, const StarkProof &proof,
         std::max<size_t>(1, air.constraintDegree() - 1);
     if (proof.quotientChunks != num_chunks)
         return false;
-    if (proof.openings.size() != 2)
-        return false;
-    for (const auto &row : proof.openings)
-        if (row.size() != cols + num_chunks)
-            return false;
-
-    const Fp w = Fp::primitiveRootOfUnity(log2Exact(n));
 
     Challenger challenger;
     for (const auto &digest : proof.traceCap)
@@ -344,33 +295,17 @@ starkVerify(const StarkAir &air, const StarkProof &proof,
     for (const auto &digest : proof.quotientCap)
         challenger.observe(digest);
     const Fp2 zeta = challenger.challengeExt();
-    for (const auto &row : proof.openings) {
-        for (const Fp2 &v : row) {
-            challenger.observe(v.limb(0));
-            challenger.observe(v.limb(1));
-        }
-    }
 
-    const Fp2 expected = combinedAtZeta(air, proof.openings[0],
-                                        proof.openings[1], zeta, n, alpha);
-    const Fp2 zeta_n = zeta.pow(n);
-    Fp2 t_at_zeta;
-    {
-        Fp2 zpow = Fp2::one();
-        for (size_t k = 0; k < num_chunks; ++k) {
-            t_at_zeta += proof.openings[0][cols + k] * zpow;
-            zpow *= zeta_n;
-        }
-    }
-    if (expected != t_at_zeta)
-        return false;
-
-    const std::vector<Fp2> points{zeta, zeta * w};
+    // FRI certifies the openings (and their shape); only then does the
+    // quotient identity read them.
+    const Fp w = Fp::primitiveRootOfUnity(log2Exact(n));
     const std::vector<FriBatchInfo> batches{{proof.traceCap, cols},
                                             {proof.quotientCap,
                                              num_chunks}};
-    return friVerify(batches, n, points, proof.openings, proof.fri,
-                     challenger, cfg);
+    return friVerify(batches, n, {zeta, zeta * w}, proof.openings,
+                     proof.fri, challenger, cfg) &&
+           quotientIdentityHolds(air, proof.openings[0], proof.openings[1],
+                                 zeta, n, alpha, num_chunks);
 }
 
 } // namespace unizk

@@ -221,21 +221,9 @@ proveFriSeeded()
     const Fp2 zeta = challenger.challengeExt();
     const std::vector<Fp2> points{
         zeta, zeta * Fp::primitiveRootOfUnity(log2Exact(n))};
-    std::vector<std::vector<Fp2>> openings;
-    for (const Fp2 &z : points) {
-        std::vector<Fp2> row;
-        for (const auto *batch : {&a, &b})
-            for (const Fp2 &v : batch->evalAllExt(z))
-                row.push_back(v);
-        openings.push_back(std::move(row));
-    }
-    for (const auto &row : openings)
-        for (const Fp2 &v : row) {
-            challenger.observe(v.limb(0));
-            challenger.observe(v.limb(1));
-        }
     return serializeFriProof(
-        friProve({&a, &b}, points, openings, challenger, cfg, ctx));
+        friProve({&a, &b}, points, challenger, cfg, ctx, "fri/openings")
+            .proof);
 }
 
 /** A small Plonky2 shape: the Factorial circuit at 256 rows, 3 reps. */

@@ -63,21 +63,11 @@ struct FriFixture
         const Fp g = Fp::primitiveRootOfUnity(log2Exact(n));
         points = {zeta, zeta * g};
 
-        for (const Fp2 &z : points) {
-            std::vector<Fp2> row;
-            for (const auto *b : {batch_a.get(), batch_b.get()})
-                for (const Fp2 &v : b->evalAllExt(z))
-                    row.push_back(v);
-            openings.push_back(std::move(row));
-        }
-        for (const auto &row : openings)
-            for (const Fp2 &v : row) {
-                challenger.observe(v.limb(0));
-                challenger.observe(v.limb(1));
-            }
-
-        proof = friProve({batch_a.get(), batch_b.get()}, points, openings,
-                         challenger, cfg, ctx);
+        FriOpenedProof opened =
+            friProve({batch_a.get(), batch_b.get()}, points, challenger,
+                     cfg, ctx, "fri/openings");
+        openings = std::move(opened.openings);
+        proof = std::move(opened.proof);
     }
 
     std::vector<FriBatchInfo>
@@ -103,11 +93,6 @@ struct FriFixture
         Challenger challenger;
         const Fp2 zeta = challenger.challengeExt();
         (void)zeta;
-        for (const auto &row : open)
-            for (const Fp2 &v : row) {
-                challenger.observe(v.limb(0));
-                challenger.observe(v.limb(1));
-            }
         return friVerify(infos, batch_a->degreeBound(), points, open, p,
                          challenger, cfg);
     }
@@ -366,6 +351,24 @@ TEST(Fri, TamperedOpeningFails)
     auto bad = f.openings;
     bad[0][1] += Fp2::one();
     EXPECT_FALSE(f.verify(bad, f.proof));
+}
+
+TEST(Fri, MalformedOpeningShapesRejected)
+{
+    // One row per point, one value per committed polynomial: any other
+    // shape is rejected, not read past its end.
+    FriFixture f(64, 3, 2, FriConfig::testing());
+    ASSERT_TRUE(f.verify(f.openings, f.proof));
+    auto missing_row = f.openings;
+    missing_row.pop_back();
+    auto extra_row = f.openings;
+    extra_row.push_back(extra_row[0]);
+    auto short_row = f.openings;
+    short_row[1].pop_back();
+    auto long_row = f.openings;
+    long_row[0].push_back(Fp2::one());
+    for (const auto *bad : {&missing_row, &extra_row, &short_row, &long_row})
+        EXPECT_FALSE(f.verify(*bad, f.proof));
 }
 
 TEST(Fri, TamperedFinalPolyFails)

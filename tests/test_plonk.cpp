@@ -243,6 +243,22 @@ TEST(Plonk, TamperedOpeningFails)
     EXPECT_FALSE(plonkVerify(f.key.constants->cap(), bad, f.cfg));
 }
 
+TEST(Plonk, TruncatedOpeningsRowRejected)
+{
+    // The verifier reads no opening before FRI has checked their shape:
+    // a row cut short, even to nothing, is rejected without a crash.
+    PlonkFixture f(2);
+    for (size_t row = 0; row < 2; ++row) {
+        for (const bool empty : {false, true}) {
+            auto bad = f.proof;
+            bad.openings[row].resize(empty ? 0
+                                           : bad.openings[row].size() - 1);
+            EXPECT_FALSE(plonkVerify(f.key.constants->cap(), bad, f.cfg))
+                << "row " << row << (empty ? " emptied" : " cut by one");
+        }
+    }
+}
+
 TEST(Plonk, TamperedWiresCapFails)
 {
     PlonkFixture f(1);

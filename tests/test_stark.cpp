@@ -218,6 +218,26 @@ TEST(Stark, TamperedOpeningFails)
     EXPECT_FALSE(starkVerify(air, proof, cfg));
 }
 
+TEST(Stark, TruncatedOpeningsRowRejected)
+{
+    // The verifier reads no opening before FRI has checked their shape:
+    // a row cut short, even to nothing, is rejected without a crash.
+    const auto trace = fibonacciTrace(128);
+    FibonacciAir air(trace[1].back());
+    ProverContext ctx;
+    const FriConfig cfg = FriConfig::testing();
+    const auto proof = starkProve(air, trace, cfg, ctx);
+    for (size_t row = 0; row < 2; ++row) {
+        for (const bool empty : {false, true}) {
+            auto bad = proof;
+            bad.openings[row].resize(empty ? 0
+                                           : bad.openings[row].size() - 1);
+            EXPECT_FALSE(starkVerify(air, bad, cfg))
+                << "row " << row << (empty ? " emptied" : " cut by one");
+        }
+    }
+}
+
 TEST(Stark, RowCountBeyondTwoAdicityRejected)
 {
     // Regression: a row count with no root of unity of its order (or
