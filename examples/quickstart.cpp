@@ -13,6 +13,7 @@
 
 #include <cstdio>
 
+#include "serialize/proof_io.h"
 #include "sim/simulator.h"
 #include "unizk/pipeline.h"
 
@@ -48,7 +49,9 @@ main()
     const PlonkProof proof = plonkProve(
         circuit, key, {{Fp(1), Fp(2), Fp(3), Fp(11)}}, cfg, ctx);
     std::printf("proved in %.3f s; proof size %.1f kB\n",
-                watch.elapsedSeconds(), static_cast<double>(proof.byteSize()) / 1024.0);
+                watch.elapsedSeconds(),
+                static_cast<double>(serializePlonkProof(proof).size()) /
+                    1024.0);
 
     // ---- 3. Verify. ----
     const bool ok = plonkVerify(key.constants->cap(), proof, cfg);

@@ -76,13 +76,6 @@ foldLayer(const std::vector<Fp2> &cur, Fp2 beta, Fp shift)
     return next;
 }
 
-/** Pack an Fp2 pair into a 4-element Merkle leaf. */
-std::vector<Fp>
-packPair(const Fp2 &a, const Fp2 &b)
-{
-    return {a.limb(0), a.limb(1), b.limb(0), b.limb(1)};
-}
-
 /** Flattened count of polynomials across batches. */
 size_t
 totalPolyCount(const std::vector<FriBatchInfo> &batches)
@@ -174,6 +167,9 @@ powGrind(Fp challenge, uint32_t bits)
     const Poseidon &poseidon = Poseidon::instance();
     // valid[i] answers nonce start + i; chunks write disjoint slots.
     std::vector<uint8_t> valid(kPowMaxBlock);
+    // An honest grind hashes past 2^(bits + 8) nonces with probability
+    // about e^-256; a search that gets there has a broken hash.
+    const uint64_t limit = uint64_t{1} << std::min<uint32_t>(bits + 8, 63);
     uint64_t start = 0;
     for (uint64_t block = kPowFirstBlock;;
          block = std::min(2 * block, kPowMaxBlock)) {
@@ -197,28 +193,11 @@ powGrind(Fp challenge, uint32_t bits)
                 start + static_cast<uint64_t>(hit - valid.begin());
             return result;
         }
+        if (result.hashes >= limit)
+            unizk_panic("proof-of-work grind for ", bits, " bits found no "
+                        "nonce in ", result.hashes, " hashes");
         start += block;
     }
-}
-
-size_t
-FriProof::byteSize() const
-{
-    size_t bytes = sizeof(powNonce);
-    for (const auto &cap : layerCaps)
-        bytes += cap.size() * HashOut::byteSize();
-    bytes += finalPoly.size() * 2 * sizeof(uint64_t);
-    for (const auto &q : queries) {
-        for (const auto &init : q.initial) {
-            bytes += init.values.size() * sizeof(uint64_t);
-            bytes += init.proof.byteSize();
-        }
-        for (const auto &layer : q.layers) {
-            bytes += 4 * sizeof(uint64_t);
-            bytes += layer.proof.byteSize();
-        }
-    }
-    return bytes;
 }
 
 FriOpenedProof
@@ -493,19 +472,12 @@ friVerify(const std::vector<FriBatchInfo> &batches, size_t degree_bound,
     const Fp w_domain = Fp::primitiveRootOfUnity(log_domain);
     const Fp inv2 = Fp(2).inverse();
 
-    // The arithmetic of query q, once its Merkle paths have verified:
-    // B(x) from the initial openings, the DEEP quotient at x, every
-    // fold step, and the final polynomial.
-    auto query_holds = [&](size_t q) {
+    // The arithmetic of query q, once its Merkle paths have verified and
+    // b_x = B(x) has been combined from its initial openings: the DEEP
+    // quotient at x, every fold step, and the final polynomial.
+    auto query_holds = [&](size_t q, const Fp2 &b_x) {
         const FriQueryRound &round = proof.queries[q];
         const size_t idx = indices[q];
-        Fp2 b_x;
-        combination.combine(
-            [&](size_t b) {
-                const std::vector<Fp> &row = round.initial[b].values;
-                return LeafView::rowMajor(row.data(), row.size(), 1);
-            },
-            round.initial.size(), 0, 1, &b_x);
 
         // DEEP quotient at the query point. A point on the domain has no
         // quotient (the prover could not have built one): reject.
@@ -554,43 +526,67 @@ friVerify(const std::vector<FriBatchInfo> &batches, size_t degree_bound,
         return final_eval == expected;
     };
 
-    // Queries [lo, hi): each tree's paths in one verifyBatch call (the
-    // initial trees at the query index, layer l's pair tree at
-    // idx >> (l + 1)), then the per-query arithmetic.
+    // first[b]: batch b's first term in B.
+    std::vector<size_t> first(batches.size());
+    for (size_t bi = 1; bi < batches.size(); ++bi)
+        first[bi] = first[bi - 1] + batches[bi - 1].polyCount;
+
+    // Queries [lo, hi): each tree's m openings gathered into one flat
+    // row-major block and checked in one verifyBatch call (the initial
+    // trees at the query index, layer l's pair tree at idx >> (l + 1)),
+    // then B(x) for every query from the initial blocks, then the
+    // per-query arithmetic.
     auto chunk_holds = [&](size_t lo, size_t hi) {
         const size_t m = hi - lo;
-        std::vector<const std::vector<Fp> *> leaves(m);
         std::vector<const MerkleProof *> paths(m);
+        // Batch b's rows are the m x polyCount block at m * first[b].
+        std::vector<Fp> rows(m * num_polys);
+        const auto initial_view = [&](size_t bi) {
+            return LeafView::rowMajor(rows.data() + m * first[bi],
+                                      batches[bi].polyCount, m);
+        };
         for (size_t bi = 0; bi < batches.size(); ++bi) {
+            const size_t width = batches[bi].polyCount;
             for (size_t i = 0; i < m; ++i) {
                 const auto &open = proof.queries[lo + i].initial[bi];
-                leaves[i] = &open.values;
+                std::copy(open.values.begin(), open.values.end(),
+                          rows.begin() + m * first[bi] + i * width);
                 paths[i] = &open.proof;
             }
-            if (!MerkleTree::verifyBatch(leaves.data(), &indices[lo],
-                                         paths.data(), m, batches[bi].cap,
+            if (!MerkleTree::verifyBatch(initial_view(bi), &indices[lo],
+                                         paths.data(), batches[bi].cap,
                                          log_domain))
                 return false;
         }
-        std::vector<std::vector<Fp>> pair_leaves(m);
+        // Pair i of a layer is limbs [4i, 4i + 4), as the prover
+        // committed it.
+        std::vector<Fp> pairs(4 * m);
         std::vector<size_t> pair_indices(m);
         for (size_t l = 0; l < expected_layers; ++l) {
             for (size_t i = 0; i < m; ++i) {
                 const auto &open = proof.queries[lo + i].layers[l];
-                pair_leaves[i] = packPair(open.pair[0], open.pair[1]);
+                for (size_t h = 0; h < 2; ++h) {
+                    pairs[4 * i + 2 * h] = open.pair[h].limb(0);
+                    pairs[4 * i + 2 * h + 1] = open.pair[h].limb(1);
+                }
                 pair_indices[i] = indices[lo + i] >> (l + 1);
-                leaves[i] = &pair_leaves[i];
                 paths[i] = &open.proof;
             }
             // Layer l's tree commits domain >> (l + 1) pair-leaves.
             if (!MerkleTree::verifyBatch(
-                    leaves.data(), pair_indices.data(), paths.data(), m,
-                    proof.layerCaps[l],
+                    LeafView::rowMajor(pairs.data(), 4, m),
+                    pair_indices.data(), paths.data(), proof.layerCaps[l],
                     log_domain - 1 - static_cast<uint32_t>(l)))
                 return false;
         }
-        for (size_t q = lo; q < hi; ++q)
-            if (!query_holds(q))
+        // B(x) with the chunk's queries as the points.
+        constexpr size_t kBlock = DeepCombination::kBlock;
+        std::vector<Fp2> b_x(m);
+        for (size_t i = 0; i < m; i += kBlock)
+            combination.combine(initial_view, batches.size(), i,
+                                std::min(kBlock, m - i), &b_x[i]);
+        for (size_t i = 0; i < m; ++i)
+            if (!query_holds(lo + i, b_x[i]))
                 return false;
         return true;
     };

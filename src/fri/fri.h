@@ -59,9 +59,6 @@ struct FriProof
     std::vector<Fp2> finalPoly; ///< coefficients, low to high
     uint64_t powNonce = 0;
     std::vector<FriQueryRound> queries;
-
-    /** Proof size in bytes (for Table 5 style reporting). */
-    size_t byteSize() const;
 };
 
 /**
@@ -104,7 +101,8 @@ PowGrindResult powGrind(Fp challenge, uint32_t bits);
  * every committed batch's values at one point in order. The alpha
  * powers are split into their two Fp limbs once, so each term costs one
  * 128-bit product per limb. friProve's B(x) over the LDE domain and
- * friVerify's B(x) at each query (the one-point case) share combine().
+ * friVerify's B(x) at its queries (the gathered rows as points) share
+ * combine().
  */
 class DeepCombination
 {
@@ -232,10 +230,14 @@ bool friDomainFits(size_t degree_bound, const FriConfig &cfg);
  * called.
  *
  * All query indices are drawn before any query is checked, then chunks
- * of queries run on the pool: each chunk verifies its Merkle paths one
- * tree at a time through MerkleTree::verifyBatch, then each query's
- * DEEP quotient, fold chain and final-polynomial evaluation. The result
- * is the AND of every check, so it does not depend on the chunking.
+ * of queries run on the pool. Each chunk gathers its m openings of each
+ * tree into one flat row-major block (m x polyCount for an initial
+ * batch, m x 4 limbs for a folded layer) and verifies their Merkle
+ * paths in one MerkleTree::verifyBatch call per tree. It then combines
+ * B(x) for all m queries from the initial blocks, one combine() per
+ * DeepCombination::kBlock queries, and checks each query's DEEP
+ * quotient, fold chain and final-polynomial evaluation. The result is
+ * the AND of every check, so it does not depend on the chunking.
  */
 bool friVerify(const std::vector<FriBatchInfo> &batches,
                size_t degree_bound, const std::vector<Fp2> &points,

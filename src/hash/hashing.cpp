@@ -21,39 +21,6 @@ extractDigests(const PoseidonState *states, size_t n, HashOut *out)
             out[k].elems[i] = states[k][i];
 }
 
-/**
- * hashNoPad of @p run <= kSimdBatchWidth inputs of @p len elements
- * each (element j of input k is at(k, j)) through one shared
- * permuteBatch absorption schedule. Each permutation computes only the
- * lanes read next: those the next chunk does not overwrite, or the
- * digest after the last chunk.
- */
-template <typename At>
-void
-hashNoPadGroup(size_t run, size_t len, const At &at, HashOut *out)
-{
-    const Poseidon &poseidon = Poseidon::instance();
-    PoseidonState states[kSimdBatchWidth] = {};
-    size_t pos = 0;
-    while (pos < len) {
-        const size_t chunk =
-            std::min<size_t>(PoseidonConfig::rate, len - pos);
-        for (size_t j = 0; j < chunk; ++j)
-            for (size_t k = 0; k < run; ++k)
-                states[k][j] = at(k, pos + j);
-        pos += chunk;
-        const auto next = static_cast<uint32_t>(
-            std::min<size_t>(PoseidonConfig::rate, len - pos));
-        if (next == 0)
-            poseidon.permuteBatch(states, run, 0, kDigestLanes);
-        else
-            poseidon.permuteBatch(states, run, next, PoseidonConfig::width);
-    }
-    if (len == 0)
-        poseidon.permuteBatch(states, run, 0, kDigestLanes);
-    extractDigests(states, run, out);
-}
-
 /** True for the lengths hashOrNoop packs instead of hashing. */
 bool
 isNoopLength(size_t len)
@@ -146,46 +113,41 @@ hashOrNoop(const std::vector<Fp> &inputs)
 void
 hashLeaves(const LeafView &view, size_t lo, size_t hi, HashOut *out)
 {
-    if (isNoopLength(view.width)) {
+    const size_t len = view.width;
+    if (isNoopLength(len)) {
         for (size_t i = lo; i < hi; ++i) {
             HashOut &digest = out[i - lo];
             digest = HashOut{};
-            for (size_t j = 0; j < view.width; ++j)
+            for (size_t j = 0; j < len; ++j)
                 digest.elems[j] = view.at(i, j);
         }
         return;
     }
+    // Up to kSimdBatchWidth sponges share one absorption schedule. Each
+    // permutation computes only the lanes read next: those the next
+    // chunk does not overwrite, or the digest after the last chunk. An
+    // empty leaf runs the loop once, permuting the zero state.
+    const Poseidon &poseidon = Poseidon::instance();
     for (size_t i = lo; i < hi; i += kSimdBatchWidth) {
         const size_t run = std::min(kSimdBatchWidth, hi - i);
-        hashNoPadGroup(
-            run, view.width,
-            [&](size_t k, size_t j) { return view.at(i + k, j); },
-            &out[i - lo]);
-    }
-}
-
-void
-hashOrNoopBatch(const std::vector<Fp> *const *leaves, size_t n,
-                HashOut *out)
-{
-    size_t i = 0;
-    while (i < n) {
-        const size_t len = leaves[i]->size();
-        if (isNoopLength(len)) {
-            // Noop path: no permutation, nothing to batch.
-            out[i] = hashOrNoop(*leaves[i]);
-            ++i;
-            continue;
-        }
-        size_t run = 1;
-        while (run < kSimdBatchWidth && i + run < n &&
-               leaves[i + run]->size() == len)
-            ++run;
-        hashNoPadGroup(
-            run, len,
-            [&](size_t k, size_t j) { return (*leaves[i + k])[j]; },
-            &out[i]);
-        i += run;
+        PoseidonState states[kSimdBatchWidth] = {};
+        size_t pos = 0;
+        do {
+            const size_t chunk =
+                std::min<size_t>(PoseidonConfig::rate, len - pos);
+            for (size_t j = 0; j < chunk; ++j)
+                for (size_t k = 0; k < run; ++k)
+                    states[k][j] = view.at(i + k, pos + j);
+            pos += chunk;
+            const auto next = static_cast<uint32_t>(
+                std::min<size_t>(PoseidonConfig::rate, len - pos));
+            if (next == 0)
+                poseidon.permuteBatch(states, run, 0, kDigestLanes);
+            else
+                poseidon.permuteBatch(states, run, next,
+                                      PoseidonConfig::width);
+        } while (pos < len);
+        extractDigests(states, run, &out[i - lo]);
     }
 }
 

@@ -36,9 +36,6 @@ struct HashOut
     {
         return !(a == b);
     }
-
-    /** Size of the digest in bytes (for proof-size accounting). */
-    static constexpr size_t byteSize() { return 4 * sizeof(uint64_t); }
 };
 
 /**
@@ -51,7 +48,8 @@ HashOut hashNoPad(const std::vector<Fp> &inputs);
 /**
  * Equal-width Merkle leaves read in place: element j of leaf i sits at
  * base[i * leafStride + j * elemStride], column-major for a committed
- * LDE, row-major for packed leaves such as FRI layer pairs.
+ * LDE, row-major for packed leaves such as FRI layer pairs and the
+ * opened rows a verifier gathers.
  */
 struct LeafView
 {
@@ -95,7 +93,9 @@ struct LeafView
 /**
  * Hash leaves [lo, hi) of @p view into out[0 .. hi - lo) as hashOrNoop
  * would, kSimdBatchWidth leaves per Poseidon::permuteBatch, byte-
- * identical at every SIMD level. The Merkle leaf-level entry point.
+ * identical at every SIMD level. The one batched leaf hasher: every
+ * Merkle tree is built through it, and MerkleTree::verifyBatch hashes
+ * the opened leaves through it too.
  */
 void hashLeaves(const LeafView &view, size_t lo, size_t hi, HashOut *out);
 
@@ -120,14 +120,6 @@ void hashTwoToOneBatch(const HashOut *children, size_t pair_count,
  * an empty leaf cannot collide with the all-zero length-4 leaf.
  */
 HashOut hashOrNoop(const std::vector<Fp> &inputs);
-
-/**
- * Hash @p n leaves of any lengths into @p out as hashOrNoop would,
- * batching runs of equal-length hashing-path leaves: the verifier's
- * entry point, for opened values that are not contiguous in memory.
- */
-void hashOrNoopBatch(const std::vector<Fp> *const *leaves, size_t n,
-                     HashOut *out);
 
 /**
  * Number of Poseidon permutations hashNoPad performs on an input of

@@ -10,8 +10,9 @@
  * root, the top `2^cap_height` nodes (the "cap") form the commitment,
  * shortening authentication paths.
  *
- * Node storage follows level order -- the layout the paper points out
- * gives long sequential memory accesses during construction.
+ * Nodes are stored in one level-order buffer, from the leaf digests up
+ * to the cap -- the layout the paper points out gives long sequential
+ * memory accesses during construction.
  */
 
 #ifndef UNIZK_MERKLE_MERKLE_TREE_H
@@ -28,12 +29,6 @@ namespace unizk {
 struct MerkleProof
 {
     std::vector<HashOut> siblings;
-
-    size_t
-    byteSize() const
-    {
-        return siblings.size() * HashOut::byteSize();
-    }
 };
 
 /** A Merkle cap: the digests at height cap_height from the root. */
@@ -48,7 +43,7 @@ class MerkleTree
      */
     MerkleTree(const LeafView &leaves, uint32_t cap_height);
 
-    size_t leafCount() const { return levels_[0].size(); }
+    size_t leafCount() const { return leaf_count_; }
     uint32_t capHeight() const { return cap_height_; }
 
     /** The commitment: 2^cap_height digests. */
@@ -58,20 +53,21 @@ class MerkleTree
     MerkleProof prove(size_t leaf_index) const;
 
     /**
-     * Verify @p n openings of one committed tree against @p cap: opening
-     * i claims that leaves[i] sits at index indices[i], authenticated by
-     * proofs[i]. True iff every opening verifies.
+     * Verify the openings of one committed tree against @p cap: opening
+     * i claims that leaf i of @p leaves sits at index indices[i],
+     * authenticated by proofs[i], for i < leaves.count. True iff every
+     * opening verifies.
      * @param height log2 of the committed tree's leaf count; the
      *        verifier knows it from protocol context (e.g. the FRI
      *        domain size). Proofs whose length differs from
      *        height - cap_height are rejected: accepting shorter paths
      *        would let an interior node masquerade as a leaf.
-     * The leaves go through hashOrNoopBatch, and each level of all n
-     * paths through one hashTwoToOneBatch call.
+     * The leaves go through hashLeaves, as they did when the tree was
+     * built, and each level of all paths through one hashTwoToOneBatch
+     * call.
      */
-    static bool verifyBatch(const std::vector<Fp> *const *leaves,
-                            const size_t *indices,
-                            const MerkleProof *const *proofs, size_t n,
+    static bool verifyBatch(const LeafView &leaves, const size_t *indices,
+                            const MerkleProof *const *proofs,
                             const MerkleCap &cap, uint32_t height);
 
     /** verifyBatch for a single opening. */
@@ -87,10 +83,18 @@ class MerkleTree
                                    uint32_t cap_height);
 
   private:
+    /** Offset in nodes_ of level @p l, which holds leafCount() >> l. */
+    size_t
+    levelOffset(uint32_t l) const
+    {
+        return 2 * (leaf_count_ - (leaf_count_ >> l));
+    }
+
+    size_t leaf_count_;
     uint32_t cap_height_;
-    // levels_[0] = leaf digests; levels_[k] halves each step, stopping
-    // at the cap level.
-    std::vector<std::vector<HashOut>> levels_;
+    // Level order: the leaf digests, then each level above them, up to
+    // and including the cap level.
+    std::vector<HashOut> nodes_;
     MerkleCap cap_;
 };
 

@@ -140,19 +140,6 @@ plonkSetup(const Circuit &circuit, const FriConfig &cfg,
     return key;
 }
 
-size_t
-PlonkProof::byteSize() const
-{
-    size_t bytes = (wiresCap.size() + zCap.size() + quotientCap.size()) *
-                   HashOut::byteSize();
-    for (const auto &row : publicInputs)
-        bytes += row.size() * sizeof(uint64_t);
-    for (const auto &row : openings)
-        bytes += row.size() * 2 * sizeof(uint64_t);
-    bytes += fri.byteSize();
-    return bytes;
-}
-
 PlonkProof
 plonkProve(const Circuit &circuit, const PlonkProvingKey &key,
            const std::vector<std::vector<Fp>> &inputs, const FriConfig &cfg,

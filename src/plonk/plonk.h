@@ -64,8 +64,6 @@ struct PlonkProof
     FriProof fri;
     size_t rows = 0;
     size_t repetitions = 0;
-
-    size_t byteSize() const;
 };
 
 /**

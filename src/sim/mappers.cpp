@@ -149,7 +149,7 @@ mapMerkle(const MerkleKernel &k, const HardwareConfig &cfg)
     // subtree never touch DRAM.
     const uint64_t leaf_bytes =
         k.leafCount * static_cast<uint64_t>(k.leafLength) * 8;
-    const uint64_t node_bytes = 2 * k.leafCount * HashOut::byteSize();
+    const uint64_t node_bytes = 2 * k.leafCount * sizeof(HashOut);
     std::vector<MemStream> streams{
         {leaf_bytes, static_cast<uint32_t>(k.leafLength) * 8, false},
         {node_bytes, 0, true},

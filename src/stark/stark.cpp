@@ -98,17 +98,6 @@ StarkAir::checkTrace(const std::vector<std::vector<Fp>> &columns) const
     return true;
 }
 
-size_t
-StarkProof::byteSize() const
-{
-    size_t bytes =
-        (traceCap.size() + quotientCap.size()) * HashOut::byteSize();
-    for (const auto &row : openings)
-        bytes += row.size() * 2 * sizeof(uint64_t);
-    bytes += fri.byteSize();
-    return bytes;
-}
-
 StarkProof
 starkProve(const StarkAir &air,
            const std::vector<std::vector<Fp>> &columns,

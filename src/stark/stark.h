@@ -83,8 +83,6 @@ struct StarkProof
     size_t rows = 0;
     size_t columns = 0;
     size_t quotientChunks = 0;
-
-    size_t byteSize() const;
 };
 
 /**

@@ -4,12 +4,6 @@
 
 namespace unizk {
 
-size_t
-SumcheckProof::byteSize() const
-{
-    return sizeof(uint64_t) * (2 + 2 * rounds.size());
-}
-
 SumcheckProof
 sumcheckProve(std::vector<Fp> values, Challenger &challenger,
               const ProverContext &ctx)

@@ -40,8 +40,6 @@ struct SumcheckProof
     std::vector<SumcheckRound> rounds;
     /** P evaluated at the challenge point (checked against an oracle). */
     Fp finalEval;
-
-    size_t byteSize() const;
 };
 
 /**

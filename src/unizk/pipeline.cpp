@@ -71,7 +71,6 @@ provePreparedApp(const PreparedApp &prepared, const HardwareConfig &hw,
         const PlonkProof proof = plonkProve(
             instance.circuit, prepared.key, instance.witnesses, cfg, ctx);
         result.cpuSeconds = watch.elapsedSeconds();
-        result.proofBytes = proof.byteSize();
         result.proofBlob = serializePlonkProof(proof);
         UNIZK_SPAN("pipeline/verify");
         result.verified =
@@ -82,13 +81,13 @@ provePreparedApp(const PreparedApp &prepared, const HardwareConfig &hw,
         const StarkProof proof =
             starkProve(*instance.air, instance.trace, cfg, ctx);
         result.cpuSeconds = watch.elapsedSeconds();
-        result.proofBytes = proof.byteSize();
         result.proofBlob = serializeStarkProof(proof);
         UNIZK_SPAN("pipeline/verify");
         result.verified =
             !verify_proof || starkVerify(*instance.air, proof, cfg);
     }
 
+    result.proofBytes = result.proofBlob.size();
     result.trace = recorder.takeTrace();
     result.sim = simulateTrace(result.trace, hw);
     return result;

@@ -14,6 +14,7 @@
 #include "fri/fri.h"
 #include "field/goldilocks_simd.h"
 #include "hash/hashing.h"
+#include "serialize/proof_io.h"
 #include "test_common.h"
 
 namespace unizk {
@@ -414,54 +415,96 @@ TEST(Fri, WrongQueryCountFails)
     EXPECT_FALSE(f.verify(f.openings, bad));
 }
 
+/** Batch a's leaves, and the leaf index each query of a proof opened. */
+struct OpenedLeaves
+{
+    std::vector<std::vector<Fp>> leaves;
+    std::vector<size_t> indices;
+
+    explicit OpenedLeaves(const FriFixture &f)
+    {
+        for (size_t i = 0; i < f.batch_a->tree().leafCount(); ++i)
+            leaves.push_back(f.batch_a->leafView().leaf(i));
+        // The query indices, recovered from the opened (random) leaves.
+        for (const auto &round : f.proof.queries)
+            indices.push_back(static_cast<size_t>(
+                std::find(leaves.begin(), leaves.end(),
+                          round.initial[0].values) -
+                leaves.begin()));
+    }
+};
+
+/**
+ * Whether @p f rejects its proof with batch a recommitted after leaf
+ * @p forged changed. A prover that commits to a changed leaf passes
+ * every Merkle check, so only the arithmetic of the queries opening
+ * that leaf can catch it.
+ */
+bool
+forgedLeafRejected(const FriFixture &f, const OpenedLeaves &opened,
+                   size_t forged)
+{
+    auto forged_leaves = opened.leaves;
+    forged_leaves[forged][0] += Fp::one();
+    std::vector<Fp> packed;
+    for (const auto &leaf : forged_leaves)
+        packed.insert(packed.end(), leaf.begin(), leaf.end());
+    const MerkleTree tree(LeafView::rowMajor(packed.data(),
+                                             forged_leaves[0].size(),
+                                             forged_leaves.size()),
+                          f.batch_a->tree().capHeight());
+    auto bad = f.proof;
+    for (size_t q = 0; q < bad.queries.size(); ++q) {
+        const size_t idx = opened.indices[q];
+        bad.queries[q].initial[0].values = forged_leaves[idx];
+        bad.queries[q].initial[0].proof = tree.prove(idx);
+    }
+    auto infos = f.batchInfos();
+    infos[0].cap = tree.cap();
+    return !f.verify(infos, f.openings, bad);
+}
+
 TEST(Fri, ForgedLeafInAnyOneQueryRejected)
 {
-    // A prover that commits to a changed leaf of batch a passes every
-    // Merkle check, so only the arithmetic of the queries opening that
-    // leaf can catch it. Forge the leaf of each query in turn, at pool
-    // sizes that move the query-chunk boundaries.
+    // Forge the leaf of each query in turn, at pool sizes that move the
+    // query-chunk boundaries.
     FriConfig cfg = FriConfig::testing();
     cfg.numQueries = 20;
     FriFixture f(64, 3, 2, cfg);
     ASSERT_TRUE(f.verify(f.openings, f.proof));
-    const MerkleTree &tree = f.batch_a->tree();
-    std::vector<std::vector<Fp>> leaves;
-    for (size_t i = 0; i < tree.leafCount(); ++i)
-        leaves.push_back(f.batch_a->leafView().leaf(i));
-    const size_t width = leaves[0].size();
-    // The query indices, recovered from the opened (random) leaves.
-    std::vector<size_t> indices;
-    for (const auto &round : f.proof.queries)
-        indices.push_back(static_cast<size_t>(
-            std::find(leaves.begin(), leaves.end(),
-                      round.initial[0].values) -
-            leaves.begin()));
-
+    const OpenedLeaves opened(f);
     for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-        setGlobalThreadCount(threads);
-        for (size_t k = 0; k < cfg.numQueries; ++k) {
-            auto forged_leaves = leaves;
-            forged_leaves[indices[k]][0] += Fp::one();
-            std::vector<Fp> packed;
-            for (const auto &leaf : forged_leaves)
-                packed.insert(packed.end(), leaf.begin(), leaf.end());
-            const MerkleTree forged(
-                LeafView::rowMajor(packed.data(), width,
-                                   forged_leaves.size()),
-                tree.capHeight());
-            auto bad = f.proof;
-            for (size_t q = 0; q < cfg.numQueries; ++q) {
-                bad.queries[q].initial[0].values =
-                    forged_leaves[indices[q]];
-                bad.queries[q].initial[0].proof = forged.prove(indices[q]);
-            }
-            auto infos = f.batchInfos();
-            infos[0].cap = forged.cap();
-            EXPECT_FALSE(f.verify(infos, f.openings, bad))
+        const ThreadCountGuard guard(threads);
+        for (size_t k = 0; k < cfg.numQueries; ++k)
+            EXPECT_TRUE(forgedLeafRejected(f, opened, opened.indices[k]))
                 << "query " << k << " threads " << threads;
+    }
+}
+
+TEST(Fri, MoreQueriesThanOneCombineBlockVerify)
+{
+    // At one thread the pool runs every query as one chunk, so the
+    // verifier combines B(x) over several DeepCombination::kBlock
+    // blocks of queries. A leaf forged in a later block only must
+    // still be caught.
+    constexpr size_t kBlock = DeepCombination::kBlock;
+    FriConfig cfg = FriConfig::testing();
+    cfg.numQueries = 2 * kBlock + 7;
+    FriFixture f(64, 3, 2, cfg);
+    const ThreadCountGuard guard(1);
+    ASSERT_TRUE(f.verify(f.openings, f.proof));
+    const OpenedLeaves opened(f);
+    const auto first_block = opened.indices.begin() + kBlock;
+    for (size_t q = cfg.numQueries; q-- > kBlock;) {
+        const size_t idx = opened.indices[q];
+        if (std::find(opened.indices.begin(), first_block, idx) ==
+            first_block) {
+            EXPECT_TRUE(forgedLeafRejected(f, opened, idx))
+                << "query " << q;
+            return;
         }
     }
-    setGlobalThreadCount(0);
+    FAIL() << "every leaf opened after the first block is opened in it";
 }
 
 TEST(Fri, DomainBeyondTwoAdicityRejected)
@@ -498,8 +541,9 @@ TEST(Fri, ProofSizeIsPositiveAndGrowsWithQueries)
     many.numQueries = few.numQueries * 2;
     FriFixture a(64, 3, 2, few);
     FriFixture b(64, 3, 2, many);
-    EXPECT_GT(a.proof.byteSize(), 0u);
-    EXPECT_GT(b.proof.byteSize(), a.proof.byteSize());
+    EXPECT_GT(serializeFriProof(a.proof).size(), 0u);
+    EXPECT_GT(serializeFriProof(b.proof).size(),
+              serializeFriProof(a.proof).size());
 }
 
 TEST(Fri, ConfigSecurityAccounting)

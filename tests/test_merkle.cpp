@@ -262,13 +262,6 @@ TEST(Merkle, WrongProofLengthFails)
         MerkleTree::verify(leaves[3], 3, proof, tree.cap(), 4));
 }
 
-TEST(Merkle, ProofByteSize)
-{
-    const auto leaves = randomLeaves(16, 5, 9);
-    const MerkleTree tree = treeOver(leaves, 0);
-    EXPECT_EQ(tree.prove(0).byteSize(), 4 * HashOut::byteSize());
-}
-
 /**
  * Level-by-level oracle: scalar hashOrNoop leaves, then one
  * hashTwoToOne per interior node, whole levels at a time, down to a
@@ -288,6 +281,13 @@ oracleLevels(const std::vector<std::vector<Fp>> &leaves)
         levels.push_back(std::move(next));
     }
     return levels;
+}
+
+/** Names a width-parameterized case by its width, as in ".../135". */
+std::string
+widthName(const ::testing::TestParamInfo<size_t> &info)
+{
+    return std::to_string(info.param);
 }
 
 class MerkleDifferential : public ::testing::TestWithParam<size_t>
@@ -340,14 +340,16 @@ TEST_P(MerkleDifferential, MatchesLevelByLevelOracle)
 // 135 (the paper's leaf width, 17 permutations).
 INSTANTIATE_TEST_SUITE_P(Widths, MerkleDifferential,
                          ::testing::Values(size_t{0}, size_t{4}, size_t{5},
-                                           size_t{135}));
+                                           size_t{135}),
+                         widthName);
 
 /**
  * Single-path oracle: every structural check, then one scalar
- * hashTwoToOne per level from the leaf digest up to the cap.
+ * hashTwoToOne per level from the leaf's hashOrNoop digest up to the
+ * cap.
  */
 bool
-oracleVerify(const std::vector<Fp> &leaf, size_t index,
+oracleVerify(const HashOut &leaf_digest, size_t index,
              const MerkleProof &proof, const MerkleCap &cap,
              uint32_t height)
 {
@@ -357,7 +359,7 @@ oracleVerify(const std::vector<Fp> &leaf, size_t index,
     if (cap_h > height || proof.siblings.size() != height - cap_h ||
         index >> height != 0)
         return false;
-    HashOut node = hashOrNoop(leaf);
+    HashOut node = leaf_digest;
     for (const HashOut &sibling : proof.siblings) {
         node = (index & 1) ? hashTwoToOne(sibling, node)
                            : hashTwoToOne(node, sibling);
@@ -382,7 +384,9 @@ enum class Fault
 /** n openings of one tree, the cap and height they are checked against. */
 struct OpeningBatch
 {
-    std::vector<std::vector<Fp>> leaves;
+    size_t width = 0;
+    std::vector<Fp> rows; ///< opening i's leaf: [i * width, (i + 1) * width)
+    std::vector<HashOut> digests; ///< hashOrNoop of each opened leaf
     std::vector<size_t> indices;
     std::vector<MerkleProof> proofs;
     MerkleCap cap;
@@ -393,15 +397,12 @@ struct OpeningBatch
     bool
     verifyBatch() const
     {
-        std::vector<const std::vector<Fp> *> leaf_ptrs;
         std::vector<const MerkleProof *> proof_ptrs;
-        for (size_t i = 0; i < leaves.size(); ++i) {
-            leaf_ptrs.push_back(&leaves[i]);
-            proof_ptrs.push_back(&proofs[i]);
-        }
-        return MerkleTree::verifyBatch(leaf_ptrs.data(), indices.data(),
-                                       proof_ptrs.data(), leaves.size(),
-                                       cap, height);
+        for (const MerkleProof &proof : proofs)
+            proof_ptrs.push_back(&proof);
+        return MerkleTree::verifyBatch(
+            LeafView::rowMajor(rows.data(), width, indices.size()),
+            indices.data(), proof_ptrs.data(), cap, height);
     }
 
     /** AND of the oracle over every opening. */
@@ -409,8 +410,8 @@ struct OpeningBatch
     oracle() const
     {
         bool ok = true;
-        for (size_t i = 0; i < leaves.size(); ++i)
-            ok = oracleVerify(leaves[i], indices[i], proofs[i], cap,
+        for (size_t i = 0; i < indices.size(); ++i)
+            ok = oracleVerify(digests[i], indices[i], proofs[i], cap,
                               height) &&
                  ok;
         return ok;
@@ -420,7 +421,8 @@ struct OpeningBatch
 /**
  * Every batch for one leaf width: heights 1-10, caps 0..min(h, 4),
  * 1-9 openings (ragged SIMD tails), and each fault that applies to the
- * shape injected into one random opening.
+ * shape injected into one random opening. The oracle's leaf digests
+ * are computed once per base batch; only a leaf fault changes them.
  */
 std::vector<OpeningBatch>
 openingBatches(size_t width)
@@ -435,11 +437,14 @@ openingBatches(size_t width)
             const uint32_t path = height - cap_h;
             for (size_t n = 1; n <= 9; ++n) {
                 OpeningBatch base;
+                base.width = width;
                 base.cap = tree.cap();
                 base.height = height;
                 for (size_t i = 0; i < n; ++i) {
                     const size_t idx = rng.nextBelow(leaves.size());
-                    base.leaves.push_back(leaves[idx]);
+                    base.rows.insert(base.rows.end(), leaves[idx].begin(),
+                                     leaves[idx].end());
+                    base.digests.push_back(hashOrNoop(leaves[idx]));
                     base.indices.push_back(idx);
                     base.proofs.push_back(tree.prove(idx));
                 }
@@ -467,9 +472,13 @@ openingBatches(size_t width)
                         siblings[rng.nextBelow(path)]
                             .elems[rng.nextBelow(4)] += Fp::one();
                         break;
-                    case Fault::Leaf:
-                        b.leaves[t][rng.nextBelow(width)] += Fp::one();
+                    case Fault::Leaf: {
+                        Fp *leaf = &b.rows[t * width];
+                        leaf[rng.nextBelow(width)] += Fp::one();
+                        b.digests[t] =
+                            hashOrNoop(std::vector<Fp>(leaf, leaf + width));
                         break;
+                    }
                     case Fault::Index:
                         b.indices[t] ^= size_t{1} << rng.nextBelow(height);
                         break;
@@ -547,7 +556,8 @@ TEST_P(MerkleVerifyBatch, MatchesSinglePathOracle)
 
 INSTANTIATE_TEST_SUITE_P(Widths, MerkleVerifyBatch,
                          ::testing::Values(size_t{0}, size_t{4}, size_t{5},
-                                           size_t{135}));
+                                           size_t{135}),
+                         widthName);
 
 } // namespace
 } // namespace unizk

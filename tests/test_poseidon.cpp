@@ -539,37 +539,19 @@ TEST(SimdDispatch, DotMatchesFpDotOnPoseidonRows)
 TEST(SimdDispatch, BatchHashingMatchesScalarHashing)
 {
     // The hashing.h batch entry points against their scalar
-    // counterparts, covering equal-length runs, mixed lengths (which
-    // force the scalar fallback inside the batcher), noop-path leaves,
-    // empty inputs, ragged tails, and leaf views of every path.
+    // counterparts: leaf views of every path (noop packing, empty
+    // leaves, one to many permutations) with ragged tails, and
+    // two-to-one compression.
     SplitMix64 rng(42);
-    std::vector<std::vector<Fp>> inputs;
-    for (const size_t len : {135u, 135u, 135u, 135u, 135u, 8u, 9u, 0u,
-                             3u, 135u, 135u, 135u, 135u, 1u, 4u, 5u}) {
-        std::vector<Fp> in;
-        for (size_t i = 0; i < len; ++i)
-            in.push_back(randomFp(rng));
-        inputs.push_back(std::move(in));
-    }
-
     std::vector<SimdLevel> levels{SimdLevel::Scalar};
     if (simdLevelAvailable(SimdLevel::Avx2))
         levels.push_back(SimdLevel::Avx2);
 
     for (const SimdLevel level : levels) {
         withSimdLevel(level, [&] {
-            std::vector<const std::vector<Fp> *> ptrs;
-            for (const auto &in : inputs)
-                ptrs.push_back(&in);
-            std::vector<HashOut> batch(inputs.size());
-            hashOrNoopBatch(ptrs.data(), inputs.size(), batch.data());
-            for (size_t i = 0; i < inputs.size(); ++i)
-                EXPECT_EQ(batch[i], hashOrNoop(inputs[i]))
-                    << simdLevelName(level) << " input " << i;
-
             // The leaf view over 7 leaves per width (a full batch and a
             // ragged tail), from a column-major matrix, at an offset.
-            for (const size_t width : {0u, 3u, 4u, 5u, 8u, 9u, 135u}) {
+            for (const size_t width : {0u, 1u, 3u, 4u, 5u, 8u, 9u, 135u}) {
                 std::vector<Fp> columns(width * 9);
                 for (Fp &x : columns)
                     x = randomFp(rng);

@@ -365,17 +365,5 @@ TEST(ProofIo, SumcheckGarbageRejected)
     EXPECT_FALSE(deserializeSumcheckProof(garbage).has_value());
 }
 
-TEST(ProofIo, SerializedSizeTracksByteSizeEstimate)
-{
-    // The analytic byteSize() used for Table 5 must be close to the
-    // real wire size (within the length-prefix overhead).
-    PlonkProofFixture f;
-    const auto bytes = serializePlonkProof(f.proof);
-    const double ratio = static_cast<double>(bytes.size()) /
-                         static_cast<double>(f.proof.byteSize());
-    EXPECT_GT(ratio, 0.9);
-    EXPECT_LT(ratio, 1.5);
-}
-
 } // namespace
 } // namespace unizk
