@@ -285,7 +285,10 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
                "FRI: DEEP quotient");
 
     // ---- Commit phase: fold until the residual is short. ----
-    std::vector<std::vector<Fp2>> layer_values;
+    // Every committed layer in one buffer, level order as in a Merkle
+    // tree: layer l, domain >> l values, at 2 * (domain - (domain >> l)).
+    std::vector<Fp2> layer_values;
+    layer_values.reserve(2 * domain);
     std::vector<MerkleTree> layer_trees;
     std::vector<Fp2> cur = std::move(g_values);
     size_t poly_len = n;
@@ -298,7 +301,7 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
         {
             const KernelScope scope(ctx, KernelClass::MerkleTree,
                                     "fri/layer-commit");
-            // Pair i's packPair leaf is limbs [4i, 4i + 4).
+            // Pair i's leaf is limbs [4i, 4i + 4).
             std::vector<Fp> limbs;
             limbs.reserve(2 * cur.size());
             for (const Fp2 &v : cur)
@@ -311,10 +314,10 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
             challenger.observe(digest);
 
         const Fp2 beta = challenger.challengeExt();
-        layer_values.push_back(std::move(cur));
+        layer_values.insert(layer_values.end(), cur.begin(), cur.end());
         {
             const KernelScope scope(ctx, KernelClass::Polynomial, "fri/fold");
-            cur = foldLayer(layer_values.back(), beta, layer_shift);
+            cur = foldLayer(cur, beta, layer_shift);
         }
         ctx.record(VecOpKernel{cur.size(), 2, 1, 12, 0}, "FRI: fold");
         layer_shift = layer_shift.squared();
@@ -374,9 +377,9 @@ friProve(const std::vector<const PolynomialBatch *> &batches,
         size_t cur_idx = idx;
         for (size_t l = 0; l < layer_trees.size(); ++l) {
             const size_t pair_idx = cur_idx >> 1;
+            const Fp2 *layer = &layer_values[2 * (domain - (domain >> l))];
             FriLayerOpening open;
-            open.pair = {layer_values[l][2 * pair_idx],
-                         layer_values[l][2 * pair_idx + 1]};
+            open.pair = {layer[2 * pair_idx], layer[2 * pair_idx + 1]};
             open.proof = layer_trees[l].prove(pair_idx);
             round.layers.push_back(std::move(open));
             cur_idx = pair_idx;
