@@ -92,7 +92,9 @@ struct PowGrindResult
  * in blocks, each block one parallelFor region whose chunks push
  * kSimdBatchWidth states at a time through Poseidon::permuteBatch; the
  * answer is the smallest valid nonce of the first block holding one, so
- * it is independent of thread count, SIMD level, and chunking.
+ * it is independent of thread count, SIMD level, and chunking. Panics
+ * once 2^min(bits + 8, 63) nonces have been hashed with no hit, which an
+ * honest grind reaches with probability about e^-256.
  */
 PowGrindResult powGrind(Fp challenge, uint32_t bits);
 
